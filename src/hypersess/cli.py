@@ -12,6 +12,7 @@ import csv
 import json
 import logging
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict
@@ -27,38 +28,35 @@ log = logging.getLogger(__name__)
 TEST_WINDOW_DAYS = {"yoochoose": 1.0, "diginetica": 7.0, "generic": 1.0}
 
 
-def _merged(args: argparse.Namespace, defaults: Dict) -> Dict:
-    """defaults <- config file <- explicitly passed flags (None means unset)."""
-    merged = dict(defaults)
+def _options(args: argparse.Namespace, keys) -> Dict:
+    """Values set for ``keys``: config file <- explicitly passed flags (None
+    means unset).  Whatever stays unset takes the callee's default."""
+    opts = {}
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         with open(cfg_path, encoding="utf-8") as fh:
             loaded = json.load(fh)
-        unknown = set(loaded) - set(defaults)
+        unknown = set(loaded) - set(keys)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(loaded)
-    for key in defaults:
+        opts.update(loaded)
+    for key in keys:
         val = getattr(args, key, None)
         if val is not None:
-            merged[key] = val
-    return merged
+            opts[key] = val
+    return opts
 
 
 def cmd_preprocess(args) -> int:
-    opts = _merged(args, {
-        "min_session_len": 2,
-        "min_item_freq": 5,
-        "test_window_days": TEST_WINDOW_DAYS[args.format],
-    })
+    opts = _options(args, ("min_session_len", "min_item_freq", "test_window_days"))
+    window_days = opts.pop("test_window_days", TEST_WINDOW_DAYS[args.format])
     events = data.parse_clicklog(args.input, args.format)
     fraction = float(Fraction(args.fraction)) if args.fraction else None
     split = data.preprocess(
         events,
-        min_session_len=opts["min_session_len"],
-        min_item_freq=opts["min_item_freq"],
-        test_window_seconds=int(opts["test_window_days"] * 86400),
+        test_window_seconds=int(window_days * 86400),
         fraction=fraction,
+        **opts,
     )
     data.save_split(split, args.outdir)
     print(f"items={len(split.item_vocabulary)} "
@@ -98,39 +96,23 @@ def cmd_synth(args) -> int:
     return 0
 
 
-TRAIN_DEFAULTS = {
-    "dim": 60, "lr": 0.01, "epochs": 30, "batch": 64,
-    "lambda_s": 0.1, "lambda_v": 0.1, "layers": 1, "attention_sign": "+1",
-    "seed": 0, "tau": 60.0, "cap": 86400.0, "neighborhood": "in",
-    "retraction": "project", "augment_prefixes": False,
-    "margin_negatives": False, "margin": 1.0,
+# TrainConfig field -> its flag and config-file key; grad_clip is not exposed
+TRAIN_KEYS = {
+    f.name: {"learning_rate": "lr", "batch_size": "batch"}.get(f.name, f.name)
+    for f in fields(train_mod.TrainConfig) if f.name != "grad_clip"
 }
 
 
-def _config_from(opts: Dict) -> train_mod.TrainConfig:
-    return train_mod.TrainConfig(
-        dim=opts["dim"],
-        learning_rate=opts["lr"],
-        epochs=opts["epochs"],
-        batch_size=opts["batch"],
-        lambda_s=opts["lambda_s"],
-        lambda_v=opts["lambda_v"],
-        seed=opts["seed"],
-        attention_sign=float(opts["attention_sign"]),
-        layers=opts["layers"],
-        tau=opts["tau"],
-        cap=opts["cap"],
-        neighborhood=opts["neighborhood"],
-        retraction=opts["retraction"],
-        augment_prefixes=opts["augment_prefixes"],
-        margin_negatives=opts["margin_negatives"],
-        margin=opts["margin"],
-    )
+def train_config(args: argparse.Namespace) -> train_mod.TrainConfig:
+    """TrainConfig from the set flags and config-file keys; the rest keep
+    TrainConfig's defaults."""
+    opts = _options(args, TRAIN_KEYS.values())
+    return train_mod.TrainConfig(**{name: opts[key] for name, key in TRAIN_KEYS.items()
+                                    if key in opts})
 
 
 def cmd_train(args) -> int:
-    opts = _merged(args, TRAIN_DEFAULTS)
-    config = _config_from(opts)
+    config = train_config(args)
     split = data.load_split(args.data)
     examples = train_mod.examples_from_records(
         split.train, config.normalizer(), augment_prefixes=config.augment_prefixes
@@ -148,10 +130,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    opts = _merged(args, {"k": 20})
+    k = _options(args, ("k",)).get("k", 20)
     params, config = train_mod.load_checkpoint(args.checkpoint)
     split = data.load_split(args.data)
-    report = eval_mod.evaluate(params, split.test, opts["k"], config.normalizer())
+    report = eval_mod.evaluate(params, split.test, k, config.normalizer())
 
     print(f"{'metric':<12}{'value':>12}")
     print(f"{'-' * 24}")
@@ -181,7 +163,7 @@ def _parse_session(text: str) -> SessionRecord:
 
 
 def cmd_recommend(args) -> int:
-    opts = _merged(args, {"k": 20})
+    k = _options(args, ("k",)).get("k", 20)
     params, config = train_mod.load_checkpoint(args.checkpoint)
     record = _parse_session(args.session)
     unknown = [it for it, _ in record.events if it not in params.item_index]
@@ -194,7 +176,7 @@ def cmd_recommend(args) -> int:
     g = build_session_graph(record, norm, min_events=1)
     t_norm = norm(args.at_time - record.events[-1][1])
     fw = forward_session(g, t_norm, params)
-    ranking = score_items(fw.item_future, params, k=opts["k"])
+    ranking = score_items(fw.item_future, params, k=k)
 
     print(f"{'rank':<6}{'item':<16}{'distance':>12}")
     print("-" * 34)
@@ -245,12 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-s", dest="lambda_s", type=float)
     p.add_argument("--lambda-v", dest="lambda_v", type=float)
     p.add_argument("--layers", type=int)
-    p.add_argument("--attention-sign", dest="attention_sign", choices=["+1", "-1"])
+    p.add_argument("--attention-sign", dest="attention_sign")
     p.add_argument("--seed", type=int)
     p.add_argument("--tau", type=float)
     p.add_argument("--cap", type=float)
-    p.add_argument("--neighborhood", choices=["in", "out", "both"])
-    p.add_argument("--retraction", choices=["project", "exp"])
+    p.add_argument("--neighborhood")
+    p.add_argument("--retraction")
     p.add_argument("--augment-prefixes", dest="augment_prefixes",
                    action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--margin-negatives", dest="margin_negatives",

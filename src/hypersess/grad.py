@@ -92,14 +92,8 @@ def value_of(x: Arrayish) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def is_node(x: Arrayish) -> bool:
-    return isinstance(x, Node)
-
-
 def _unbroadcast(g: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Reduce a broadcast gradient back to the original operand shape."""
-    if g.shape == shape:
-        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for ax, s in enumerate(shape):
@@ -113,22 +107,15 @@ def _identity(g):
 
 
 def _binary(a, b, out_val, vjp_a, vjp_b) -> Node:
-    """Parents for a broadcasting binary op; vjps are reduced back to the
-    operand shape only when broadcasting actually happened."""
-    sh = out_val.shape
+    """Node for a binary op with the Node operand(s) as parents; ``backward``
+    reduces a broadcast contribution back to the operand shape."""
     if type(a) is Node:
-        va = a.value.shape
-        fa = vjp_a if va == sh else (lambda g, f=vjp_a, s=va: _unbroadcast(f(g), s))
         if type(b) is Node:
-            vb = b.value.shape
-            fb = vjp_b if vb == sh else (lambda g, f=vjp_b, s=vb: _unbroadcast(f(g), s))
-            parents = ((a, fa), (b, fb))
+            parents = ((a, vjp_a), (b, vjp_b))
         else:
-            parents = ((a, fa),)
+            parents = ((a, vjp_a),)
     else:
-        vb = b.value.shape
-        fb = vjp_b if vb == sh else (lambda g, f=vjp_b, s=vb: _unbroadcast(f(g), s))
-        parents = ((b, fb),)
+        parents = ((b, vjp_b),)
     return Node(out_val, parents)
 
 
@@ -205,32 +192,13 @@ def artanh(a: Arrayish):
     return Node(out, ((a, lambda g, x=a.value: g / (1.0 - x * x)),))
 
 
-def arcosh(a: Arrayish):
-    """Inverse hyperbolic cosine, hardened around z = 1.
-
-    The forward clamps z to >= 1 (roundoff can land a hair below), and the
-    derivative is taken at max(z, 1 + 1e-12) so that coincident-point
-    distances get a finite (zero-contribution) gradient instead of NaN.
-    """
-    if not isinstance(a, Node):
-        return np.arccosh(np.maximum(value_of(a), 1.0))
-    z = a.value
-    out = np.arccosh(np.maximum(z, 1.0))
-
-    def vjp(g, z=z):
-        zc = np.maximum(z, 1.0 + ARCOSH_CLAMP)
-        return g / np.sqrt(zc * zc - 1.0)
-
-    return Node(out, ((a, vjp),))
-
-
 def arcosh1p(a: Arrayish):
     """arcosh(1 + x) for x >= 0 without forming 1 + x.
 
     log1p(x + sqrt(x (x + 2))) keeps full relative precision in x, which
     matters for distances between near-coincident points (x ~ ||p-q||^2
-    would otherwise be quantized away at the 1e-16 level).  Same derivative
-    clamp as :func:`arcosh`, expressed as x >= 1e-12.
+    would otherwise be quantized away at the 1e-16 level).  The derivative
+    is taken at x >= ARCOSH_CLAMP, so coincident points get a finite gradient.
     """
     def forward(x):
         x = np.maximum(x, 0.0)
@@ -264,23 +232,11 @@ def relu(a: Arrayish):
 # reductions and linear maps
 # ---------------------------------------------------------------------------
 
-def _binary_exact(a, b, out_val, vjp_a, vjp_b) -> Node:
-    """Like _binary for ops whose vjps already produce operand-shaped grads."""
-    if isinstance(a, Node):
-        if isinstance(b, Node):
-            parents = ((a, vjp_a), (b, vjp_b))
-        else:
-            parents = ((a, vjp_a),)
-    else:
-        parents = ((b, vjp_b),)
-    return Node(out_val, parents)
-
-
 def dot(a: Arrayish, b: Arrayish):
     if not (isinstance(a, Node) or isinstance(b, Node)):
         return np.dot(value_of(a), value_of(b))
     av, bv = value_of(a), value_of(b)
-    return _binary_exact(
+    return _binary(
         a, b, np.dot(av, bv),
         lambda g, o=bv: g * o,
         lambda g, o=av: g * o,
@@ -308,7 +264,7 @@ def matvec(m: Arrayish, v: Arrayish):
     if not (isinstance(m, Node) or isinstance(v, Node)):
         return np.dot(value_of(m), value_of(v))
     mv, vv = value_of(m), value_of(v)
-    return _binary_exact(
+    return _binary(
         m, v, np.dot(mv, vv),
         lambda g, o=vv: np.outer(g, o),
         lambda g, o=mv: np.dot(o.T, g),
@@ -380,6 +336,8 @@ def backward(root: Node) -> None:
             continue
         for parent, vjp in node.parents:
             contrib = vjp(g)
+            if contrib.shape != parent.value.shape:  # operand was broadcast
+                contrib = _unbroadcast(contrib, parent.value.shape)
             if parent._adjoint is None:
                 # may alias g (identity vjp): never mutate adjoints in place
                 parent._adjoint = contrib

@@ -38,10 +38,6 @@ class IntervalNormalizer:
         return min(x, 1.0 - EPS_BALL)
 
 
-def normalize_interval(delta_seconds: float, tau: float, cap: float) -> float:
-    return IntervalNormalizer(tau=tau, cap=cap)(delta_seconds)
-
-
 @dataclass
 class SessionRecord:
     """One session: ordered (item, timestamp) events, timestamps nondecreasing."""

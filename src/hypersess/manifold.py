@@ -56,10 +56,6 @@ def project_rows_to_ball(m: np.ndarray) -> np.ndarray:
     return m * scale
 
 
-def negate(a: Arrayish) -> Arrayish:
-    return grad.neg(a)
-
-
 def conformal_factor(x: Arrayish) -> Arrayish:
     """lambda_x = 2 / (1 - ||x||^2)."""
     return grad.div(2.0, grad.sub(1.0, grad.dot(x, x)))

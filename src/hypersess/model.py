@@ -19,6 +19,29 @@ from .graph import SessionGraph, neighborhood
 
 Item = str
 
+# learnable arrays besides the item table, in checkpoint order
+MATRIX_FIELDS = (
+    "feat_proj", "att_last_proj", "att_item_proj",
+    "sess_future_proj", "item_future_proj",
+    "att_vec", "att_bias", "time_proj",
+)
+# hyperparameters a checkpoint stores beside the arrays, in meta order
+HYPER_FIELDS = (
+    "lambda_s", "lambda_v", "num_layers", "attention_sign", "leaky_slope", "neighborhood",
+)
+
+
+def check_hyperparameters(lambda_s, lambda_v, layers, attention_sign, direction) -> None:
+    """The rules every model configuration obeys; raises ValueError."""
+    if lambda_s < 0 or lambda_v < 0:
+        raise ValueError("lambda_s and lambda_v must be nonnegative")
+    if not 1 <= layers <= 3:
+        raise ValueError("layers must be in 1..3")
+    if attention_sign not in (1.0, -1.0):
+        raise ValueError("attention_sign must be +1 or -1")
+    if direction not in ("in", "out", "both"):
+        raise ValueError("neighborhood must be in/out/both")
+
 
 @dataclass
 class ModelParams:
@@ -50,12 +73,8 @@ class ModelParams:
     def __post_init__(self):
         if not self.item_index:
             self.item_index = {it: i for i, it in enumerate(self.items)}
-        if self.lambda_s < 0 or self.lambda_v < 0:
-            raise ValueError("smoothing coefficients must be nonnegative")
-        if not 1 <= self.num_layers <= 3:
-            raise ValueError("num_layers must be in 1..3")
-        if self.attention_sign not in (1.0, -1.0):
-            raise ValueError("attention_sign must be +1 or -1")
+        check_hyperparameters(self.lambda_s, self.lambda_v, self.num_layers,
+                              self.attention_sign, self.neighborhood)
 
     @property
     def dim(self) -> int:
@@ -68,12 +87,8 @@ class ModelParams:
     def item_vec(self, item_id: Item) -> np.ndarray:
         return self.item_features[self.item_index[item_id]]
 
-    def matrix_fields(self) -> List[str]:
-        return [
-            "feat_proj", "att_last_proj", "att_item_proj",
-            "sess_future_proj", "item_future_proj",
-            "att_vec", "att_bias", "time_proj",
-        ]
+    def matrix_fields(self) -> Tuple[str, ...]:
+        return MATRIX_FIELDS
 
 
 class BoundParams:

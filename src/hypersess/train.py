@@ -8,6 +8,7 @@ and the objective must be an ordinary real.  Ball-constrained parameters
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 from dataclasses import asdict, dataclass, field
@@ -45,21 +46,18 @@ class TrainConfig:
     margin: float = 1.0
 
     def __post_init__(self):
+        # a config file may spell the sign as "+1" / "-1"; anything else fails the check
+        with contextlib.suppress(TypeError, ValueError):
+            self.attention_sign = float(self.attention_sign)
         if self.dim < 1 or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("dim, epochs and batch_size must be positive")
         # lr = 0 is admitted so a no-update run can be constructed
         if self.learning_rate < 0 or self.tau <= 0 or self.cap <= 0:
             raise ValueError("learning_rate, tau and cap must be nonnegative/positive")
-        if self.lambda_s < 0 or self.lambda_v < 0:
-            raise ValueError("lambda_s and lambda_v must be nonnegative")
-        if not 1 <= self.layers <= 3:
-            raise ValueError("layers must be in 1..3")
-        if self.attention_sign not in (1.0, -1.0):
-            raise ValueError("attention_sign must be +1 or -1")
+        model.check_hyperparameters(self.lambda_s, self.lambda_v, self.layers,
+                                    self.attention_sign, self.neighborhood)
         if self.retraction not in ("project", "exp"):
             raise ValueError("retraction must be 'project' or 'exp'")
-        if self.neighborhood not in ("in", "out", "both"):
-            raise ValueError("neighborhood must be in/out/both")
 
     def normalizer(self) -> IntervalNormalizer:
         return IntervalNormalizer(tau=self.tau, cap=self.cap)
@@ -274,6 +272,7 @@ def fit(
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_VERSION = 1
+ARRAY_FIELDS = ("item_features",) + model.MATRIX_FIELDS  # npz entry order
 
 
 def save_checkpoint(path, params: ModelParams, config: TrainConfig) -> None:
@@ -281,17 +280,11 @@ def save_checkpoint(path, params: ModelParams, config: TrainConfig) -> None:
     meta = {
         "version": CHECKPOINT_VERSION,
         "items": params.items,
-        "lambda_s": params.lambda_s,
-        "lambda_v": params.lambda_v,
-        "num_layers": params.num_layers,
-        "attention_sign": params.attention_sign,
-        "leaky_slope": params.leaky_slope,
-        "neighborhood": params.neighborhood,
+        **{name: getattr(params, name) for name in model.HYPER_FIELDS},
         "config": asdict(config),
     }
-    arrays = {name: getattr(params, name) for name in params.matrix_fields()}
-    np.savez(path, meta=np.str_(json.dumps(meta)),
-             item_features=params.item_features, **arrays)
+    arrays = {name: getattr(params, name) for name in ARRAY_FIELDS}
+    np.savez(path, meta=np.str_(json.dumps(meta)), **arrays)
 
 
 def load_checkpoint(path) -> Tuple[ModelParams, TrainConfig]:
@@ -301,20 +294,7 @@ def load_checkpoint(path) -> Tuple[ModelParams, TrainConfig]:
             raise ValueError(f"unsupported checkpoint version: {meta.get('version')}")
         params = ModelParams(
             items=list(meta["items"]),
-            item_features=data["item_features"],
-            feat_proj=data["feat_proj"],
-            att_last_proj=data["att_last_proj"],
-            att_item_proj=data["att_item_proj"],
-            sess_future_proj=data["sess_future_proj"],
-            item_future_proj=data["item_future_proj"],
-            att_vec=data["att_vec"],
-            att_bias=data["att_bias"],
-            time_proj=data["time_proj"],
-            lambda_s=meta["lambda_s"],
-            lambda_v=meta["lambda_v"],
-            num_layers=meta["num_layers"],
-            attention_sign=meta["attention_sign"],
-            leaky_slope=meta["leaky_slope"],
-            neighborhood=meta["neighborhood"],
+            **{name: data[name] for name in ARRAY_FIELDS},
+            **{name: meta[name] for name in model.HYPER_FIELDS},
         )
     return params, TrainConfig(**meta["config"])

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from hypersess.cli import main
+from hypersess.cli import build_parser, main, train_config
 
 
 def run_cli(*argv):
@@ -108,6 +108,36 @@ class TestTrainEvaluate:
                        "--checkpoint", str(tmp_path / "x.npz"))
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--neighborhood", "diagonal"),
+                                            ("--retraction", "teleport"),
+                                            ("--attention-sign", "2"),
+                                            ("--attention-sign", "foo")])
+    def test_bad_option_value_one_line_error(self, synth_dir, tmp_path, capsys,
+                                             flag, value):
+        code = run_cli("train", "--data", str(synth_dir), flag, value,
+                       "--checkpoint", str(tmp_path / "x.npz"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert flag[2:].replace("-", "_") in err
+        assert not (tmp_path / "x.npz").exists()
+
+    def test_config_attention_sign_string(self, synth_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dim": 4, "epochs": 1, "batch": 16,
+                                   "attention_sign": "-1"}))
+        ck = tmp_path / "neg.npz"
+        assert run_cli("train", "--data", str(synth_dir), "--config", str(cfg),
+                       "--checkpoint", str(ck)) == 0
+        from hypersess.train import load_checkpoint
+        params, config = load_checkpoint(ck)
+        assert params.attention_sign == -1.0 and config.attention_sign == -1.0
+
+    def test_no_optional_flags_gives_default_config(self):
+        from hypersess.train import TrainConfig
+        args = build_parser().parse_args(["train", "--data", "d", "--checkpoint", "c"])
+        assert train_config(args) == TrainConfig()
 
 
 class TestRecommend:

@@ -11,7 +11,6 @@ from hypersess.graph import (
     build_session_graph,
     in_neighbors,
     neighborhood,
-    normalize_interval,
     out_neighbors,
 )
 from hypersess.manifold import EPS_BALL
@@ -21,21 +20,21 @@ NORM = IntervalNormalizer()
 
 class TestNormalizeInterval:
     def test_zero(self):
-        assert normalize_interval(0, 60.0, 86400.0) == 0.0
+        assert NORM(0) == 0.0
 
     def test_saturates_at_cap(self):
-        assert normalize_interval(86400, 60.0, 86400.0) == 1.0 - EPS_BALL
-        assert normalize_interval(10 * 86400, 60.0, 86400.0) == 1.0 - EPS_BALL
+        assert NORM(86400) == 1.0 - EPS_BALL
+        assert NORM(10 * 86400) == 1.0 - EPS_BALL
 
     def test_closed_form(self):
         # log(2)/log(1441) ~= 0.0953
-        out = normalize_interval(60, 60.0, 86400.0)
+        out = NORM(60)
         assert out == pytest.approx(math.log(2) / math.log(1441), abs=1e-12)
         assert out == pytest.approx(0.0953, abs=2e-4)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            normalize_interval(-1, 60.0, 86400.0)
+            NORM(-1)
 
     def test_monotone(self):
         rng = np.random.default_rng(0)

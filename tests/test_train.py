@@ -41,6 +41,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(neighborhood="diagonal")
 
+    def test_attention_sign_string_coerced(self):
+        assert TrainConfig(attention_sign="+1") == TrainConfig()
+        assert TrainConfig(attention_sign="-1").attention_sign == -1.0
+
 
 class TestExamples:
     def test_one_example_per_session(self):
@@ -281,4 +285,20 @@ class TestCheckpoint:
         blob["meta"] = np.str_(json.dumps(meta))
         np.savez(path, **blob)
         with pytest.raises(ValueError):
+            train.load_checkpoint(path)
+
+    def test_bad_meta_hyperparameter_rejected(self, tmp_path):
+        exs, items = tiny_dataset()
+        config = TrainConfig(dim=8, epochs=1, batch_size=3, seed=5)
+        res = train.fit(exs, config, vocab=items)
+        path = tmp_path / "model.npz"
+        train.save_checkpoint(path, res.params, config)
+        import json
+
+        blob = dict(np.load(path, allow_pickle=False))
+        meta = json.loads(str(blob["meta"]))
+        meta["neighborhood"] = "diagonal"
+        blob["meta"] = np.str_(json.dumps(meta))
+        np.savez(path, **blob)
+        with pytest.raises(ValueError, match="neighborhood"):
             train.load_checkpoint(path)
