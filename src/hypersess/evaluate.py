@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import model
 from .graph import IntervalNormalizer, SessionRecord, build_session_graph
 from .metrics import mrr_at_k, p_at_k
-from .model import ModelParams, RankedList
+from .model import ModelParams, TargetRank
 
 
 @dataclass
@@ -42,13 +42,15 @@ def rank_test_sessions(
     params: ModelParams,
     records: Sequence[SessionRecord],
     norm: IntervalNormalizer,
-) -> Tuple[List[Tuple[RankedList, str]], int]:
-    """Full-catalog rankings for every usable test session.
+) -> Tuple[List[Tuple[TargetRank, str]], int]:
+    """The full-catalog rank of every usable test session's target.
 
-    Sessions with fewer than 2 events, or touching items outside the
-    vocabulary, are skipped and counted.
+    The catalog is projected once for the whole call.  Sessions with fewer
+    than 2 events, or touching items outside the vocabulary, are skipped and
+    counted.
     """
-    cases: List[Tuple[RankedList, str]] = []
+    table = model.ItemTable(params)
+    cases: List[Tuple[TargetRank, str]] = []
     skipped = 0
     for rec in records:
         if len(rec.events) < 2:
@@ -61,9 +63,12 @@ def rank_test_sessions(
         g = build_session_graph(prefix, norm, min_events=1)
         target_item, target_t = rec.events[-1]
         t_norm = norm(target_t - rec.events[-2][1])
-        fw = model.forward_session(g, t_norm, params)
-        ranking = model.score_items(fw.item_future, params, k=len(params.items))
-        cases.append((ranking, target_item))
+        try:
+            fw = model.forward_session(g, t_norm, params)
+            position = table.rank(fw.item_future, target_item)
+        except ValueError as exc:
+            raise ValueError(f"test session {rec.session_id!r}: {exc}") from exc
+        cases.append((TargetRank(target_item, position), target_item))
     return cases, skipped
 
 
@@ -104,7 +109,8 @@ def popularity_baseline(
         for item, _ in rec.events:
             if item in global_counts:
                 global_counts[item] += 1
-    catalog_by_pop = sorted(vocabulary, key=lambda it: (-global_counts[it], it))
+    catalog_by_pop = sorted(global_counts, key=lambda it: (-global_counts[it], it))
+    pop_pos = {it: pos for pos, it in enumerate(catalog_by_pop)}
 
     total_rr = 0.0
     hits = 0
@@ -120,11 +126,19 @@ def popularity_baseline(
             counts[item] = counts.get(item, 0) + 1
             last_pos[item] = pos
         in_session = sorted(counts, key=lambda it: (-counts[it], -last_pos[it], it))
-        ranking = in_session + [it for it in catalog_by_pop if it not in counts]
         n += 1
-        if target in ranking[:k]:
+        # ranking: in_session, then catalog_by_pop without the in-session items
+        if target in counts:
+            rank = in_session.index(target) + 1
+        elif target in pop_pos:
+            t_pos = pop_pos[target]
+            skipped = sum(pop_pos.get(it, t_pos) < t_pos for it in in_session)
+            rank = len(in_session) + t_pos - skipped + 1
+        else:
+            continue
+        if rank <= k:
             hits += 1
-            total_rr += 1.0 / (ranking.index(target) + 1)
+            total_rr += 1.0 / rank
     if n == 0:
         raise ValueError("no scorable test sessions for the baseline")
     return total_rr / n, hits / n

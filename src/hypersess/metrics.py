@@ -1,21 +1,24 @@
-"""Ranking metrics over (ranked list, target) pairs."""
+"""Ranking metrics over (ranking, target) pairs.
+
+A ranking is a :class:`~hypersess.model.RankedList` or a
+:class:`~hypersess.model.TargetRank`; either answers ``rank(target)``.
+"""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
-from .model import RankedList
+from .model import RankedList, TargetRank
 
-
-def rank_of(ranking: RankedList, target: str) -> Optional[int]:
-    """1-based position of the target, or None if absent from the list."""
-    for pos, (item, _) in enumerate(ranking.entries, start=1):
-        if item == target:
-            return pos
-    return None
+Ranking = Union[RankedList, TargetRank]
 
 
-def mrr_at_k(rankings: Sequence[Tuple[RankedList, str]], k: int) -> float:
+def rank_of(ranking: Ranking, target: str) -> Optional[int]:
+    """1-based position of the target, or None if absent from the ranking."""
+    return ranking.rank(target)
+
+
+def mrr_at_k(rankings: Sequence[Tuple[Ranking, str]], k: int) -> float:
     """Mean of 1/rank(target) over cases, 0 when the target misses the top-k."""
     if not rankings:
         raise ValueError("no rankings to score")
@@ -29,7 +32,7 @@ def mrr_at_k(rankings: Sequence[Tuple[RankedList, str]], k: int) -> float:
     return total / len(rankings)
 
 
-def p_at_k(rankings: Sequence[Tuple[RankedList, str]], k: int) -> float:
+def p_at_k(rankings: Sequence[Tuple[Ranking, str]], k: int) -> float:
     """Fraction of cases whose target appears in the top-k."""
     if not rankings:
         raise ValueError("no rankings to score")

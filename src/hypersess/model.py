@@ -342,16 +342,37 @@ class RankedList:
     entries: List[Tuple[Item, float]]
     k: int
 
+    def rank(self, target: Item) -> Optional[int]:
+        """1-based position of the target, or None if absent from the list."""
+        for pos, (item, _) in enumerate(self.entries, start=1):
+            if item == target:
+                return pos
+        return None
 
-def project_item_table(params: ModelParams) -> np.ndarray:
-    """Projected embeddings of the whole catalog, one row per item (numeric)."""
-    feats = np.asarray(params.item_features, dtype=np.float64)
+
+@dataclass(frozen=True)
+class TargetRank:
+    """The full-catalog rank of one target item, counted rather than sorted,
+    so an evaluated session keeps one integer instead of a catalog-long list."""
+
+    target: Item
+    position: int
+
+    def rank(self, target: Item) -> int:
+        if target != self.target:
+            raise ValueError(f"rank of {target!r} asked of the ranking for {self.target!r}")
+        return self.position
+
+
+def project_item_rows(features: np.ndarray, feat_proj: np.ndarray) -> np.ndarray:
+    """Projected embeddings of item feature rows, one row per item (numeric)."""
+    feats = np.asarray(features, dtype=np.float64)
     norms = np.linalg.norm(feats, axis=1, keepdims=True)
     safe = np.maximum(norms, 1e-300)
     mapped = np.where(norms > 0, np.tanh(norms) / safe * feats, 0.0)
     mapped = manifold.project_rows_to_ball(mapped)
 
-    ma = mapped @ np.asarray(params.feat_proj, dtype=np.float64).T
+    ma = mapped @ np.asarray(feat_proj, dtype=np.float64).T
     m_n = np.linalg.norm(mapped, axis=1, keepdims=True)
     ma_n = np.linalg.norm(ma, axis=1, keepdims=True)
     ok = (m_n > 0) & (ma_n > 0)
@@ -364,16 +385,59 @@ def project_item_table(params: ModelParams) -> np.ndarray:
     return manifold.project_rows_to_ball(scale * ma)
 
 
+def project_item_table(params: ModelParams) -> np.ndarray:
+    """Projected embeddings of the whole catalog, one row per item (numeric)."""
+    return project_item_rows(params.item_features, params.feat_proj)
+
+
+class ItemTable:
+    """The catalog projected once, to score one or many points against.
+
+    Build one per call that scores: ``optimizer_step`` writes item rows in
+    place, so a table kept across calls would silently go stale.  Items are
+    ordered by ascending distance, ties by ascending item id.
+    """
+
+    def __init__(self, params: ModelParams):
+        if not params.items:
+            raise ValueError("empty item table")
+        self.items = params.items
+        self.index = params.item_index
+        self.rows = project_item_table(params)
+        # a NaN feature row would project to the origin, so check both
+        finite = np.isfinite(self.rows).all(axis=1) & np.isfinite(params.item_features).all(axis=1)
+        if not finite.all():
+            bad = self.items[int(np.argmin(finite))]
+            raise ValueError(f"item {bad!r} has a non-finite embedding")
+
+    def distances(self, point: Arrayish) -> np.ndarray:
+        """Geodesic distance from the point to every item, in table order."""
+        point = np.asarray(grad.value_of(point), dtype=np.float64)
+        if not np.isfinite(point).all():
+            raise ValueError("non-finite point to score the catalog against")
+        return manifold.distances_to_rows(point, self.rows)
+
+    def top_k(self, point: Arrayish, k: int) -> RankedList:
+        n = len(self.items)
+        if not 1 <= k <= n:
+            raise ValueError(f"k={k} outside 1..{n}")
+        dists = self.distances(point)
+        # every item tied with the k-th distance is a candidate for the cut
+        kth = np.partition(dists, k - 1)[k - 1]
+        near = np.flatnonzero(dists <= kth).tolist()
+        order = sorted(near, key=lambda r: (dists[r], self.items[r]))[:k]
+        return RankedList(entries=[(self.items[r], float(dists[r])) for r in order], k=k)
+
+    def rank(self, point: Arrayish, target: Item) -> int:
+        """1-based full-catalog position of the target: 1 + the items closer
+        than it + the items at its distance with a smaller id."""
+        dists = self.distances(point)
+        d_t = dists[self.index[target]]
+        tied = np.flatnonzero(dists == d_t)
+        return (1 + int(np.count_nonzero(dists < d_t))
+                + sum(self.items[r] < target for r in tied.tolist()))
+
+
 def score_items(h_v_future: Arrayish, params: ModelParams, k: int) -> RankedList:
     """Rank the catalog by distance to the predicted item embedding."""
-    if isinstance(h_v_future, grad.Node):
-        h_v_future = h_v_future.value
-    n = len(params.items)
-    if n == 0:
-        raise ValueError("empty item table")
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} outside 1..{n}")
-    table = project_item_table(params)
-    dists = manifold.distances_to_rows(np.asarray(h_v_future, dtype=np.float64), table)
-    order = sorted(range(n), key=lambda r: (dists[r], params.items[r]))
-    return RankedList(entries=[(params.items[r], float(dists[r])) for r in order[:k]], k=k)
+    return ItemTable(params).top_k(h_v_future, k)

@@ -262,8 +262,8 @@ def fit(
                 example_losses[i] = float(grad.value_of(ls))
         # canonical (dataset-order) summation: the trace is shuffle-invariant
         epoch_losses.append(float(np.sum(example_losses)) / n)
-        table = model.project_item_table(params)
-        collapse.append(manifold.pairwise_mean_distance(table[monitor_idx]))
+        monitored = model.project_item_rows(params.item_features[monitor_idx], params.feat_proj)
+        collapse.append(manifold.pairwise_mean_distance(monitored))
     return FitResult(params=params, epoch_losses=epoch_losses, collapse_trace=collapse)
 
 

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hypersess.cli import build_parser, main, train_config
@@ -171,6 +172,20 @@ class TestRecommend:
         code = run_cli("recommend", "--checkpoint", str(checkpoint),
                        "--session", f"{item}:1000", "--at-time", "900")
         assert code == 1
+
+    def test_nonfinite_item_row_fails(self, checkpoint, tmp_path, capsys):
+        from hypersess.train import load_checkpoint, save_checkpoint
+        params, config = load_checkpoint(checkpoint)
+        params.item_features[-1] = np.nan    # an item outside the session
+        bad = tmp_path / "nan.npz"
+        save_checkpoint(bad, params, config)
+        session = f"{params.items[0]}:1000,{params.items[1]}:1060"
+        code = run_cli("recommend", "--checkpoint", str(bad),
+                       "--session", session, "--at-time", "1300")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(params.items[-1]) in err and "non-finite" in err
 
 
 class TestCategoryPipeline:

@@ -87,6 +87,29 @@ class TestEvaluate:
         report = ev.evaluate(params, synth.records, k=10)
         assert 0.0 <= report.mrr_at_k <= report.p_at_k <= 1.0
 
+    def test_nonfinite_prediction_names_session(self):
+        params = spread_params(8, ["a", "b", "c"])
+        params.item_future_proj = np.full_like(params.item_future_proj, np.nan)
+        records = [SessionRecord("short", [("a", 0)]),
+                   SessionRecord("s-bad", [("a", 0), ("b", 10), ("c", 30)])]
+        with pytest.raises(ValueError, match="'s-bad'.*non-finite"):
+            ev.evaluate(params, records, k=2)
+
+    def test_one_table_projection_per_call(self, monkeypatch):
+        synth = data.generate_synthetic(20, 30, seed=3)
+        params = spread_params(2, synth.items)
+        calls = []
+        project = model.project_item_table
+
+        def counted(p):
+            calls.append(p)
+            return project(p)
+
+        monkeypatch.setattr(model, "project_item_table", counted)
+        report = ev.evaluate(params, synth.records, k=5)
+        assert report.n_test >= 3
+        assert len(calls) == 1
+
 
 class TestPopularityBaseline:
     def test_repeated_item_ranks_first(self):
@@ -102,3 +125,47 @@ class TestPopularityBaseline:
         # prefix has only 'a'; remaining catalog ordered by train counts: c, b
         mrr, p = ev.popularity_baseline(train_recs, test_recs, 2, ["a", "b", "c"])
         assert mrr == 0.5 and p == 1.0
+
+    def test_matches_list_ranking(self):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            vocab = [f"v{i}" for i in rng.permutation(int(rng.integers(1, 15)))]
+            pool = vocab + ["out1", "out2"]   # test items outside the vocabulary
+
+            def sessions(n, shortest):
+                return [SessionRecord(f"s{j}", [(pool[int(rng.integers(len(pool)))], t)
+                                                for t in range(int(rng.integers(shortest, 8)))])
+                        for j in range(n)]
+
+            train_recs, test_recs = sessions(10, 1), sessions(20, 2)
+            k = int(rng.integers(1, 12))
+            assert ev.popularity_baseline(train_recs, test_recs, k, vocab) == \
+                list_ranking_baseline(train_recs, test_recs, k, vocab)
+
+
+def list_ranking_baseline(train_records, test_records, k, vocabulary):
+    """The popularity baseline written as one whole ranking list per test
+    session, searched with ``list.index``."""
+    global_counts = {it: 0 for it in vocabulary}
+    for rec in train_records:
+        for item, _ in rec.events:
+            if item in global_counts:
+                global_counts[item] += 1
+    catalog_by_pop = sorted(vocabulary, key=lambda it: (-global_counts[it], it))
+    total_rr, hits, n = 0.0, 0, 0
+    for rec in test_records:
+        if len(rec.events) < 2:
+            continue
+        prefix = [item for item, _ in rec.events[:-1]]
+        target = rec.events[-1][0]
+        counts, last_pos = {}, {}
+        for pos, item in enumerate(prefix):
+            counts[item] = counts.get(item, 0) + 1
+            last_pos[item] = pos
+        in_session = sorted(counts, key=lambda it: (-counts[it], -last_pos[it], it))
+        ranking = in_session + [it for it in catalog_by_pop if it not in counts]
+        n += 1
+        if target in ranking[:k]:
+            hits += 1
+            total_rr += 1.0 / (ranking.index(target) + 1)
+    return total_rr / n, hits / n

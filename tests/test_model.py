@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import (
     o_item_future,
     o_layer,
@@ -339,6 +340,74 @@ class TestScoreItems:
         ref = sorted(((o_dist(query, table[i]), items[i]) for i in range(1000)))
         ranked = model.score_items(query, params, k=20)
         assert [e[0] for e in ranked.entries] == [r[1] for r in ref[:20]]
+
+    def test_tie_across_the_cut(self):
+        # four items share one row and the query sits on it: k = 2 cuts the
+        # zero-distance tie, which the ids decide
+        params = make_params(np.random.default_rng(0), items=("d", "b", "c", "a", "e"), d=3)
+        params.item_features = np.array([[0.1, 0.0, 0.0]] * 4 + [[0.3, 0.1, 0.0]])
+        query = model.project_item_table(params)[0]
+        assert [e[0] for e in model.score_items(query, params, k=2).entries] == ["a", "b"]
+        assert [e[0] for e in model.score_items(query, params, k=4).entries] == \
+            ["a", "b", "c", "d"]
+        table = model.ItemTable(params)
+        assert [table.rank(query, it) for it in "abcde"] == [1, 2, 3, 4, 5]
+
+    def test_nonfinite_query_rejected(self):
+        params = make_params(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="non-finite"):
+            model.score_items(np.full(5, np.nan), params, k=3)
+
+    def test_nonfinite_item_row_rejected(self):
+        # a NaN feature row projects to the origin unless it is caught
+        params = make_params(np.random.default_rng(0))
+        params.item_features[3, 1] = np.nan
+        with pytest.raises(ValueError, match="'d'.*non-finite"):
+            model.score_items(np.zeros(5), params, k=3)
+
+
+@st.composite
+def tied_catalogs(draw):
+    """Small catalogs whose feature rows repeat, with a query that is either
+    a free ball point or exactly one of the projected rows."""
+    ids = draw(st.lists(st.text("abc", min_size=1, max_size=3),
+                        min_size=1, max_size=12, unique=True))
+    n = len(ids)
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = model.init_params(ids, d, rng)
+    pool = rng.uniform(-0.4, 0.4, (draw(st.integers(1, n)), d))
+    params.item_features = pool[rng.integers(0, len(pool), n)]
+    on_row = draw(st.none() | st.integers(0, n - 1))
+    if on_row is None:
+        query = rand_ball(rng, d, 0.6)
+    else:
+        query = model.project_item_table(params)[on_row]
+    return params, query
+
+
+def sorted_by_brute_force(params, query):
+    """(distance, item id) pairs of the whole catalog, fully sorted."""
+    dists = M.distances_to_rows(query, model.project_item_table(params))
+    return sorted(zip(dists.tolist(), params.items))
+
+
+class TestScoringProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tied_catalogs(), st.integers(1, 12))
+    def test_top_k_is_the_sorted_prefix(self, catalog, k):
+        params, query = catalog
+        k = min(k, len(params.items))
+        expected = [(it, d) for d, it in sorted_by_brute_force(params, query)[:k]]
+        assert model.score_items(query, params, k).entries == expected
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tied_catalogs())
+    def test_counted_rank_is_the_sorted_position(self, catalog):
+        params, query = catalog
+        table = model.ItemTable(params)
+        for pos, (_, item) in enumerate(sorted_by_brute_force(params, query), start=1):
+            assert table.rank(query, item) == pos
 
 
 class TestForwardInvariants:

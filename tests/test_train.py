@@ -206,6 +206,15 @@ class TestFit:
             np.testing.assert_array_equal(getattr(r1.params, n), getattr(r2.params, n))
         np.testing.assert_array_equal(r1.params.item_features, r2.params.item_features)
 
+    def test_collapse_monitor_samples_the_projected_table(self):
+        # 150 items, so the monitor samples 100 of the projected rows
+        exs, items = tiny_dataset(n_items=150)
+        config = TrainConfig(dim=6, learning_rate=0.05, epochs=2, batch_size=3, seed=5)
+        res = train.fit(exs, config, vocab=items)
+        idx = np.random.default_rng(config.seed + 1).choice(150, size=100, replace=False)
+        table = model.project_item_table(res.params)
+        assert res.collapse_trace[-1] == M.pairwise_mean_distance(table[idx])
+
     def test_zero_learning_rate_constant_trace(self):
         exs, items = tiny_dataset()
         config = TrainConfig(dim=8, learning_rate=0.0, epochs=4, batch_size=3, seed=2)
