@@ -5,6 +5,11 @@ with numpy and returns an ndarray, called on at least one :class:`Node` it
 records the operation on the tape and returns a new Node.  Model and manifold
 code is written once against these primitives and runs in either mode.
 
+Values are vectors or matrices of row vectors: reductions (``dot``,
+``norm``) act on the last axis and keep it for rows, so one tape node
+carries a whole (N, d) matrix.  ``take``, ``segment_sum`` and ``stack``
+move rows between matrices.
+
 Gradients are validated against central finite differences via
 :func:`check_gradients`; that check is the ground truth for every composite
 in this package.
@@ -12,6 +17,7 @@ in this package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
@@ -85,10 +91,15 @@ class Node:
 Arrayish = Union[Node, np.ndarray, float, int]
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def value_of(x: Arrayish) -> np.ndarray:
     """Numeric value of a Node or plain input, as an ndarray."""
     if type(x) is Node:
         return x.value
+    if type(x) is np.ndarray and x.dtype is _FLOAT64:
+        return x
     return np.asarray(x, dtype=np.float64)
 
 
@@ -125,21 +136,21 @@ def _binary(a, b, out_val, vjp_a, vjp_b) -> Node:
 
 def add(a: Arrayish, b: Arrayish):
     if not (isinstance(a, Node) or isinstance(b, Node)):
-        return np.add(value_of(a), value_of(b))
+        return np.add(a, b)
     av, bv = value_of(a), value_of(b)
     return _binary(a, b, av + bv, _identity, _identity)
 
 
 def sub(a: Arrayish, b: Arrayish):
     if not (isinstance(a, Node) or isinstance(b, Node)):
-        return np.subtract(value_of(a), value_of(b))
+        return np.subtract(a, b)
     av, bv = value_of(a), value_of(b)
     return _binary(a, b, av - bv, _identity, lambda g: -g)
 
 
 def mul(a: Arrayish, b: Arrayish):
     if not (isinstance(a, Node) or isinstance(b, Node)):
-        return np.multiply(value_of(a), value_of(b))
+        return np.multiply(a, b)
     av, bv = value_of(a), value_of(b)
     return _binary(
         a, b, av * bv,
@@ -150,7 +161,7 @@ def mul(a: Arrayish, b: Arrayish):
 
 def div(a: Arrayish, b: Arrayish):
     if not (isinstance(a, Node) or isinstance(b, Node)):
-        return np.divide(value_of(a), value_of(b))
+        return np.divide(a, b)
     av, bv = value_of(a), value_of(b)
     out = av / bv
     return _binary(
@@ -232,42 +243,57 @@ def relu(a: Arrayish):
 # reductions and linear maps
 # ---------------------------------------------------------------------------
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner product over the last axis: a scalar for two vectors, an (N, 1)
+    column when either operand is a matrix of rows."""
+    if a.ndim < 2 and b.ndim < 2:
+        return np.dot(a, b)
+    return np.add.reduce(a * b, axis=-1, keepdims=True)
+
+
 def dot(a: Arrayish, b: Arrayish):
+    """Inner product over the last axis (row-wise for matrices, see _rowdot)."""
     if not (isinstance(a, Node) or isinstance(b, Node)):
-        return np.dot(value_of(a), value_of(b))
+        return _rowdot(value_of(a), value_of(b))
     av, bv = value_of(a), value_of(b)
     return _binary(
-        a, b, np.dot(av, bv),
+        a, b, _rowdot(av, bv),
         lambda g, o=bv: g * o,
         lambda g, o=av: g * o,
     )
 
 
 def norm(a: Arrayish):
-    """Euclidean norm of a vector; gradient g * a/||a|| (zeros at a = 0)."""
+    """Euclidean norm over the last axis (an (N, 1) column for rows);
+    gradient g * a/||a||, zeros where a = 0."""
     if not isinstance(a, Node):
         v = value_of(a)
-        return np.sqrt(np.dot(v, v))
+        return np.sqrt(_rowdot(v, v))
     v = a.value
-    n = np.sqrt(np.dot(v, v))
+    n = np.sqrt(_rowdot(v, v))
 
     def vjp(g, v=v, n=n):
-        if n == 0.0:
-            return np.zeros_like(v)
-        return g * (v / n)
+        return g * np.divide(v, n, out=np.zeros_like(v), where=n != 0.0)
 
     return Node(n, ((a, vjp),))
 
 
 def matvec(m: Arrayish, v: Arrayish):
-    """Matrix-vector product M @ v for a (r, d) matrix and (d,) vector."""
+    """M @ v for a (r, d) matrix and a (d,) vector; v @ M.T for (N, d) rows."""
     if not (isinstance(m, Node) or isinstance(v, Node)):
-        return np.dot(value_of(m), value_of(v))
+        mv, vv = value_of(m), value_of(v)
+        return np.dot(mv, vv) if vv.ndim < 2 else vv @ mv.T
     mv, vv = value_of(m), value_of(v)
+    if vv.ndim < 2:
+        return _binary(
+            m, v, np.dot(mv, vv),
+            lambda g, o=vv: np.outer(g, o),
+            lambda g, o=mv: np.dot(o.T, g),
+        )
     return _binary(
-        m, v, np.dot(mv, vv),
-        lambda g, o=vv: np.outer(g, o),
-        lambda g, o=mv: np.dot(o.T, g),
+        m, v, vv @ mv.T,
+        lambda g, o=vv: g.T @ o,
+        lambda g, o=mv: g @ o,
     )
 
 
@@ -284,6 +310,56 @@ def nsum(items: Sequence[Arrayish]):
     for it in items[1:]:
         total = add(total, it)
     return total
+
+
+def _scatter_add(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """out[index[k]] += values[k] for every k, in order of k (np.add.at's
+    summation order), as one bincount over the flattened rows."""
+    if values.ndim == 1:
+        return np.bincount(index, values, minlength=n)
+    width = math.prod(values.shape[1:])
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(flat, values.reshape(-1), minlength=n * width)
+    return out.reshape((n,) + values.shape[1:])
+
+
+def take(a: Arrayish, index):
+    """Rows a[index] of a matrix (or entries of a vector); the backward pass
+    adds each gathered row's adjoint back into its source row."""
+    if not isinstance(a, Node):
+        return value_of(a)[index]
+    n = a.value.shape[0]
+    if np.ndim(index) == 0:
+        def vjp(g, i=int(index), shape=a.value.shape):
+            out = np.zeros(shape)
+            out[i] = g
+            return out
+    else:
+        index = np.asarray(index, dtype=np.intp)
+
+        def vjp(g, i=index, n=n):
+            return _scatter_add(g, i, n)
+
+    return Node(a.value[index], ((a, vjp),))
+
+
+def segment_sum(a: Arrayish, segments: np.ndarray, n: int):
+    """Sum the rows of a into n segments: out[s] = sum of a[k] over
+    segments[k] == s, added in row order (as nsum adds its terms)."""
+    segments = np.asarray(segments, dtype=np.intp)
+    if not isinstance(a, Node):
+        return _scatter_add(value_of(a), segments, n)
+    return Node(_scatter_add(a.value, segments, n),
+                ((a, lambda g, s=segments: g[s]),))
+
+
+def stack(rows: Sequence[Arrayish]):
+    """Stack same-shaped rows (Nodes or values) into one matrix."""
+    out = np.stack([value_of(r) for r in rows])
+    parents = tuple((r, lambda g, i=i: g[i]) for i, r in enumerate(rows) if type(r) is Node)
+    if not parents:
+        return out
+    return Node(out, parents)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,18 @@ A session's unique items become nodes (first-appearance order) and each
 consecutive click pair contributes a directed edge carrying the elapsed
 seconds between the two clicks, log-compressed into [0, 1 - EPS_BALL) so it
 can later be embedded.  Repeated ordered pairs keep the smallest interval.
+
+The model reads graphs as a :class:`GraphBatch`: the disjoint union of one
+or more session graphs, as edge arrays over one numbering of their nodes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from .manifold import EPS_BALL
 
@@ -127,36 +132,89 @@ def in_neighbors(g: SessionGraph, i: int) -> List[Tuple[int, float]]:
     The implicit self entry carries interval 0; an explicit self-loop edge
     replaces it with the loop's interval.
     """
-    if not 0 <= i < g.n_nodes:
-        raise IndexError(f"node index {i} out of range for {g.n_nodes} nodes")
-    found: Dict[int, float] = {i: 0.0}
-    for src, dst, interval in g.edges:
-        if dst == i:
-            found[src] = interval
-    return sorted(found.items())
+    return neighborhood(g, i, "in")
 
 
 def out_neighbors(g: SessionGraph, i: int) -> List[Tuple[int, float]]:
     """Successors of node i plus the node itself, ordered by node index."""
-    if not 0 <= i < g.n_nodes:
-        raise IndexError(f"node index {i} out of range for {g.n_nodes} nodes")
-    found: Dict[int, float] = {i: 0.0}
-    for src, dst, interval in g.edges:
-        if src == i:
-            found[dst] = interval
-    return sorted(found.items())
+    return neighborhood(g, i, "out")
 
 
 def neighborhood(g: SessionGraph, i: int, direction: str = "in") -> List[Tuple[int, float]]:
-    """Aggregation neighborhood under the configured edge direction."""
-    if direction == "in":
-        return in_neighbors(g, i)
-    if direction == "out":
-        return out_neighbors(g, i)
-    if direction == "both":
-        merged = dict(out_neighbors(g, i))
-        for j, interval in in_neighbors(g, i):
-            if j not in merged or interval < merged[j]:
-                merged[j] = interval
-        return sorted(merged.items())
-    raise ValueError(f"unknown neighborhood direction: {direction!r}")
+    """Aggregation neighborhood of node i under the configured edge direction:
+    (node, interval) pairs ordered by node index; "both" keeps the smaller
+    interval of a node met in both directions."""
+    batch = batch_graphs([g], direction)
+    if not 0 <= i < g.n_nodes:
+        raise IndexError(f"node index {i} out of range for {g.n_nodes} nodes")
+    at = batch.dst == i
+    return list(zip(batch.src[at].tolist(), batch.interval[at].tolist()))
+
+
+@dataclass
+class GraphBatch:
+    """The disjoint union of session graphs, as arrays.
+
+    The nodes of the first graph come first, then those of the second, and
+    so on.  Aggregation entries are sorted by (dst, src): one per node of
+    each node's neighborhood, the node itself included, with its normalized
+    interval.  ``node_session`` is each node's graph and ``last`` each
+    graph's last node.
+    """
+
+    dst: np.ndarray
+    src: np.ndarray
+    interval: np.ndarray
+    node_session: np.ndarray
+    last: np.ndarray
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.node_session)
+
+    @property
+    def n_sessions(self) -> int:
+        return len(self.last)
+
+
+def batch_graphs(graphs: Sequence[SessionGraph], direction: str = "in") -> GraphBatch:
+    """Edge arrays of the union of ``graphs`` under an edge direction.
+
+    Entry (dst, src) holds the interval of the edge src -> dst ("in"),
+    dst -> src ("out"), or the smaller of the two ("both").  Each node's
+    entry for itself carries 0 unless the node has a self-loop, whose
+    interval replaces it.
+    """
+    if direction not in ("in", "out", "both"):
+        raise ValueError(f"unknown neighborhood direction: {direction!r}")
+    entries: List[Tuple[int, int, float]] = []
+    node_session: List[int] = []
+    last: List[int] = []
+    base = 0
+    for b, g in enumerate(graphs):
+        found: Dict[Tuple[int, int], float] = {(i, i): 0.0 for i in range(g.n_nodes)}
+        for src, dst, interval in g.edges:
+            if src == dst:
+                found[(src, src)] = interval
+                continue
+            if direction != "out":
+                _merge(found, (dst, src), interval)
+            if direction != "in":
+                _merge(found, (src, dst), interval)
+        entries.extend((base + d, base + s, iv) for (d, s), iv in sorted(found.items()))
+        node_session.extend([b] * g.n_nodes)
+        last.append(base + g.last_index)
+        base += g.n_nodes
+    dst, src, interval = zip(*entries) if entries else ((), (), ())
+    return GraphBatch(
+        dst=np.array(dst, dtype=np.intp),
+        src=np.array(src, dtype=np.intp),
+        interval=np.array(interval, dtype=np.float64),
+        node_session=np.array(node_session, dtype=np.intp),
+        last=np.array(last, dtype=np.intp),
+    )
+
+
+def _merge(found: Dict[Tuple[int, int], float], key: Tuple[int, int], interval: float) -> None:
+    if key not in found or interval < found[key]:
+        found[key] = interval

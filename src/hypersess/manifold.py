@@ -1,10 +1,12 @@
 """Poincare ball (curvature 1) gyrovector operations.
 
 All functions accept plain float64 ndarrays or tape Nodes (see ``grad``) and
-return the same kind.  Ball-valued results are re-clipped into the
-``1 - EPS_BALL`` shell; removable singularities (zero vectors) take their
-continuity limits.  The matrix-vector product carries the unit-direction
-factor M a / ||M a||, without which the transform would collapse to a scalar.
+return the same kind, for one (d,) point or for the rows of an (N, d) matrix
+alike.  Ball-valued results are re-clipped into the ``1 - EPS_BALL`` shell;
+removable singularities (zero vectors) take their continuity limits row by
+row: a zero row gives exact zeros and passes no gradient.  The
+matrix-vector product carries the unit-direction factor M a / ||M a||,
+without which the transform would collapse to a scalar.
 """
 
 from __future__ import annotations
@@ -36,16 +38,22 @@ def ball_point(coords, *, copy: bool = True) -> np.ndarray:
 
 
 def project_to_ball(v: Arrayish) -> Arrayish:
-    """Radial projection into the shell: identity when already inside."""
+    """Radial projection of each row into the shell: identity for the rows
+    already inside, and the input itself when no row lies beyond."""
     val = value_of(v)
-    if not np.all(np.isfinite(val)):
-        raise ValueError("cannot project non-finite vector")
-    n = float(np.sqrt(np.dot(val, val)))
-    if n <= MAX_NORM:
+    n = np.sqrt(grad.dot(val, val))
+    if n.max() <= MAX_NORM:  # False for a NaN norm as well
         return v
-    if isinstance(v, grad.Node):
-        return grad.mul(v, grad.div(MAX_NORM, grad.norm(v)))
-    return val * (MAX_NORM / n)
+    if not np.isfinite(val).all():
+        raise ValueError("cannot project non-finite vector")
+    beyond = n > MAX_NORM
+    if not isinstance(v, grad.Node):
+        return val * (MAX_NORM / (n if beyond.all() else np.where(beyond, n, MAX_NORM)))
+    vn = grad.norm(v)
+    if not beyond.all():
+        # rows inside divide by the constant MAX_NORM: factor 1, no gradient
+        vn = grad.add(grad.mul(vn, beyond), np.where(beyond, 0.0, MAX_NORM))
+    return grad.mul(v, grad.div(MAX_NORM, vn))
 
 
 def project_rows_to_ball(m: np.ndarray) -> np.ndarray:
@@ -54,6 +62,26 @@ def project_rows_to_ball(m: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     scale = np.where(norms > MAX_NORM, MAX_NORM / np.maximum(norms, 1e-300), 1.0)
     return m * scale
+
+
+def _safe_norm(x: Arrayish):
+    """(norm, mask) for the zero-row rule, or None when every row of x is 0.
+
+    The norm is that of each row, with zero rows read as 1/2 so that every
+    ratio stays finite; the mask is the 0/1 column that zeroes those rows'
+    results and gradients, None when no row is 0."""
+    n = grad.norm(x)
+    nv = value_of(n)
+    if nv.all():
+        return n, None
+    if not nv.any():
+        return None
+    zero = nv == 0.0
+    return grad.add(n, np.where(zero, 0.5, 0.0)), np.where(zero, 0.0, 1.0)
+
+
+def _masked(scale: Arrayish, mask) -> Arrayish:
+    return scale if mask is None else grad.mul(scale, mask)
 
 
 def conformal_factor(x: Arrayish) -> Arrayish:
@@ -80,43 +108,45 @@ def mobius_add(a: Arrayish, b: Arrayish) -> Arrayish:
 
 
 def mobius_scalar_mul(alpha: Arrayish, b: Arrayish) -> Arrayish:
-    """alpha (x) b = tanh(alpha * artanh(||b||)) * b/||b||; 0 at b = 0."""
-    bval = value_of(b)
-    if not bval.any():
-        return np.zeros_like(bval)
-    n = grad.norm(b)
+    """alpha (x) b = tanh(alpha * artanh(||b||)) * b/||b||; 0 at b = 0.
+
+    ``alpha`` is a scalar or one (N, 1) entry per row of b."""
+    safe = _safe_norm(b)
+    if safe is None:
+        return np.zeros_like(value_of(b))
+    n, mask = safe
     scale = grad.div(grad.tanh(grad.mul(alpha, grad.artanh(n))), n)
-    return project_to_ball(grad.mul(scale, b))
+    return project_to_ball(grad.mul(_masked(scale, mask), b))
 
 
 def mobius_matvec(m: Arrayish, a: Arrayish) -> Arrayish:
     """M (x) a = tanh((||Ma||/||a||) artanh(||a||)) * Ma/||Ma||.
 
-    Returns the r-dimensional zero vector when a = 0 or M a = 0
+    Rows with a = 0 or M a = 0 give the r-dimensional zero vector
     (continuity limits).
     """
-    aval = value_of(a)
-    r = value_of(m).shape[0]
-    if not aval.any():
-        return np.zeros(r)
+    safe_a = _safe_norm(a)
+    if safe_a is None:
+        return np.zeros(value_of(a).shape[:-1] + (value_of(m).shape[0],))
     ma = grad.matvec(m, a)
-    if not value_of(ma).any():
-        return np.zeros(r)
-    a_n = grad.norm(a)
-    man = grad.norm(ma)
+    safe_ma = _safe_norm(ma)
+    if safe_ma is None:
+        return np.zeros_like(value_of(ma))
+    # a = 0 implies M a = 0, so the mask of M a covers both limits
+    a_n, man, mask = safe_a[0], safe_ma[0], safe_ma[1]
     scale = grad.div(grad.tanh(grad.mul(grad.div(man, a_n), grad.artanh(a_n))), man)
-    return project_to_ball(grad.mul(scale, ma))
+    return project_to_ball(grad.mul(_masked(scale, mask), ma))
 
 
 def exp_map(x: Arrayish, v: Arrayish) -> Arrayish:
     """exp_x(v) = x (+) (tanh(lambda_x ||v|| / 2) v/||v||); x at v = 0."""
-    vval = value_of(v)
-    if not vval.any():
+    safe = _safe_norm(v)
+    if safe is None:
         return x
-    n = grad.norm(v)
+    n, mask = safe
     lam = conformal_factor(x)
     scale = grad.div(grad.tanh(grad.div(grad.mul(lam, n), 2.0)), n)
-    u = grad.mul(scale, v)
+    u = grad.mul(_masked(scale, mask), v)
     if not isinstance(x, grad.Node) and not value_of(x).any():
         return project_to_ball(u)
     return mobius_add(x, u)
@@ -128,31 +158,31 @@ def log_map(x: Arrayish, a: Arrayish) -> Arrayish:
         w = a
     else:
         w = mobius_add(grad.neg(x), a)
-    wval = value_of(w)
-    if not wval.any():
-        return np.zeros_like(wval)
-    n = grad.norm(w)
+    safe = _safe_norm(w)
+    if safe is None:
+        return np.zeros_like(value_of(w))
+    n, mask = safe
     lam = conformal_factor(x)
     scale = grad.mul(grad.div(2.0, lam), grad.div(grad.artanh(n), n))
-    return grad.mul(scale, w)
+    return grad.mul(_masked(scale, mask), w)
 
 
 def exp_map0(v: Arrayish) -> Arrayish:
-    """exp at the origin: tanh(||v||) v/||v||."""
-    vval = value_of(v)
-    if not vval.any():
-        return np.zeros_like(vval)
-    n = grad.norm(v)
-    return project_to_ball(grad.mul(grad.div(grad.tanh(n), n), v))
+    """exp at the origin: tanh(||v||) v/||v||; 0 at v = 0."""
+    safe = _safe_norm(v)
+    if safe is None:
+        return np.zeros_like(value_of(v))
+    n, mask = safe
+    return project_to_ball(grad.mul(_masked(grad.div(grad.tanh(n), n), mask), v))
 
 
 def log_map0(a: Arrayish) -> Arrayish:
-    """log at the origin: artanh(||a||) a/||a||."""
-    aval = value_of(a)
-    if not aval.any():
-        return np.zeros_like(aval)
-    n = grad.norm(a)
-    return grad.mul(grad.div(grad.artanh(n), n), a)
+    """log at the origin: artanh(||a||) a/||a||; 0 at a = 0."""
+    safe = _safe_norm(a)
+    if safe is None:
+        return np.zeros_like(value_of(a))
+    n, mask = safe
+    return grad.mul(_masked(grad.div(grad.artanh(n), n), mask), a)
 
 
 def distance(p: Arrayish, q: Arrayish) -> Arrayish:
@@ -166,12 +196,17 @@ def distance(p: Arrayish, q: Arrayish) -> Arrayish:
     return grad.arcosh1p(grad.div(grad.mul(2.0, d2), denom))
 
 
-def distances_to_rows(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Vectorized distance from one point to every row of a matrix (numeric)."""
+def distances_to_rows(p: np.ndarray, rows: np.ndarray, gaps=None) -> np.ndarray:
+    """Vectorized distance from one point to every row of a matrix (numeric).
+
+    ``gaps`` is 1 - ||row||^2 per row, for a caller that scores many points
+    against the same rows; it is computed here when not given."""
     p = np.asarray(p, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.float64)
+    if gaps is None:
+        gaps = 1.0 - np.sum(rows * rows, axis=1)
     diff2 = np.sum((rows - p) ** 2, axis=1)
-    denom = (1.0 - np.dot(p, p)) * (1.0 - np.sum(rows * rows, axis=1))
+    denom = (1.0 - np.dot(p, p)) * gaps
     x = np.maximum(2.0 * diff2 / denom, 0.0)
     return np.log1p(x + np.sqrt(x * (x + 2.0)))
 

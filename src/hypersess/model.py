@@ -3,7 +3,9 @@
 Layer math follows the tangent-space convention: sums and nonlinearities are
 applied after a log map at the origin and the result is mapped back with the
 exp map.  Every function here is generic over plain ndarrays (inference) and
-tape Nodes (training); see ``grad``.
+tape Nodes (training); see ``grad``.  Layers act on matrices of node rows
+over a :class:`~hypersess.graph.GraphBatch`, so one tape node carries a
+whole minibatch.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import grad, manifold
 from .grad import Arrayish
-from .graph import SessionGraph, neighborhood
+from .graph import GraphBatch, SessionGraph, batch_graphs
 
 Item = str
 
@@ -183,104 +185,119 @@ def init_params(
 # ---------------------------------------------------------------------------
 # forward components
 # ---------------------------------------------------------------------------
+# Every layer works on an (N, d) matrix of node rows over a GraphBatch, the
+# disjoint union of session graphs; one session is a batch of one.  The
+# per-session entry points (a SessionGraph and a list of rows, or one (d,)
+# vector) keep their shapes by converting at the boundary.
+
+def _as_batch(g, params) -> GraphBatch:
+    if isinstance(g, GraphBatch):
+        return g
+    return batch_graphs([g], params.neighborhood)
+
+
+def _unstack(m: Arrayish) -> List[Arrayish]:
+    """The rows of a matrix as a list, taped when the matrix is a Node."""
+    if isinstance(m, grad.Node):
+        return [grad.take(m, i) for i in range(m.value.shape[0])]
+    return list(m)
+
+
+def _first(m: Arrayish) -> Arrayish:
+    return grad.take(m, 0) if isinstance(m, grad.Node) else m[0]
+
 
 def hyperbolic_projection(raw_feature: Arrayish, params) -> Arrayish:
-    """Map a raw feature vector into the ball and transform it."""
+    """Map raw feature vectors (a (f,) vector or (N, f) rows) into the ball
+    and transform them."""
     return manifold.mobius_matvec(params.feat_proj, manifold.exp_map0(raw_feature))
 
 
-def time_embedding(t_norm: float, params) -> Arrayish:
-    """Embed a normalized interval via the time column: origin at t = 0."""
-    if not 0.0 <= t_norm < 1.0:
+def time_embedding(t_norm, params) -> Arrayish:
+    """Embed normalized intervals via the time column: origin at t = 0.
+
+    A float gives one (d,) point, an (E,) array one row per interval."""
+    t = np.asarray(t_norm, dtype=np.float64)
+    if not np.all((t >= 0.0) & (t < 1.0)):
         raise ValueError(f"normalized interval {t_norm} outside [0, 1)")
-    if t_norm == 0.0:
-        return np.zeros(params.dim)
     col = grad.reshape(params.time_proj, (params.dim, 1))
-    return manifold.mobius_matvec(col, np.array([t_norm]))
+    return manifold.mobius_matvec(col, t[..., None])
 
 
-def _pair_distance(state, i: int, j: int, cache: Optional[Dict] = None):
-    """d(state_i, state_j); the self case is the exact constant 0 (both its
-    value and its gradient with respect to the shared point vanish)."""
-    if i == j:
-        return 0.0
-    if cache is None:
-        return manifold.distance(state[i], state[j])
-    key = (i, j) if i < j else (j, i)
-    if key not in cache:
-        cache[key] = manifold.distance(state[key[0]], state[key[1]])
-    return cache[key]
+def _attention_weights(state: Arrayish, batch: GraphBatch, params) -> Arrayish:
+    """(E, 1) softmax, over each destination's entries, of the signed
+    distance between the two nodes; a node's distance to itself is the
+    exact constant 0, in value and in gradient."""
+    dist = manifold.distance(grad.take(state, batch.dst), grad.take(state, batch.src))
+    sign = np.where(batch.dst == batch.src, 0.0, params.attention_sign)[:, None]
+    scores = grad.mul(sign, dist)
+    # the pivot is a constant: softmax does not depend on it
+    pivot = np.full(batch.n_nodes, -np.inf)
+    np.maximum.at(pivot, batch.dst, grad.value_of(scores)[:, 0])
+    exps = grad.exp(grad.sub(scores, pivot[batch.dst, None]))
+    total = grad.segment_sum(exps, batch.dst, batch.n_nodes)
+    return grad.div(exps, grad.take(total, batch.dst))
 
 
 def attention_coefficients(
     state: Sequence[Arrayish], g: SessionGraph, i: int, params,
-    dist_cache: Optional[Dict] = None,
 ) -> List[Tuple[int, Arrayish]]:
     """Softmax over signed neighbor distances; returns (node index, weight)."""
-    neigh = neighborhood(g, i, params.neighborhood)
-    scores = [
-        grad.mul(params.attention_sign, _pair_distance(state, i, j, dist_cache))
-        for j, _ in neigh
-    ]
-    vals = [float(grad.value_of(s)) for s in scores]
-    pivot = scores[int(np.argmax(vals))]
-    exps = [grad.exp(grad.sub(s, pivot)) for s in scores]
-    total = grad.nsum(exps)
-    return [(j, grad.div(e, total)) for (j, _), e in zip(neigh, exps)]
+    batch = _as_batch(g, params)
+    weights = grad.reshape(_attention_weights(grad.stack(state), batch, params), (-1,))
+    return [(int(batch.src[e]), grad.take(weights, e))
+            for e in np.flatnonzero(batch.dst == i)]
 
 
-def self_attention_layer(state: Sequence[Arrayish], g: SessionGraph, params) -> List[Arrayish]:
-    """One aggregation step: weighted, time-shifted neighbors in tangent space."""
-    time_cache: Dict[float, Arrayish] = {}
-    dist_cache: Dict = {}
+def self_attention_layer(state, g, params):
+    """One aggregation step: weighted, time-shifted neighbors in tangent space.
 
-    def timed(interval: float) -> Arrayish:
-        if interval not in time_cache:
-            time_cache[interval] = time_embedding(interval, params)
-        return time_cache[interval]
-
-    out: List[Arrayish] = []
-    for i in range(g.n_nodes):
-        neigh = neighborhood(g, i, params.neighborhood)
-        weights = attention_coefficients(state, g, i, params, dist_cache)
-        terms = []
-        for (j, interval), (_, w) in zip(neigh, weights):
-            joint = state[j] if interval == 0.0 else manifold.mobius_add(state[j], timed(interval))
-            terms.append(manifold.log_map0(manifold.mobius_scalar_mul(w, joint)))
-        agg = grad.leaky_relu(grad.nsum(terms), params.leaky_slope)
-        out.append(manifold.exp_map0(agg))
-    return out
+    ``state`` is an (N, d) matrix over the batch ``g``, or the list of one
+    session graph's node rows, which gives a list back.
+    """
+    rows = isinstance(state, (list, tuple))
+    h = grad.stack(state) if rows else state
+    batch = _as_batch(g, params)
+    weights = _attention_weights(h, batch, params)
+    # interval 0 embeds to a zero row, and x (+) 0 = x
+    joint = manifold.mobius_add(grad.take(h, batch.src), time_embedding(batch.interval, params))
+    terms = manifold.log_map0(manifold.mobius_scalar_mul(weights, joint))
+    agg = grad.leaky_relu(grad.segment_sum(terms, batch.dst, batch.n_nodes), params.leaky_slope)
+    out = manifold.exp_map0(agg)
+    return _unstack(out) if rows else out
 
 
-def soft_attention_session(state: Sequence[Arrayish], g: SessionGraph, params) -> Arrayish:
+def soft_attention_session(state, g, params) -> Arrayish:
     """Session readout keyed on the last item.
 
     Each item's coefficient is the signed scalar produced by a 1-row Mobius
     matrix-vector product against the activated joint embedding; the
-    coefficients are not normalized.
+    coefficients are not normalized.  Gives one (d,) vector for a session
+    graph and (B, d) rows for a batch.
     """
-    p = g.last_index
-    last_part = manifold.mobius_matvec(params.att_last_proj, state[p])
+    batch = _as_batch(g, params)
+    h = grad.stack(state) if isinstance(state, (list, tuple)) else state
+    last_part = manifold.mobius_matvec(params.att_last_proj, grad.take(h, batch.last))
+    inner = manifold.mobius_add(
+        manifold.mobius_add(
+            grad.take(last_part, batch.node_session),
+            manifold.mobius_matvec(params.att_item_proj, h),
+        ),
+        params.att_bias,
+    )
+    activated = manifold.exp_map0(
+        grad.leaky_relu(manifold.log_map0(inner), params.leaky_slope)
+    )
     row = grad.reshape(params.att_vec, (1, params.dim))
-    terms = []
-    for q in range(g.n_nodes):
-        inner = manifold.mobius_add(
-            manifold.mobius_add(
-                last_part,
-                manifold.mobius_matvec(params.att_item_proj, state[q]),
-            ),
-            params.att_bias,
-        )
-        activated = manifold.exp_map0(
-            grad.leaky_relu(manifold.log_map0(inner), params.leaky_slope)
-        )
-        beta = grad.reshape(manifold.mobius_matvec(row, activated), ())
-        terms.append(manifold.log_map0(manifold.mobius_scalar_mul(beta, state[q])))
-    agg = grad.leaky_relu(grad.nsum(terms), params.leaky_slope)
-    return manifold.exp_map0(agg)
+    beta = manifold.mobius_matvec(row, activated)
+    terms = manifold.log_map0(manifold.mobius_scalar_mul(beta, h))
+    agg = grad.leaky_relu(grad.segment_sum(terms, batch.node_session, batch.n_sessions),
+                          params.leaky_slope)
+    out = manifold.exp_map0(agg)
+    return out if isinstance(g, GraphBatch) else _first(out)
 
 
-def project_session_future(h_s: Arrayish, t_norm: float, params) -> Arrayish:
+def project_session_future(h_s: Arrayish, t_norm, params) -> Arrayish:
     """Evolve the session embedding to a future instant.
 
     Computed in the tangent space at the origin as log(h_s) * (1 + log(h_t)),
@@ -291,7 +308,7 @@ def project_session_future(h_s: Arrayish, t_norm: float, params) -> Arrayish:
     return manifold.exp_map0(grad.leaky_relu(scaled, params.leaky_slope))
 
 
-def project_item_future(h_s_future: Arrayish, h_last: Arrayish, t_norm: float, params) -> Arrayish:
+def project_item_future(h_s_future: Arrayish, h_last: Arrayish, t_norm, params) -> Arrayish:
     """Predict the future item embedding from session, last item and interval."""
     h_t = time_embedding(t_norm, params)
     inner = manifold.mobius_add(
@@ -306,6 +323,9 @@ def project_item_future(h_s_future: Arrayish, h_last: Arrayish, t_norm: float, p
 
 @dataclass
 class ForwardResult:
+    """One session's pass (lists of node rows and (d,) vectors), or a
+    batch's from :func:`forward_batch` (matrices of rows)."""
+
     initial: List[Arrayish]     # per-node embeddings after input projection
     final: List[Arrayish]       # per-node embeddings after the last layer
     session: Arrayish           # readout before future projection
@@ -313,21 +333,35 @@ class ForwardResult:
     item_future: Arrayish
 
 
-def forward_session(g: SessionGraph, t_norm: float, params) -> ForwardResult:
-    """Full pass for one session graph and query interval."""
-    state = [hyperbolic_projection(params.item_vec(it), params) for it in g.nodes]
-    initial = list(state)
+def forward_batch(batch: GraphBatch, t_norm: np.ndarray, initial: Arrayish, params) -> ForwardResult:
+    """Full pass over a batch from its (N, d) projected node rows, with one
+    query interval per session; every field is a matrix of rows."""
+    state = initial
     for _ in range(params.num_layers):
-        state = self_attention_layer(state, g, params)
-    h_s = soft_attention_session(state, g, params)
+        state = self_attention_layer(state, batch, params)
+    h_s = soft_attention_session(state, batch, params)
     h_s_fut = project_session_future(h_s, t_norm, params)
-    h_v_fut = project_item_future(h_s_fut, state[g.last_index], t_norm, params)
+    h_v_fut = project_item_future(h_s_fut, grad.take(state, batch.last), t_norm, params)
     return ForwardResult(
         initial=initial,
         final=state,
         session=h_s,
         session_future=h_s_fut,
         item_future=h_v_fut,
+    )
+
+
+def forward_session(g: SessionGraph, t_norm: float, params) -> ForwardResult:
+    """Full pass for one session graph and query interval: a batch of one."""
+    raw = grad.stack([params.item_vec(it) for it in g.nodes])
+    fw = forward_batch(_as_batch(g, params), np.array([t_norm]),
+                       hyperbolic_projection(raw, params), params)
+    return ForwardResult(
+        initial=_unstack(fw.initial),
+        final=_unstack(fw.final),
+        session=_first(fw.session),
+        session_future=_first(fw.session_future),
+        item_future=_first(fw.item_future),
     )
 
 
@@ -364,30 +398,9 @@ class TargetRank:
         return self.position
 
 
-def project_item_rows(features: np.ndarray, feat_proj: np.ndarray) -> np.ndarray:
-    """Projected embeddings of item feature rows, one row per item (numeric)."""
-    feats = np.asarray(features, dtype=np.float64)
-    norms = np.linalg.norm(feats, axis=1, keepdims=True)
-    safe = np.maximum(norms, 1e-300)
-    mapped = np.where(norms > 0, np.tanh(norms) / safe * feats, 0.0)
-    mapped = manifold.project_rows_to_ball(mapped)
-
-    ma = mapped @ np.asarray(feat_proj, dtype=np.float64).T
-    m_n = np.linalg.norm(mapped, axis=1, keepdims=True)
-    ma_n = np.linalg.norm(ma, axis=1, keepdims=True)
-    ok = (m_n > 0) & (ma_n > 0)
-    scale = np.where(
-        ok,
-        np.tanh(ma_n / np.maximum(m_n, 1e-300) * np.arctanh(np.where(ok, m_n, 0.0)))
-        / np.maximum(ma_n, 1e-300),
-        0.0,
-    )
-    return manifold.project_rows_to_ball(scale * ma)
-
-
 def project_item_table(params: ModelParams) -> np.ndarray:
     """Projected embeddings of the whole catalog, one row per item (numeric)."""
-    return project_item_rows(params.item_features, params.feat_proj)
+    return hyperbolic_projection(params.item_features, params)
 
 
 class ItemTable:
@@ -403,19 +416,20 @@ class ItemTable:
             raise ValueError("empty item table")
         self.items = params.items
         self.index = params.item_index
-        self.rows = project_item_table(params)
-        # a NaN feature row would project to the origin, so check both
-        finite = np.isfinite(self.rows).all(axis=1) & np.isfinite(params.item_features).all(axis=1)
+        # checked before projecting, to name the item
+        finite = np.isfinite(params.item_features).all(axis=1)
         if not finite.all():
             bad = self.items[int(np.argmin(finite))]
             raise ValueError(f"item {bad!r} has a non-finite embedding")
+        self.rows = project_item_table(params)
+        self.gaps = 1.0 - np.sum(self.rows * self.rows, axis=1)
 
     def distances(self, point: Arrayish) -> np.ndarray:
         """Geodesic distance from the point to every item, in table order."""
         point = np.asarray(grad.value_of(point), dtype=np.float64)
         if not np.isfinite(point).all():
             raise ValueError("non-finite point to score the catalog against")
-        return manifold.distances_to_rows(point, self.rows)
+        return manifold.distances_to_rows(point, self.rows, self.gaps)
 
     def top_k(self, point: Arrayish, k: int) -> RankedList:
         n = len(self.items)

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import grad, manifold, model
-from .graph import IntervalNormalizer, SessionGraph, SessionRecord, build_session_graph
+from .graph import IntervalNormalizer, SessionGraph, SessionRecord, batch_graphs, build_session_graph
 from .model import BoundParams, ModelParams
 
 log = logging.getLogger(__name__)
@@ -100,38 +100,79 @@ def examples_from_records(
     return out
 
 
+def _batch_items(examples: Sequence[TrainingExample], negatives: Sequence[Optional[str]]) -> List[str]:
+    """Every item a minibatch's loss reads, sorted."""
+    used = {it for ex in examples for it in ex.graph.nodes}
+    used.update(ex.target_item for ex in examples)
+    used.update(neg for neg in negatives if neg is not None)
+    return sorted(used)
+
+
+def batch_losses(
+    examples: Sequence[TrainingExample],
+    params,
+    negatives: Optional[Sequence[Optional[str]]] = None,
+    margin: float = 1.0,
+):
+    """The (B,) per-example losses of a minibatch, forwarded as one graph.
+
+    Each loss is d(item_future, target) + lambda_s d(session_future, session)
+    + lambda_v d(target, last item), all geodesic, plus the hinge
+    max(0, margin - d(item_future, negative)) where the example has a
+    negative other than its target.  ``params`` may be a ModelParams or a
+    BoundParams with tape Nodes, in which case the result is a Node; each
+    distinct item is projected once, from one stack of its rows.
+    """
+    for ex in examples:
+        if ex.target_item not in params.item_index:
+            raise KeyError(f"target item {ex.target_item!r} not in vocabulary")
+    negatives = list(negatives) if negatives is not None else [None] * len(examples)
+    items = _batch_items(examples, negatives)
+    row = {it: k for k, it in enumerate(items)}
+    table = model.hyperbolic_projection(grad.stack([params.item_vec(it) for it in items]), params)
+
+    graphs = [ex.graph for ex in examples]
+    batch = batch_graphs(graphs, params.neighborhood)
+    initial = grad.take(table, np.array([row[it] for g in graphs for it in g.nodes]))
+    t_norm = np.array([ex.target_interval for ex in examples])
+    fw = model.forward_batch(batch, t_norm, initial, params)
+
+    h_target = grad.take(table, np.array([row[ex.target_item] for ex in examples]))
+    loss = manifold.distance(fw.item_future, h_target)
+    if params.lambda_s > 0:
+        loss = grad.add(loss, grad.mul(params.lambda_s, manifold.distance(fw.session_future, fw.session)))
+    if params.lambda_v > 0:
+        loss = grad.add(loss, grad.mul(params.lambda_v, manifold.distance(h_target, grad.take(fw.final, batch.last))))
+    hinged = [neg is not None and neg != ex.target_item for ex, neg in zip(examples, negatives)]
+    if any(hinged):
+        # examples without a negative score their own target, weighted 0
+        h_neg = grad.take(table, np.array([row[neg] if h else row[ex.target_item]
+                                           for ex, neg, h in zip(examples, negatives, hinged)]))
+        hinge = grad.relu(grad.sub(margin, manifold.distance(fw.item_future, h_neg)))
+        loss = grad.add(loss, grad.mul(np.array(hinged, dtype=np.float64)[:, None], hinge))
+    return grad.reshape(loss, (len(examples),))
+
+
 def compute_loss(
     example: TrainingExample,
     params,
     negative_item: Optional[str] = None,
     margin: float = 1.0,
 ):
-    """d(item_future, target) + lambda_s d(session_future, session)
-    + lambda_v d(target, last item), all geodesic.
+    """The loss of one example (see :func:`batch_losses`): a batch of one.
 
     ``params`` may be a ModelParams or a BoundParams with tape Nodes, in
-    which case the result is a scalar Node.  ``negative_item`` adds the
-    optional hinge max(0, margin - d(item_future, negative)).
+    which case the result is a scalar Node.
     """
-    if example.target_item not in params.item_index:
-        raise KeyError(f"target item {example.target_item!r} not in vocabulary")
+    return grad.reshape(batch_losses([example], params, [negative_item], margin), ())
 
-    fw = model.forward_session(example.graph, example.target_interval, params)
 
-    if example.target_item in example.graph.node_index:
-        h_target = fw.initial[example.graph.node_index[example.target_item]]
-    else:
-        h_target = model.hyperbolic_projection(params.item_vec(example.target_item), params)
-
-    loss = manifold.distance(fw.item_future, h_target)
-    if params.lambda_s > 0:
-        loss = grad.add(loss, grad.mul(params.lambda_s, manifold.distance(fw.session_future, fw.session)))
-    if params.lambda_v > 0:
-        loss = grad.add(loss, grad.mul(params.lambda_v, manifold.distance(h_target, fw.final[example.graph.last_index])))
-    if negative_item is not None and negative_item != example.target_item:
-        h_neg = model.hyperbolic_projection(params.item_vec(negative_item), params)
-        loss = grad.add(loss, grad.relu(grad.sub(margin, manifold.distance(fw.item_future, h_neg))))
-    return loss
+def _nonfinite_gradient(grads: Dict[str, np.ndarray]) -> Optional[str]:
+    """The first parameter whose gradient holds a non-finite entry, if any."""
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            return name
+    return None
 
 
 def _global_norm(grads: Dict[str, np.ndarray]) -> float:
@@ -150,10 +191,10 @@ def optimizer_step(
     A non-finite gradient aborts the whole step (params untouched) and logs
     the offending parameter.
     """
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            log.warning("non-finite gradient for %s; skipping step", name)
-            return params
+    bad = _nonfinite_gradient(grads)
+    if bad is not None:
+        log.warning("non-finite gradient for %s; skipping step", bad)
+        return params
 
     gnorm = _global_norm(grads)
     scale = 1.0 if gnorm <= clip or gnorm == 0.0 else clip / gnorm
@@ -182,6 +223,8 @@ class FitResult:
     params: ModelParams
     epoch_losses: List[float]
     collapse_trace: List[float] = field(default_factory=list)
+    # minibatches whose loss or gradient was non-finite, left without an update
+    skipped_steps: int = 0
 
 
 def fit(
@@ -193,6 +236,10 @@ def fit(
 ) -> FitResult:
     """Seeded epoch/batch loop; identical seeds give identical traces.
 
+    Each minibatch is one tape: :func:`batch_losses` over the union of its
+    graphs, and one ``backward`` of the mean.  A minibatch whose loss or
+    gradient is not finite updates nothing and is counted in
+    ``skipped_steps``; its losses still enter the epoch loss.
     ``vocab`` fixes the catalog (defaults to the items present in the
     dataset).  The collapse trace records the mean pairwise distance among
     up to 100 sampled projected item embeddings after each epoch.
@@ -230,6 +277,7 @@ def fit(
 
     epoch_losses: List[float] = []
     collapse: List[float] = []
+    skipped = 0
     for _ in range(config.epochs):
         order = rng.permutation(n)
         example_losses = np.zeros(n)
@@ -238,33 +286,34 @@ def fit(
             # float summation (and full-batch gradients) are order-stable
             batch_idx = np.sort(order[start:start + config.batch_size])
             batch = [dataset[i] for i in batch_idx]
+            batch_negatives = [negatives.get(i) for i in batch_idx]
 
             overrides: Dict[str, grad.Node] = {
                 name: grad.Node(getattr(params, name)) for name in params.matrix_fields()
             }
-            used = {it for ex in batch for it in ex.graph.nodes} | \
-                   {ex.target_item for ex in batch} | \
-                   {negatives[i] for i in batch_idx if i in negatives}
-            for it in sorted(used):
+            for it in _batch_items(batch, batch_negatives):
                 overrides["item:" + it] = grad.Node(params.item_vec(it))
 
-            bound = BoundParams(params, overrides)
-            losses = [
-                compute_loss(ex, bound, negatives.get(i), config.margin)
-                for i, ex in zip(batch_idx, batch)
-            ]
-            batch_loss = grad.div(grad.nsum(losses), float(len(batch)))
+            losses = batch_losses(batch, BoundParams(params, overrides),
+                                  batch_negatives, config.margin)
+            example_losses[batch_idx] = losses.value
+            batch_loss = grad.div(grad.dot(np.ones(len(batch)), losses), float(len(batch)))
+            if not np.isfinite(batch_loss.value):
+                log.warning("non-finite batch loss; skipping step")
+                skipped += 1
+                continue
             grad.backward(batch_loss)
             grads = {k: np.asarray(v.adjoint) for k, v in overrides.items()}
+            if _nonfinite_gradient(grads) is not None:
+                skipped += 1
             optimizer_step(params, grads, config.learning_rate,
                            clip=config.grad_clip, retraction=config.retraction)
-            for i, ls in zip(batch_idx, losses):
-                example_losses[i] = float(grad.value_of(ls))
         # canonical (dataset-order) summation: the trace is shuffle-invariant
         epoch_losses.append(float(np.sum(example_losses)) / n)
-        monitored = model.project_item_rows(params.item_features[monitor_idx], params.feat_proj)
+        monitored = model.hyperbolic_projection(params.item_features[monitor_idx], params)
         collapse.append(manifold.pairwise_mean_distance(monitored))
-    return FitResult(params=params, epoch_losses=epoch_losses, collapse_trace=collapse)
+    return FitResult(params=params, epoch_losses=epoch_losses, collapse_trace=collapse,
+                     skipped_steps=skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +341,17 @@ def load_checkpoint(path) -> Tuple[ModelParams, TrainConfig]:
         meta = json.loads(str(data["meta"]))
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version: {meta.get('version')}")
-        params = ModelParams(
-            items=list(meta["items"]),
-            **{name: data[name] for name in ARRAY_FIELDS},
-            **{name: meta[name] for name in model.HYPER_FIELDS},
-        )
+        arrays = {name: data[name] for name in ARRAY_FIELDS}
+    items = list(meta["items"])
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            if name == "item_features":
+                bad = items[int(np.argmin(np.isfinite(arr).all(axis=1)))]
+                raise ValueError(f"item {bad!r} has a non-finite feature row")
+            raise ValueError(f"checkpoint array {name!r} has non-finite entries")
+    params = ModelParams(
+        items=items,
+        **arrays,
+        **{name: meta[name] for name in model.HYPER_FIELDS},
+    )
     return params, TrainConfig(**meta["config"])

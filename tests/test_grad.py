@@ -96,6 +96,45 @@ class TestCheckGradients:
             G.check_gradients(lambda th: th["x"], {"x": np.asarray(1.0)}, h=0.0)
 
 
+class TestRowPrimitives:
+    def test_row_reductions_match_vectors(self):
+        rng = np.random.default_rng(1)
+        a, b, m = rng.normal(size=(5, 4)), rng.normal(size=(5, 4)), rng.normal(size=(3, 4))
+        a[2] = 0.0
+        assert G.dot(a, b).shape == (5, 1) and G.norm(a).shape == (5, 1)
+        np.testing.assert_allclose(G.dot(a, b)[:, 0], [G.dot(x, y) for x, y in zip(a, b)], rtol=1e-14)
+        np.testing.assert_allclose(G.norm(a)[:, 0], [G.norm(x) for x in a], rtol=1e-14)
+        np.testing.assert_allclose(G.matvec(m, a), [G.matvec(m, x) for x in a], rtol=1e-14)
+
+    def test_row_primitive_gradients(self):
+        rng = np.random.default_rng(2)
+        idx = np.array([3, 0, 3, 1, 3])
+        seg = np.array([0, 0, 1, 2, 2])
+        w = 0.1 * rng.normal(size=(4, 3))
+
+        def f(th):
+            a, m = th["a"], th["m"]
+            rows = G.stack([G.take(a, 2), th["v"], G.take(a, 0)])
+            gathered = G.take(G.matvec(m, a), idx)
+            summed = G.segment_sum(G.mul(G.norm(gathered), gathered), seg, 3)
+            return G.dot(np.ones(3), G.reshape(G.dot(G.add(summed, rows), w[:3]), (3,)))
+
+        rep = G.check_gradients(f, {"a": rng.normal(size=(4, 3)), "m": rng.normal(size=(3, 3)),
+                                    "v": rng.normal(size=3)})
+        assert rep.max_rel_error < 1e-6 and not rep.failures
+
+    def test_segment_sum_adds_in_row_order(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(9, 4)) * np.exp(rng.normal(size=(9, 1)) * 8)
+        seg = np.array([0, 0, 0, 0, 1, 2, 2, 2, 2])
+        expected = [G.nsum([a[k] for k in np.flatnonzero(seg == s)]) for s in range(3)]
+        np.testing.assert_array_equal(G.segment_sum(a, seg, 3), np.stack(expected))
+
+    def test_stack_of_plain_rows_is_plain(self):
+        out = G.stack([np.zeros(2), np.ones(2)])
+        assert type(out) is np.ndarray and out.shape == (2, 2)
+
+
 def scalarize(vec_fn, probe):
     """Reduce a vector output with a small fixed probe; keeps |f| ~ 1e-2 so
     the 1e-8 relative-error floor sits above float64 quotient noise."""
@@ -282,6 +321,30 @@ class TestFullLossGradient:
                                        target_interval=norm(120))
             def f(th):
                 return train.compute_loss(ex, model.BoundParams(params, th))
+            rep = G.check_gradients(f, theta_of(params), h=1e-4)
+            assert not rep.failures
+            worst = max(worst, rep.max_rel_error)
+        assert worst < 1e-4
+
+    def test_three_session_batch_loss(self):
+        # the mean of one minibatch's losses, forwarded as one disjoint-union
+        # graph; h = 1e-4 for the reason given above
+        norm = IntervalNormalizer()
+        graphs = [
+            small_session(),
+            build_session_graph(SessionRecord("t", [("c", 0), ("c", 20), ("d", 80)]), norm),
+            build_session_graph(SessionRecord("u", [("b", 0)]), norm, min_events=1),
+        ]
+        examples = [train.TrainingExample(graph=g, target_item=t, target_interval=norm(s))
+                    for g, t, s in zip(graphs, "dab", (120, 0, 45))]
+        worst = 0.0
+        for trial in range(3):
+            params = interior_params(np.random.default_rng(41000 + trial))
+            params.neighborhood = ("in", "out", "both")[trial]
+
+            def f(th):
+                losses = train.batch_losses(examples, model.BoundParams(params, th), ["c", None, "b"])
+                return G.div(G.dot(np.ones(3), losses), 3.0)
             rep = G.check_gradients(f, theta_of(params), h=1e-4)
             assert not rep.failures
             worst = max(worst, rep.max_rel_error)

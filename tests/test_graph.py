@@ -8,6 +8,7 @@ import pytest
 from hypersess.graph import (
     IntervalNormalizer,
     SessionRecord,
+    batch_graphs,
     build_session_graph,
     in_neighbors,
     neighborhood,
@@ -142,3 +143,74 @@ class TestNeighbors:
         assert neighborhood(g, b, "both") == [(0, NORM(10)), (1, 0.0), (2, NORM(15))]
         with pytest.raises(ValueError):
             neighborhood(g, b, "sideways")
+
+
+def scanned_neighborhood(g, i, direction):
+    """A node's neighborhood by scanning every edge, from the definition:
+    itself at interval 0 unless it has a self-loop, its predecessors ("in"),
+    its successors ("out"), or both with the smaller interval."""
+    preds, succs = {i: 0.0}, {i: 0.0}
+    for src, dst, interval in g.edges:
+        if dst == i:
+            preds[src] = interval
+        if src == i:
+            succs[dst] = interval
+    if direction == "in":
+        return sorted(preds.items())
+    if direction == "out":
+        return sorted(succs.items())
+    merged = dict(succs)
+    for j, interval in preds.items():
+        merged[j] = min(interval, merged.get(j, interval))
+    return sorted(merged.items())
+
+
+class TestBatchGraphs:
+    def random_graphs(self, rng):
+        graphs = []
+        for _ in range(rng.integers(1, 5)):
+            t, events = 0, []
+            for _ in range(rng.integers(1, 9)):
+                t += int(rng.choice([0, 0, 5, 100, 7200]))
+                events.append((str(rng.choice(list("abcd"))), t))
+            graphs.append(build_session_graph(SessionRecord("s", events), NORM, min_events=1))
+        return graphs
+
+    @pytest.mark.parametrize("direction", ["in", "out", "both"])
+    def test_entries_are_the_neighborhoods(self, direction):
+        # repeats, self-loops and equal timestamps all occur among the draws
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            graphs = self.random_graphs(rng)
+            batch = batch_graphs(graphs, direction)
+            expected = []
+            base = 0
+            for g in graphs:
+                for i in range(g.n_nodes):
+                    pairs = scanned_neighborhood(g, i, direction)
+                    assert neighborhood(g, i, direction) == pairs
+                    expected += [(base + i, base + j, iv) for j, iv in pairs]
+                base += g.n_nodes
+            got = list(zip(batch.dst.tolist(), batch.src.tolist(), batch.interval.tolist()))
+            assert got == expected
+
+    def test_segments_and_last_nodes(self):
+        graphs = [
+            build_session_graph(SessionRecord("s1", [("a", 0), ("b", 10), ("a", 20)]), NORM),
+            build_session_graph(SessionRecord("s2", [("c", 0)]), NORM, min_events=1),
+            build_session_graph(SessionRecord("s3", [("a", 0), ("d", 5), ("e", 9)]), NORM),
+        ]
+        batch = batch_graphs(graphs)
+        assert batch.node_session.tolist() == [0, 0, 1, 2, 2, 2]
+        assert batch.last.tolist() == [0, 2, 5]
+        assert (batch.n_nodes, batch.n_sessions) == (6, 3)
+
+    def test_self_loop_replaces_the_self_entry(self):
+        g = build_session_graph(SessionRecord("s", [("a", 0), ("a", 30)]), NORM)
+        batch = batch_graphs([g])
+        assert batch.interval.tolist() == [NORM(30)]
+
+    def test_unknown_direction(self):
+        g = build_session_graph(SessionRecord("s", [("a", 0), ("b", 30)]), NORM)
+        with pytest.raises(ValueError):
+            batch_graphs([g], "diagonal")

@@ -242,3 +242,76 @@ class TestGradSymmetry:
             G.backward(M.distance(m1, m2))
             np.testing.assert_allclose(n1.adjoint, m2.adjoint, atol=1e-12)
             np.testing.assert_allclose(n2.adjoint, m1.adjoint, atol=1e-12)
+
+
+class TestRowWise:
+    """Every operation on an (N, d) matrix equals the operation on each row."""
+
+    def rows(self, rng, n=6, d=4, zero_rows=(2,)):
+        m = np.stack([rand_ball(rng, d, 0.8) for _ in range(n)])
+        m[list(zero_rows)] = 0.0
+        return m
+
+    def test_matches_per_row(self):
+        rng = RNG(31)
+        x, y = self.rows(rng), self.rows(rng, zero_rows=(4,))
+        alpha = rng.uniform(-2, 2, (6, 1))
+        mat = rng.uniform(-1, 1, (3, 4))
+        cases = [
+            (M.mobius_add(x, y), [M.mobius_add(a, b) for a, b in zip(x, y)]),
+            (M.mobius_scalar_mul(alpha, x), [M.mobius_scalar_mul(float(s), a) for s, a in zip(alpha[:, 0], x)]),
+            (M.mobius_matvec(mat, x), [M.mobius_matvec(mat, a) for a in x]),
+            (M.exp_map0(x), [M.exp_map0(a) for a in x]),
+            (M.log_map0(x), [M.log_map0(a) for a in x]),
+            (M.exp_map(y, x), [M.exp_map(b, a) for a, b in zip(x, y)]),
+            (M.log_map(y, x), [M.log_map(b, a) for a, b in zip(x, y)]),
+            (M.distance(x, y), [[M.distance(a, b)] for a, b in zip(x, y)]),
+        ]
+        for rowwise, per_row in cases:
+            np.testing.assert_allclose(rowwise, np.array(per_row), rtol=1e-13, atol=1e-15)
+
+    def test_zero_rows_give_exact_zeros(self):
+        x = self.rows(RNG(32), zero_rows=(0, 3))
+        for out in (M.exp_map0(x), M.log_map0(x), M.mobius_scalar_mul(0.7, x),
+                    M.mobius_matvec(np.eye(4), x)):
+            assert not np.asarray(out)[[0, 3]].any()
+            assert np.asarray(out)[[1, 2, 4, 5]].all(axis=1).all()
+
+    def test_zero_rows_pass_no_gradient(self):
+        rng = RNG(33)
+        probe = rng.normal(size=4)
+        for op in (M.exp_map0, M.log_map0, lambda v: M.mobius_scalar_mul(0.7, v),
+                   lambda v: M.mobius_matvec(rng.uniform(-1, 1, (4, 4)), v)):
+            x = G.Node(self.rows(rng, zero_rows=(1,)))
+            G.backward(G.dot(np.ones(6), G.reshape(G.dot(op(x), probe), (6,))))
+            assert not x.adjoint[1].any()
+            assert x.adjoint[[0, 2]].any(axis=1).all()
+
+    def test_projection_per_row(self):
+        rng = RNG(34)
+        x = self.rows(rng)
+        assert M.project_to_ball(x) is x
+        x[1] *= 3.0 / np.linalg.norm(x[1])
+        out = M.project_to_ball(x)
+        np.testing.assert_array_equal(np.delete(out, 1, axis=0), np.delete(x, 1, axis=0))
+        assert np.linalg.norm(out[1]) == pytest.approx(M.MAX_NORM, abs=1e-15)
+        x[4, 2] = np.nan
+        with pytest.raises(ValueError):
+            M.project_to_ball(x)
+
+    def test_projection_gradient_only_through_clipped_rows(self):
+        rng = RNG(35)
+        x = self.rows(rng, zero_rows=())
+        x[2] *= 1.5 / np.linalg.norm(x[2])
+        probe = 0.01 * rng.normal(size=4)
+        rep = G.check_gradients(
+            lambda th: G.dot(np.ones(6), G.reshape(G.dot(M.project_to_ball(th["x"]), probe), (6,))),
+            {"x": x}, h=1e-6)
+        assert rep.max_rel_error < 1e-4 and not rep.failures
+
+    def test_cached_gaps_give_the_same_distances(self):
+        rng = RNG(36)
+        rows = self.rows(rng, n=50, d=5, zero_rows=())
+        p = rand_ball(rng, 5, 0.7)
+        gaps = 1.0 - np.sum(rows * rows, axis=1)
+        np.testing.assert_array_equal(M.distances_to_rows(p, rows, gaps), M.distances_to_rows(p, rows))

@@ -1,10 +1,13 @@
 """Loss composition, optimizer behavior, fit loop, checkpoints."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import rand_ball
 
-from hypersess import data, manifold as M, model, train
+from hypersess import data, grad as G, manifold as M, model, train
 from hypersess.graph import IntervalNormalizer, SessionRecord, build_session_graph
 from hypersess.train import TrainConfig, TrainingExample
 
@@ -121,6 +124,88 @@ class TestComputeLoss:
         plain = float(train.compute_loss(ex, params))
         with_neg = float(train.compute_loss(ex, params, negative_item="d", margin=5.0))
         assert with_neg > plain
+
+
+ITEMS = ("a", "b", "c", "d", "e", "f")
+
+
+@st.composite
+def minibatches(draw, gaps=(0, 0, 3, 40, 900, 100000)):
+    """1-12 sessions of 1-12 events over six items, so items repeat and
+    consecutive repeats make self-loops; gaps of 0 give equal timestamps,
+    and 100000 s lies beyond the normalizer's cap."""
+    examples = []
+    for _ in range(draw(st.integers(1, 12))):
+        n = draw(st.integers(1, 12))
+        items = draw(st.lists(st.sampled_from(ITEMS), min_size=n, max_size=n))
+        gaps = draw(st.lists(st.sampled_from(gaps), min_size=n, max_size=n))
+        events = list(zip(items, np.cumsum(gaps).tolist()))
+        examples.append(example_of(events, draw(st.sampled_from(ITEMS)),
+                                   draw(st.sampled_from([0, 7, 300, 5000]))))
+    negatives = draw(st.none() | st.lists(st.none() | st.sampled_from(ITEMS),
+                                          min_size=len(examples), max_size=len(examples)))
+    params = spread_params(draw(st.integers(0, 2**16)), items=ITEMS, d=4)
+    params.neighborhood = draw(st.sampled_from(["in", "out", "both"]))
+    params.num_layers = draw(st.integers(1, 3))
+    params.attention_sign = draw(st.sampled_from([1.0, -1.0]))
+    return examples, negatives, params
+
+
+def taped(params):
+    theta = {n: G.Node(getattr(params, n)) for n in params.matrix_fields()}
+    theta.update({"item:" + it: G.Node(params.item_vec(it)) for it in params.items})
+    return theta
+
+
+class TestBatchLosses:
+    """A minibatch forwarded as one disjoint-union graph is the sum of its
+    examples forwarded one by one."""
+
+    MARGIN = 1.5
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(minibatches())
+    def test_losses_are_the_per_example_losses(self, batch):
+        examples, negatives, params = batch
+        negs = negatives or [None] * len(examples)
+        losses = train.batch_losses(examples, params, negatives, self.MARGIN)
+        assert losses.shape == (len(examples),)
+        single = [float(train.compute_loss(ex, params, neg, self.MARGIN))
+                  for ex, neg in zip(examples, negs)]
+        np.testing.assert_allclose(losses, single, rtol=1e-12, atol=1e-15)
+
+    # Gaps stay below the cap here.  A saturated interval puts rows on the
+    # shell, where the clip makes the loss non-differentiable: which one-sided
+    # gradient the tape takes there follows the last bit of a row norm, and
+    # BLAS may round a row differently in batches of different sizes.
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(minibatches(gaps=(0, 0, 3, 40, 900, 20000)))
+    def test_gradient_is_the_sum_of_per_example_gradients(self, batch):
+        examples, negatives, params = batch
+        negs = negatives or [None] * len(examples)
+        theta = taped(params)
+        losses = train.batch_losses(examples, model.BoundParams(params, theta), negatives, self.MARGIN)
+        G.backward(G.dot(np.ones(len(examples)), losses))
+        summed = {k: np.zeros_like(v.value) for k, v in theta.items()}
+        for ex, neg in zip(examples, negs):
+            one = taped(params)
+            G.backward(train.compute_loss(ex, model.BoundParams(params, one), neg, self.MARGIN))
+            for k, v in one.items():
+                summed[k] += v.adjoint
+        for k, v in theta.items():
+            np.testing.assert_allclose(v.adjoint, summed[k], rtol=1e-10, atol=1e-10, err_msg=k)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(minibatches(), st.randoms(use_true_random=False))
+    def test_permuting_the_batch_permutes_the_losses(self, batch, rnd):
+        examples, negatives, params = batch
+        negs = negatives or [None] * len(examples)
+        perm = list(range(len(examples)))
+        rnd.shuffle(perm)
+        losses = train.batch_losses(examples, params, negs, self.MARGIN)
+        permuted = train.batch_losses([examples[i] for i in perm], params,
+                                      [negs[i] for i in perm], self.MARGIN)
+        np.testing.assert_allclose(permuted, losses[perm], rtol=1e-12, atol=1e-15)
 
 
 class TestOptimizerStep:
@@ -252,6 +337,63 @@ class TestFit:
         res = train.fit(exs, config, vocab=items)
         assert np.isfinite(res.epoch_losses).all()
 
+    def test_one_backward_per_minibatch(self, monkeypatch):
+        exs, items = tiny_dataset(n_sessions=7)
+        roots = []
+        backward = G.backward
+
+        def counted(root):
+            roots.append(root)
+            backward(root)
+
+        monkeypatch.setattr(G, "backward", counted)
+        config = TrainConfig(dim=6, learning_rate=0.02, epochs=3, batch_size=3, seed=1)
+        train.fit(exs, config, vocab=items)
+        assert len(roots) == 3 * -(-len(exs) // 3)
+        assert all(r.value.shape == () for r in roots)
+
+    def test_nonfinite_batch_loss_skips_the_step(self, monkeypatch, caplog):
+        exs, items = tiny_dataset()
+        n_batches = -(-len(exs) // 2)
+        assert n_batches >= 2
+        batch_losses, optimizer_step = train.batch_losses, train.optimizer_step
+        calls, stepped = [], []
+
+        def poisoned(*args, **kwargs):
+            losses = batch_losses(*args, **kwargs)
+            calls.append(None)
+            return G.mul(losses, np.nan) if len(calls) == n_batches else losses
+
+        def recorded(params, *args, **kwargs):
+            optimizer_step(params, *args, **kwargs)
+            stepped.append(copy.deepcopy(params))
+
+        monkeypatch.setattr(train, "batch_losses", poisoned)
+        monkeypatch.setattr(train, "optimizer_step", recorded)
+        config = TrainConfig(dim=6, learning_rate=0.05, epochs=1, batch_size=2, seed=1)
+        res = train.fit(exs, config, vocab=items)
+        assert res.skipped_steps == 1
+        assert "non-finite batch loss" in caplog.text
+        # the last batch was poisoned: the result is the model before it
+        assert len(stepped) == n_batches - 1
+        np.testing.assert_array_equal(res.params.item_features, stepped[-1].item_features)
+        for n in res.params.matrix_fields():
+            np.testing.assert_array_equal(getattr(res.params, n), getattr(stepped[-1], n))
+
+    def test_nonfinite_gradient_counts_as_skipped(self, monkeypatch):
+        exs, items = tiny_dataset()
+        batch_losses = train.batch_losses
+
+        def poisoned(*args, **kwargs):
+            # finite losses whose backward pass yields NaN
+            losses = batch_losses(*args, **kwargs)
+            return G.Node(losses.value, ((losses, lambda g: g * np.nan),))
+
+        monkeypatch.setattr(train, "batch_losses", poisoned)
+        config = TrainConfig(dim=6, learning_rate=0.05, epochs=2, batch_size=4, seed=1)
+        res = train.fit(exs, config, vocab=items)
+        assert res.skipped_steps == 2 * -(-len(exs) // 4)
+
     def test_hundred_epoch_monotone_trend(self):
         # fixed 10-session set, lr = 0.01: >= 90% of consecutive epoch pairs
         # decrease, and the collapse monitor stays above 1e-3 throughout
@@ -294,6 +436,27 @@ class TestCheckpoint:
         blob["meta"] = np.str_(json.dumps(meta))
         np.savez(path, **blob)
         with pytest.raises(ValueError):
+            train.load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["att_vec", "feat_proj", "time_proj"])
+    def test_nonfinite_array_rejected(self, tmp_path, name):
+        exs, items = tiny_dataset()
+        config = TrainConfig(dim=8, epochs=1, batch_size=3, seed=5)
+        params = train.fit(exs, config, vocab=items).params
+        getattr(params, name).flat[1] = np.nan
+        path = tmp_path / "model.npz"
+        train.save_checkpoint(path, params, config)
+        with pytest.raises(ValueError, match=name):
+            train.load_checkpoint(path)
+
+    def test_nonfinite_feature_row_names_the_item(self, tmp_path):
+        exs, items = tiny_dataset()
+        config = TrainConfig(dim=8, epochs=1, batch_size=3, seed=5)
+        params = train.fit(exs, config, vocab=items).params
+        params.item_features[2, 0] = np.inf
+        path = tmp_path / "model.npz"
+        train.save_checkpoint(path, params, config)
+        with pytest.raises(ValueError, match=f"item {params.items[2]!r} has a non-finite feature row"):
             train.load_checkpoint(path)
 
     def test_bad_meta_hyperparameter_rejected(self, tmp_path):
