@@ -232,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float)
     p.add_argument("--cap", type=float)
     p.add_argument("--neighborhood")
-    p.add_argument("--retraction")
     p.add_argument("--augment-prefixes", dest="augment_prefixes",
                    action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--margin-negatives", dest="margin_negatives",

@@ -20,23 +20,6 @@ EPS_BALL = 1e-5
 MAX_NORM = 1.0 - EPS_BALL
 
 
-def ball_point(coords, *, copy: bool = True) -> np.ndarray:
-    """Validate and admit a raw vector as a point of the open unit ball.
-
-    Rejects non-finite input; radially rescales anything outside the
-    ``1 - EPS_BALL`` shell onto it.
-    """
-    v = np.array(coords, dtype=np.float64, copy=copy)
-    if v.ndim != 1:
-        raise ValueError(f"ball point must be a 1-d vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("ball point has non-finite coordinates")
-    n = float(np.sqrt(np.dot(v, v)))
-    if n > MAX_NORM:
-        v *= MAX_NORM / n
-    return v
-
-
 def project_to_ball(v: Arrayish) -> Arrayish:
     """Radial projection of each row into the shell: identity for the rows
     already inside, and the input itself when no row lies beyond."""

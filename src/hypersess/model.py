@@ -10,7 +10,7 @@ whole minibatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,27 +93,21 @@ class ModelParams:
         return MATRIX_FIELDS
 
 
-class BoundParams:
-    """ModelParams view with selected arrays overridden (typically by Nodes).
+class BoundParams(ModelParams):
+    """ModelParams with selected arrays overridden (typically by Nodes).
 
-    Override keys are field names or ``"item:<id>"`` for single table rows.
+    Override keys are field names or ``"item:<id>"`` for single table rows;
+    every other field is the base's.
     """
 
     def __init__(self, base: ModelParams, overrides: Dict[str, Arrayish]):
-        self._base = base
-        self._overrides = overrides
-
-    def __getattr__(self, name):
-        ov = object.__getattribute__(self, "_overrides")
-        if name in ov:
-            return ov[name]
-        return getattr(object.__getattribute__(self, "_base"), name)
+        super().__init__(**{f.name: overrides.get(f.name, getattr(base, f.name))
+                            for f in fields(ModelParams)})
+        self.item_rows = {key[5:]: v for key, v in overrides.items() if key.startswith("item:")}
 
     def item_vec(self, item_id: Item):
-        key = "item:" + item_id
-        if key in self._overrides:
-            return self._overrides[key]
-        return self._base.item_vec(item_id)
+        row = self.item_rows.get(item_id)
+        return super().item_vec(item_id) if row is None else row
 
 
 def init_params(
@@ -122,14 +116,10 @@ def init_params(
     rng: np.random.Generator,
     *,
     categories: Optional[Dict[Item, int]] = None,
-    lambda_s: float = 0.1,
-    lambda_v: float = 0.1,
-    num_layers: int = 1,
-    attention_sign: float = 1.0,
-    leaky_slope: float = 0.2,
-    neighborhood: str = "in",
+    **hyperparameters,
 ) -> ModelParams:
-    """Seeded initialization.
+    """Seeded initialization; ``hyperparameters`` are ModelParams fields
+    (``lambda_s`` ... ``neighborhood``) and default to its defaults.
 
     With a category map the item features are (shell-clipped) one-hot
     category indicators; otherwise free vectors from U(-0.01, 0.01)^dim.
@@ -173,12 +163,7 @@ def init_params(
         att_vec=rng.uniform(-0.5, 0.5, size=dim),
         att_bias=np.zeros(dim),
         time_proj=rng.uniform(-0.5, 0.5, size=dim),
-        lambda_s=lambda_s,
-        lambda_v=lambda_v,
-        num_layers=num_layers,
-        attention_sign=attention_sign,
-        leaky_slope=leaky_slope,
-        neighborhood=neighborhood,
+        **hyperparameters,
     )
 
 
@@ -403,6 +388,13 @@ def project_item_table(params: ModelParams) -> np.ndarray:
     return hyperbolic_projection(params.item_features, params)
 
 
+def check_item_rows(items: Sequence[Item], features: np.ndarray) -> None:
+    """Raise ValueError naming the first item whose feature row is not finite."""
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"item {items[int(np.argmin(finite))]!r} has a non-finite feature row")
+
+
 class ItemTable:
     """The catalog projected once, to score one or many points against.
 
@@ -417,10 +409,7 @@ class ItemTable:
         self.items = params.items
         self.index = params.item_index
         # checked before projecting, to name the item
-        finite = np.isfinite(params.item_features).all(axis=1)
-        if not finite.all():
-            bad = self.items[int(np.argmin(finite))]
-            raise ValueError(f"item {bad!r} has a non-finite embedding")
+        check_item_rows(self.items, params.item_features)
         self.rows = project_item_table(params)
         self.gaps = 1.0 - np.sum(self.rows * self.rows, axis=1)
 

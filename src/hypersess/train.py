@@ -22,8 +22,6 @@ from .model import BoundParams, ModelParams
 
 log = logging.getLogger(__name__)
 
-BALL_FIELDS = ("att_bias",)  # plus every item feature row
-
 
 @dataclass
 class TrainConfig:
@@ -39,7 +37,6 @@ class TrainConfig:
     tau: float = 60.0
     cap: float = 86400.0
     neighborhood: str = "in"
-    retraction: str = "project"     # "project" or "exp"
     grad_clip: float = 5.0
     augment_prefixes: bool = False
     margin_negatives: bool = False  # optional repulsion term, off by default
@@ -56,8 +53,11 @@ class TrainConfig:
             raise ValueError("learning_rate, tau and cap must be nonnegative/positive")
         model.check_hyperparameters(self.lambda_s, self.lambda_v, self.layers,
                                     self.attention_sign, self.neighborhood)
-        if self.retraction not in ("project", "exp"):
-            raise ValueError("retraction must be 'project' or 'exp'")
+
+    def model_hyperparameters(self) -> Dict[str, object]:
+        """The ModelParams hyperparameters this config sets."""
+        return {"lambda_s": self.lambda_s, "lambda_v": self.lambda_v, "num_layers": self.layers,
+                "attention_sign": self.attention_sign, "neighborhood": self.neighborhood}
 
     def normalizer(self) -> IntervalNormalizer:
         return IntervalNormalizer(tau=self.tau, cap=self.cap)
@@ -184,9 +184,10 @@ def optimizer_step(
     grads: Dict[str, np.ndarray],
     lr: float,
     clip: float = 5.0,
-    retraction: str = "project",
 ) -> ModelParams:
-    """In-place descent step with global-norm clipping and ball projection.
+    """In-place step x <- x - lr * s * g for every parameter, s clipping the
+    global gradient norm to ``clip``; ``att_bias`` and the moved item rows,
+    as one block, are then projected back into the ball.
 
     A non-finite gradient aborts the whole step (params untouched) and logs
     the offending parameter.
@@ -197,24 +198,19 @@ def optimizer_step(
         return params
 
     gnorm = _global_norm(grads)
-    scale = 1.0 if gnorm <= clip or gnorm == 0.0 else clip / gnorm
+    step = lr * (1.0 if gnorm <= clip or gnorm == 0.0 else clip / gnorm)
 
-    def ball_update(vec: np.ndarray, g: np.ndarray) -> np.ndarray:
-        step = -lr * scale * g
-        if retraction == "exp":
-            moved = manifold.exp_map(manifold.ball_point(vec), step)
-        else:
-            moved = vec + step
-        return manifold.ball_point(moved, copy=False)
-
+    rows, item_grads = [], []
     for name, g in grads.items():
         if name.startswith("item:"):
-            row = params.item_index[name[5:]]
-            params.item_features[row] = ball_update(params.item_features[row], g)
-        elif name in BALL_FIELDS:
-            setattr(params, name, ball_update(getattr(params, name), g))
+            rows.append(params.item_index[name[5:]])
+            item_grads.append(g)
         else:
-            setattr(params, name, getattr(params, name) - lr * scale * g)
+            setattr(params, name, getattr(params, name) - step * g)
+    params.att_bias = manifold.project_to_ball(params.att_bias)
+    if rows:
+        moved = params.item_features[rows] - step * np.stack(item_grads)
+        params.item_features[rows] = manifold.project_to_ball(moved)
     return params
 
 
@@ -241,8 +237,10 @@ def fit(
     gradient is not finite updates nothing and is counted in
     ``skipped_steps``; its losses still enter the epoch loss.
     ``vocab`` fixes the catalog (defaults to the items present in the
-    dataset).  The collapse trace records the mean pairwise distance among
-    up to 100 sampled projected item embeddings after each epoch.
+    dataset).  Given ``params`` are trained in place and must agree with
+    the config's ``dim`` and model hyperparameters.  The collapse trace
+    records the mean pairwise distance among up to 100 sampled projected
+    item embeddings after each epoch.
     """
     if not dataset:
         raise ValueError("empty training dataset")
@@ -257,13 +255,13 @@ def fit(
                 seen.update(ex.graph.nodes)
                 seen.add(ex.target_item)
             vocab = sorted(seen)
-        params = model.init_params(
-            list(vocab), config.dim, rng,
-            categories=categories,
-            lambda_s=config.lambda_s, lambda_v=config.lambda_v,
-            num_layers=config.layers, attention_sign=config.attention_sign,
-            neighborhood=config.neighborhood,
-        )
+        params = model.init_params(list(vocab), config.dim, rng, categories=categories,
+                                   **config.model_hyperparameters())
+    else:
+        for name, value in {"dim": config.dim, **config.model_hyperparameters()}.items():
+            if getattr(params, name) != value:
+                raise ValueError(f"params have {name}={getattr(params, name)!r} "
+                                 f"but the config sets {value!r}")
 
     n = len(dataset)
     n_items = len(params.items)
@@ -306,8 +304,7 @@ def fit(
             grads = {k: np.asarray(v.adjoint) for k, v in overrides.items()}
             if _nonfinite_gradient(grads) is not None:
                 skipped += 1
-            optimizer_step(params, grads, config.learning_rate,
-                           clip=config.grad_clip, retraction=config.retraction)
+            optimizer_step(params, grads, config.learning_rate, clip=config.grad_clip)
         # canonical (dataset-order) summation: the trace is shuffle-invariant
         epoch_losses.append(float(np.sum(example_losses)) / n)
         monitored = model.hyperbolic_projection(params.item_features[monitor_idx], params)
@@ -343,15 +340,14 @@ def load_checkpoint(path) -> Tuple[ModelParams, TrainConfig]:
             raise ValueError(f"unsupported checkpoint version: {meta.get('version')}")
         arrays = {name: data[name] for name in ARRAY_FIELDS}
     items = list(meta["items"])
-    for name, arr in arrays.items():
-        if not np.isfinite(arr).all():
-            if name == "item_features":
-                bad = items[int(np.argmin(np.isfinite(arr).all(axis=1)))]
-                raise ValueError(f"item {bad!r} has a non-finite feature row")
+    model.check_item_rows(items, arrays["item_features"])
+    for name in model.MATRIX_FIELDS:
+        if not np.isfinite(arrays[name]).all():
             raise ValueError(f"checkpoint array {name!r} has non-finite entries")
     params = ModelParams(
         items=items,
         **arrays,
         **{name: meta[name] for name in model.HYPER_FIELDS},
     )
+    meta["config"].pop("retraction", None)  # an option that earlier versions saved
     return params, TrainConfig(**meta["config"])

@@ -111,7 +111,6 @@ class TestTrainEvaluate:
         assert "unknown config keys" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value", [("--neighborhood", "diagonal"),
-                                            ("--retraction", "teleport"),
                                             ("--attention-sign", "2"),
                                             ("--attention-sign", "foo")])
     def test_bad_option_value_one_line_error(self, synth_dir, tmp_path, capsys,

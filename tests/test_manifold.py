@@ -23,25 +23,34 @@ def rand_ball(rng, d, max_norm):
 
 
 class TestBallPoint:
+    """project_to_ball on one point and on the rows of a matrix."""
+
     def test_inside_unchanged(self):
-        v = M.ball_point([0.3, 0.0])
-        np.testing.assert_array_equal(v, [0.3, 0.0])
+        v = np.array([0.3, 0.0])
+        assert M.project_to_ball(v) is v
+        np.testing.assert_array_equal(M.project_to_ball(np.array([[0.3, 0.0], [0.0, 0.2]])),
+                                      [[0.3, 0.0], [0.0, 0.2]])
 
     def test_rescaled_to_shell(self):
         # norm 5 -> scale by (1 - 1e-5)/5
-        v = M.ball_point([3.0, 4.0])
+        v = M.project_to_ball(np.array([3.0, 4.0]))
         np.testing.assert_allclose(v, [0.599994, 0.799992], atol=1e-12)
         assert np.linalg.norm(v) == pytest.approx(1 - 1e-5, abs=1e-12)
+        # a row inside is untouched beside one that is rescaled
+        rows = M.project_to_ball(np.array([[3.0, 4.0], [0.3, 0.0]]))
+        np.testing.assert_array_equal(rows[0], v)
+        np.testing.assert_array_equal(rows[1], [0.3, 0.0])
 
     def test_origin_fixed(self):
-        np.testing.assert_array_equal(M.ball_point([0.0, 0.0]), [0.0, 0.0])
+        np.testing.assert_array_equal(M.project_to_ball(np.zeros(2)), [0.0, 0.0])
+        np.testing.assert_array_equal(M.project_to_ball(np.zeros((2, 2))), np.zeros((2, 2)))
 
     @pytest.mark.parametrize("bad", [[np.nan, 0.0], [np.inf, 1.0], [1.0, -np.inf]])
     def test_nonfinite_rejected(self, bad):
         with pytest.raises(ValueError):
-            M.ball_point(bad)
-        with pytest.raises(ValueError):
             M.project_to_ball(np.array(bad))
+        with pytest.raises(ValueError):
+            M.project_to_ball(np.array([[0.1, 0.0], bad]))
 
 
 class TestMobiusAdd:

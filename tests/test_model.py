@@ -36,6 +36,21 @@ def chain_graph(items_times):
     return build_session_graph(SessionRecord("s", items_times), NORM, min_events=1)
 
 
+class TestBoundParams:
+    def test_overrides_fields_and_rows_only(self):
+        p = make_params(np.random.default_rng(0), num_layers=2, neighborhood="both")
+        before = p.item_features.copy()
+        vec, row = np.full(5, 0.25), np.full(5, 0.1)
+        b = model.BoundParams(p, {"att_vec": vec, "item:c": row})
+        assert isinstance(b, model.ModelParams)
+        assert b.att_vec is vec and b.item_vec("c") is row
+        assert b.feat_proj is p.feat_proj
+        np.testing.assert_array_equal(b.item_vec("a"), p.item_vec("a"))
+        assert (b.num_layers, b.neighborhood, b.dim) == (2, "both", 5)
+        assert p.att_vec is not vec
+        np.testing.assert_array_equal(p.item_features, before)
+
+
 class TestHyperbolicProjection:
     def test_zero_feature_maps_to_origin(self):
         params = make_params(np.random.default_rng(0))
@@ -364,6 +379,13 @@ class TestScoreItems:
         params.item_features[3, 1] = np.nan
         with pytest.raises(ValueError, match="'d'.*non-finite"):
             model.score_items(np.zeros(5), params, k=3)
+
+    def test_nonfinite_item_row_named(self):
+        features = np.zeros((3, 2))
+        features[1, 0] = np.inf
+        with pytest.raises(ValueError, match="^item 'b' has a non-finite feature row$"):
+            model.check_item_rows(["a", "b", "c"], features)
+        model.check_item_rows(["a", "b", "c"], np.zeros((3, 2)))
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Loss composition, optimizer behavior, fit loop, checkpoints."""
 
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -39,8 +40,6 @@ class TestConfig:
             TrainConfig(layers=4)
         with pytest.raises(ValueError):
             TrainConfig(attention_sign=0.5)
-        with pytest.raises(ValueError):
-            TrainConfig(retraction="teleport")
         with pytest.raises(ValueError):
             TrainConfig(neighborhood="diagonal")
 
@@ -256,12 +255,22 @@ class TestOptimizerStep:
         moved = np.linalg.norm(params.att_vec - w0)
         assert moved == pytest.approx(5.0, abs=1e-9)
 
-    def test_exp_retraction_stays_in_ball(self):
+    def test_row_without_gradient_untouched(self):
         params = spread_params(11)
-        g = self.zero_grads(params)
-        g["item:a"] = np.full(6, 3.0)
-        train.optimizer_step(params, g, lr=1.0, clip=1e9, retraction="exp")
-        assert np.linalg.norm(params.item_vec("a")) <= 1 - 1e-5 + 1e-15
+        before = params.item_features.copy()
+        g = {"item:a": np.full(6, 0.01), "item:c": np.full(6, -0.02)}
+        train.optimizer_step(params, g, lr=1.0, clip=1e9)
+        for it in ("b", "d"):
+            np.testing.assert_array_equal(params.item_vec(it), before[params.item_index[it]])
+        np.testing.assert_array_equal(params.item_vec("a"), before[params.item_index["a"]] - 0.01)
+
+    def test_rows_and_bias_projected_in_one_step(self):
+        params = spread_params(12)
+        g = {"item:a": np.full(6, 3.0), "item:d": np.full(6, -3.0), "att_bias": np.full(6, 3.0)}
+        train.optimizer_step(params, g, lr=1.0, clip=1e9)
+        for v in (params.item_vec("a"), params.item_vec("d"), params.att_bias):
+            # on the shell: each was pushed past it, and clipped
+            assert 1 - 1e-5 - 1e-12 <= np.linalg.norm(v) <= 1 - 1e-5 + 1e-15
 
 
 def tiny_dataset(n_sessions=6, n_items=8, seed=0):
@@ -323,7 +332,7 @@ class TestFit:
 
     @pytest.mark.parametrize("kw", [
         {"neighborhood": "out"}, {"neighborhood": "both"},
-        {"retraction": "exp"}, {"attention_sign": -1.0}, {"layers": 2},
+        {"attention_sign": -1.0}, {"layers": 2},
         {"augment_prefixes": True},
     ])
     def test_config_variants_train(self, kw):
@@ -336,6 +345,28 @@ class TestFit:
                                               augment_prefixes=True)
         res = train.fit(exs, config, vocab=items)
         assert np.isfinite(res.epoch_losses).all()
+
+    @pytest.mark.parametrize("kw,field", [({"layers": 2}, "num_layers"), ({"dim": 6}, "dim")])
+    def test_params_must_match_the_config(self, kw, field):
+        exs, items = tiny_dataset()
+        params = model.init_params(items, 8, np.random.default_rng(0))
+        config = TrainConfig(**{"dim": 8, "epochs": 1, "batch_size": 3, **kw})
+        with pytest.raises(ValueError, match=field):
+            train.fit(exs, config, params=params)
+
+    def test_matching_params_train(self):
+        exs, items = tiny_dataset()
+        config = TrainConfig(dim=8, learning_rate=0.02, epochs=2, batch_size=3, seed=9,
+                             layers=2, neighborhood="both")
+        params = model.init_params(items, 8, np.random.default_rng(0),
+                                   **config.model_hyperparameters())
+        initial = copy.deepcopy(params)
+        given = train.fit(exs, config, params=params)
+        assert given.params is params
+        assert np.isfinite(given.epoch_losses).all()
+        assert not np.array_equal(params.item_features, initial.item_features)
+        again = train.fit(exs, config, params=initial)
+        assert again.epoch_losses == given.epoch_losses
 
     def test_one_backward_per_minibatch(self, monkeypatch):
         exs, items = tiny_dataset(n_sessions=7)
@@ -422,21 +453,33 @@ class TestCheckpoint:
         for n in res.params.matrix_fields():
             np.testing.assert_array_equal(getattr(params2, n), getattr(res.params, n))
 
-    def test_version_gate(self, tmp_path):
+    @staticmethod
+    def saved_with_meta(tmp_path, edit):
+        """A trained checkpoint whose meta record ``edit`` has changed in place."""
         exs, items = tiny_dataset()
         config = TrainConfig(dim=8, epochs=1, batch_size=3, seed=5)
         res = train.fit(exs, config, vocab=items)
         path = tmp_path / "model.npz"
         train.save_checkpoint(path, res.params, config)
-        import json
-
         blob = dict(np.load(path, allow_pickle=False))
         meta = json.loads(str(blob["meta"]))
-        meta["version"] = 99
+        edit(meta)
         blob["meta"] = np.str_(json.dumps(meta))
         np.savez(path, **blob)
+        return path, res.params, config
+
+    def test_version_gate(self, tmp_path):
+        path, _, _ = self.saved_with_meta(tmp_path, lambda meta: meta.update(version=99))
         with pytest.raises(ValueError):
             train.load_checkpoint(path)
+
+    def test_saved_retraction_option_ignored(self, tmp_path):
+        # checkpoints written while --retraction existed store it in the config
+        path, params, config = self.saved_with_meta(
+            tmp_path, lambda meta: meta["config"].update(retraction="exp"))
+        loaded, loaded_config = train.load_checkpoint(path)
+        assert loaded_config == config
+        np.testing.assert_array_equal(loaded.item_features, params.item_features)
 
     @pytest.mark.parametrize("name", ["att_vec", "feat_proj", "time_proj"])
     def test_nonfinite_array_rejected(self, tmp_path, name):
@@ -460,17 +503,6 @@ class TestCheckpoint:
             train.load_checkpoint(path)
 
     def test_bad_meta_hyperparameter_rejected(self, tmp_path):
-        exs, items = tiny_dataset()
-        config = TrainConfig(dim=8, epochs=1, batch_size=3, seed=5)
-        res = train.fit(exs, config, vocab=items)
-        path = tmp_path / "model.npz"
-        train.save_checkpoint(path, res.params, config)
-        import json
-
-        blob = dict(np.load(path, allow_pickle=False))
-        meta = json.loads(str(blob["meta"]))
-        meta["neighborhood"] = "diagonal"
-        blob["meta"] = np.str_(json.dumps(meta))
-        np.savez(path, **blob)
+        path, _, _ = self.saved_with_meta(tmp_path, lambda meta: meta.update(neighborhood="diagonal"))
         with pytest.raises(ValueError, match="neighborhood"):
             train.load_checkpoint(path)
