@@ -332,7 +332,7 @@ class TestFit:
 
     @pytest.mark.parametrize("kw", [
         {"neighborhood": "out"}, {"neighborhood": "both"},
-        {"attention_sign": -1.0}, {"layers": 2},
+        {"lambda_s": 0.0, "lambda_v": 0.0}, {"attention_sign": -1.0}, {"layers": 2},
         {"augment_prefixes": True},
     ])
     def test_config_variants_train(self, kw):
