@@ -96,10 +96,10 @@ def cmd_synth(args) -> int:
     return 0
 
 
-# TrainConfig field -> its flag and config-file key; grad_clip is not exposed
+# TrainConfig field -> its flag and config-file key
 TRAIN_KEYS = {
     f.name: {"learning_rate": "lr", "batch_size": "batch"}.get(f.name, f.name)
-    for f in fields(train_mod.TrainConfig) if f.name != "grad_clip"
+    for f in fields(train_mod.TrainConfig)
 }
 
 

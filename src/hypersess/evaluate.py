@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import model
-from .graph import IntervalNormalizer, SessionRecord, build_session_graph
+from .graph import IntervalNormalizer, SessionRecord
 from .metrics import mrr_at_k, p_at_k
 from .model import ModelParams, TargetRank
+from .train import examples_from_records
 
 
 @dataclass
@@ -59,16 +60,13 @@ def rank_test_sessions(
         if any(item not in params.item_index for item, _ in rec.events):
             skipped += 1
             continue
-        prefix = SessionRecord(rec.session_id, list(rec.events[:-1]))
-        g = build_session_graph(prefix, norm, min_events=1)
-        target_item, target_t = rec.events[-1]
-        t_norm = norm(target_t - rec.events[-2][1])
+        (ex,) = examples_from_records([rec], norm)
         try:
-            fw = model.forward_session(g, t_norm, params)
-            position = table.rank(fw.item_future, target_item)
+            fw = model.forward_session(ex.graph, ex.target_interval, params)
+            position = table.rank(fw.item_future, ex.target_item)
         except ValueError as exc:
             raise ValueError(f"test session {rec.session_id!r}: {exc}") from exc
-        cases.append((TargetRank(target_item, position), target_item))
+        cases.append((TargetRank(ex.target_item, position), ex.target_item))
     return cases, skipped
 
 

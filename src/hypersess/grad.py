@@ -61,32 +61,6 @@ class Node:
     def __repr__(self):
         return f"Node(value={self.value!r})"
 
-    # arithmetic sugar so that scalar bookkeeping reads naturally
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
 
 Arrayish = Union[Node, np.ndarray, float, int]
 

@@ -126,24 +126,13 @@ def build_session_graph(
     )
 
 
-def in_neighbors(g: SessionGraph, i: int) -> List[Tuple[int, float]]:
-    """Predecessors of node i plus the node itself, ordered by node index.
-
-    The implicit self entry carries interval 0; an explicit self-loop edge
-    replaces it with the loop's interval.
-    """
-    return neighborhood(g, i, "in")
-
-
-def out_neighbors(g: SessionGraph, i: int) -> List[Tuple[int, float]]:
-    """Successors of node i plus the node itself, ordered by node index."""
-    return neighborhood(g, i, "out")
-
-
 def neighborhood(g: SessionGraph, i: int, direction: str = "in") -> List[Tuple[int, float]]:
-    """Aggregation neighborhood of node i under the configured edge direction:
-    (node, interval) pairs ordered by node index; "both" keeps the smaller
-    interval of a node met in both directions."""
+    """Aggregation neighborhood of node i under the configured edge direction
+    ("in": predecessors, "out": successors), the node itself included:
+    (node, interval) pairs ordered by node index.  The implicit self entry
+    carries interval 0, an explicit self-loop edge replaces it with the
+    loop's interval, and "both" keeps the smaller interval of a node met in
+    both directions."""
     batch = batch_graphs([g], direction)
     if not 0 <= i < g.n_nodes:
         raise IndexError(f"node index {i} out of range for {g.n_nodes} nodes")

@@ -29,8 +29,10 @@ MATRIX_FIELDS = (
 )
 # hyperparameters a checkpoint stores beside the arrays, in meta order
 HYPER_FIELDS = (
-    "lambda_s", "lambda_v", "num_layers", "attention_sign", "leaky_slope", "neighborhood",
+    "lambda_s", "lambda_v", "num_layers", "attention_sign", "neighborhood",
 )
+# negative-side slope of every leaky ReLU in the model
+LEAKY_SLOPE = 0.2
 
 
 def check_hyperparameters(lambda_s, lambda_v, layers, attention_sign, direction) -> None:
@@ -68,7 +70,6 @@ class ModelParams:
     lambda_v: float = 0.1
     num_layers: int = 1
     attention_sign: float = 1.0
-    leaky_slope: float = 0.2
     neighborhood: str = "in"
     item_index: Dict[Item, int] = field(default_factory=dict)
 
@@ -86,8 +87,12 @@ class ModelParams:
     def feat_dim(self) -> int:
         return self.feat_proj.shape[1]
 
-    def item_vec(self, item_id: Item) -> np.ndarray:
-        return self.item_features[self.item_index[item_id]]
+    def item_vec(self, item_id: Item) -> Arrayish:
+        return grad.take(self.item_features, self.item_index[item_id])
+
+    def item_rows(self, items: Sequence[Item]) -> Arrayish:
+        """The (K, f) feature rows of the given items, in their order."""
+        return grad.take(self.item_features, [self.item_index[it] for it in items])
 
     def matrix_fields(self) -> Tuple[str, ...]:
         return MATRIX_FIELDS
@@ -96,18 +101,18 @@ class ModelParams:
 class BoundParams(ModelParams):
     """ModelParams with selected arrays overridden (typically by Nodes).
 
-    Override keys are field names or ``"item:<id>"`` for single table rows;
-    every other field is the base's.
+    Override keys are field names or ``"item:<id>"`` for single table rows,
+    which are stacked with the other rows into one ``item_features``; every
+    other field is the base's, and ``item_index`` follows ``items``.
     """
 
     def __init__(self, base: ModelParams, overrides: Dict[str, Arrayish]):
         super().__init__(**{f.name: overrides.get(f.name, getattr(base, f.name))
-                            for f in fields(ModelParams)})
-        self.item_rows = {key[5:]: v for key, v in overrides.items() if key.startswith("item:")}
-
-    def item_vec(self, item_id: Item):
-        row = self.item_rows.get(item_id)
-        return super().item_vec(item_id) if row is None else row
+                            for f in fields(ModelParams) if f.name != "item_index"})
+        rows = {key[5:]: v for key, v in overrides.items() if key.startswith("item:")}
+        if rows:
+            self.item_features = grad.stack([rows.get(it, self.item_features[i])
+                                             for i, it in enumerate(self.items)])
 
 
 def init_params(
@@ -247,7 +252,7 @@ def self_attention_layer(state, g, params):
     # interval 0 embeds to a zero row, and x (+) 0 = x
     joint = manifold.mobius_add(grad.take(h, batch.src), time_embedding(batch.interval, params))
     terms = manifold.log_map0(manifold.mobius_scalar_mul(weights, joint))
-    agg = grad.leaky_relu(grad.segment_sum(terms, batch.dst, batch.n_nodes), params.leaky_slope)
+    agg = grad.leaky_relu(grad.segment_sum(terms, batch.dst, batch.n_nodes), LEAKY_SLOPE)
     out = manifold.exp_map0(agg)
     return _unstack(out) if rows else out
 
@@ -270,14 +275,11 @@ def soft_attention_session(state, g, params) -> Arrayish:
         ),
         params.att_bias,
     )
-    activated = manifold.exp_map0(
-        grad.leaky_relu(manifold.log_map0(inner), params.leaky_slope)
-    )
+    activated = manifold.exp_map0(grad.leaky_relu(manifold.log_map0(inner), LEAKY_SLOPE))
     row = grad.reshape(params.att_vec, (1, params.dim))
     beta = manifold.mobius_matvec(row, activated)
     terms = manifold.log_map0(manifold.mobius_scalar_mul(beta, h))
-    agg = grad.leaky_relu(grad.segment_sum(terms, batch.node_session, batch.n_sessions),
-                          params.leaky_slope)
+    agg = grad.leaky_relu(grad.segment_sum(terms, batch.node_session, batch.n_sessions), LEAKY_SLOPE)
     out = manifold.exp_map0(agg)
     return out if isinstance(g, GraphBatch) else _first(out)
 
@@ -290,7 +292,7 @@ def project_session_future(h_s: Arrayish, t_norm, params) -> Arrayish:
     """
     h_t = time_embedding(t_norm, params)
     scaled = grad.mul(manifold.log_map0(h_s), grad.add(1.0, manifold.log_map0(h_t)))
-    return manifold.exp_map0(grad.leaky_relu(scaled, params.leaky_slope))
+    return manifold.exp_map0(grad.leaky_relu(scaled, LEAKY_SLOPE))
 
 
 def project_item_future(h_s_future: Arrayish, h_last: Arrayish, t_norm, params) -> Arrayish:
@@ -338,9 +340,8 @@ def forward_batch(batch: GraphBatch, t_norm: np.ndarray, initial: Arrayish, para
 
 def forward_session(g: SessionGraph, t_norm: float, params) -> ForwardResult:
     """Full pass for one session graph and query interval: a batch of one."""
-    raw = grad.stack([params.item_vec(it) for it in g.nodes])
     fw = forward_batch(_as_batch(g, params), np.array([t_norm]),
-                       hyperbolic_projection(raw, params), params)
+                       hyperbolic_projection(params.item_rows(g.nodes), params), params)
     return ForwardResult(
         initial=_unstack(fw.initial),
         final=_unstack(fw.final),

@@ -22,6 +22,9 @@ from .model import BoundParams, ModelParams
 
 log = logging.getLogger(__name__)
 
+# the global gradient norm a step is scaled down to
+GRAD_CLIP = 5.0
+
 
 @dataclass
 class TrainConfig:
@@ -37,7 +40,6 @@ class TrainConfig:
     tau: float = 60.0
     cap: float = 86400.0
     neighborhood: str = "in"
-    grad_clip: float = 5.0
     augment_prefixes: bool = False
     margin_negatives: bool = False  # optional repulsion term, off by default
     margin: float = 1.0
@@ -121,7 +123,7 @@ def batch_losses(
     max(0, margin - d(item_future, negative)) where the example has a
     negative other than its target.  ``params`` may be a ModelParams or a
     BoundParams with tape Nodes, in which case the result is a Node; each
-    distinct item is projected once, from one stack of its rows.
+    distinct item is projected once, from one gather of its rows.
     """
     for ex in examples:
         if ex.target_item not in params.item_index:
@@ -129,7 +131,7 @@ def batch_losses(
     negatives = list(negatives) if negatives is not None else [None] * len(examples)
     items = _batch_items(examples, negatives)
     row = {it: k for k, it in enumerate(items)}
-    table = model.hyperbolic_projection(grad.stack([params.item_vec(it) for it in items]), params)
+    table = model.hyperbolic_projection(params.item_rows(items), params)
 
     graphs = [ex.graph for ex in examples]
     batch = batch_graphs(graphs, params.neighborhood)
@@ -183,35 +185,32 @@ def optimizer_step(
     params: ModelParams,
     grads: Dict[str, np.ndarray],
     lr: float,
-    clip: float = 5.0,
-) -> ModelParams:
+    clip: float,
+    rows: Sequence[int],
+) -> bool:
     """In-place step x <- x - lr * s * g for every parameter, s clipping the
-    global gradient norm to ``clip``; ``att_bias`` and the moved item rows,
-    as one block, are then projected back into the ball.
+    global gradient norm to ``clip``; ``att_bias`` and the moved item rows
+    are then projected back into the ball.  ``grads["item_features"]`` is
+    the gradient of the (K, f) block ``params.item_features[rows]``.
 
-    A non-finite gradient aborts the whole step (params untouched) and logs
-    the offending parameter.
+    A non-finite gradient aborts the whole step (params untouched), logs the
+    offending parameter and returns False; a step taken returns True.
     """
     bad = _nonfinite_gradient(grads)
     if bad is not None:
         log.warning("non-finite gradient for %s; skipping step", bad)
-        return params
+        return False
 
     gnorm = _global_norm(grads)
     step = lr * (1.0 if gnorm <= clip or gnorm == 0.0 else clip / gnorm)
 
-    rows, item_grads = [], []
     for name, g in grads.items():
-        if name.startswith("item:"):
-            rows.append(params.item_index[name[5:]])
-            item_grads.append(g)
-        else:
+        if name != "item_features":
             setattr(params, name, getattr(params, name) - step * g)
     params.att_bias = manifold.project_to_ball(params.att_bias)
-    if rows:
-        moved = params.item_features[rows] - step * np.stack(item_grads)
-        params.item_features[rows] = manifold.project_to_ball(moved)
-    return params
+    moved = params.item_features[rows] - step * grads["item_features"]
+    params.item_features[rows] = manifold.project_to_ball(moved)
+    return True
 
 
 @dataclass
@@ -236,9 +235,10 @@ def fit(
     graphs, and one ``backward`` of the mean.  A minibatch whose loss or
     gradient is not finite updates nothing and is counted in
     ``skipped_steps``; its losses still enter the epoch loss.
-    ``vocab`` fixes the catalog (defaults to the items present in the
-    dataset).  Given ``params`` are trained in place and must agree with
-    the config's ``dim`` and model hyperparameters.  The collapse trace
+    ``vocab`` fixes a new model's catalog (defaults to the items present in
+    the dataset).  Given ``params`` are trained in place, must agree with
+    the config's ``dim`` and model hyperparameters, and take no ``vocab``
+    or ``categories``.  The collapse trace
     records the mean pairwise distance among up to 100 sampled projected
     item embeddings after each epoch.
     """
@@ -257,6 +257,8 @@ def fit(
             vocab = sorted(seen)
         params = model.init_params(list(vocab), config.dim, rng, categories=categories,
                                    **config.model_hyperparameters())
+    elif vocab is not None or categories is not None:
+        raise ValueError("vocab and categories apply only to a new model, not to given params")
     else:
         for name, value in {"dim": config.dim, **config.model_hyperparameters()}.items():
             if getattr(params, name) != value:
@@ -286,13 +288,13 @@ def fit(
             batch = [dataset[i] for i in batch_idx]
             batch_negatives = [negatives.get(i) for i in batch_idx]
 
-            overrides: Dict[str, grad.Node] = {
-                name: grad.Node(getattr(params, name)) for name in params.matrix_fields()
-            }
-            for it in _batch_items(batch, batch_negatives):
-                overrides["item:" + it] = grad.Node(params.item_vec(it))
+            # the batch's items as a sub-catalog: one (K, f) leaf of their rows
+            items = _batch_items(batch, batch_negatives)
+            rows = [params.item_index[it] for it in items]
+            leaves = {name: grad.Node(getattr(params, name)) for name in params.matrix_fields()}
+            leaves["item_features"] = grad.Node(params.item_features[rows])
 
-            losses = batch_losses(batch, BoundParams(params, overrides),
+            losses = batch_losses(batch, BoundParams(params, {**leaves, "items": items}),
                                   batch_negatives, config.margin)
             example_losses[batch_idx] = losses.value
             batch_loss = grad.div(grad.dot(np.ones(len(batch)), losses), float(len(batch)))
@@ -301,10 +303,9 @@ def fit(
                 skipped += 1
                 continue
             grad.backward(batch_loss)
-            grads = {k: np.asarray(v.adjoint) for k, v in overrides.items()}
-            if _nonfinite_gradient(grads) is not None:
+            grads = {k: np.asarray(v.adjoint) for k, v in leaves.items()}
+            if not optimizer_step(params, grads, config.learning_rate, GRAD_CLIP, rows):
                 skipped += 1
-            optimizer_step(params, grads, config.learning_rate, clip=config.grad_clip)
         # canonical (dataset-order) summation: the trace is shuffle-invariant
         epoch_losses.append(float(np.sum(example_losses)) / n)
         monitored = model.hyperbolic_projection(params.item_features[monitor_idx], params)
@@ -344,10 +345,15 @@ def load_checkpoint(path) -> Tuple[ModelParams, TrainConfig]:
     for name in model.MATRIX_FIELDS:
         if not np.isfinite(arrays[name]).all():
             raise ValueError(f"checkpoint array {name!r} has non-finite entries")
+    # earlier versions saved the slope, fixed since; another value changes the outputs
+    if meta.get("leaky_slope", model.LEAKY_SLOPE) != model.LEAKY_SLOPE:
+        raise ValueError(f"checkpoint leaky_slope {meta['leaky_slope']!r} is not "
+                         f"the model's {model.LEAKY_SLOPE}")
     params = ModelParams(
         items=items,
         **arrays,
         **{name: meta[name] for name in model.HYPER_FIELDS},
     )
-    meta["config"].pop("retraction", None)  # an option that earlier versions saved
+    for option in ("retraction", "grad_clip"):  # options that earlier versions saved
+        meta["config"].pop(option, None)
     return params, TrainConfig(**meta["config"])

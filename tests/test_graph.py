@@ -10,9 +10,7 @@ from hypersess.graph import (
     SessionRecord,
     batch_graphs,
     build_session_graph,
-    in_neighbors,
     neighborhood,
-    out_neighbors,
 )
 from hypersess.manifold import EPS_BALL
 
@@ -116,22 +114,22 @@ class TestBuildGraph:
 class TestNeighbors:
     def test_predecessor_plus_self(self):
         g = build_session_graph(SessionRecord("s", [("A", 0), ("B", 10)]), NORM)
-        assert in_neighbors(g, g.node_index["B"]) == [(0, NORM(10)), (1, 0.0)]
+        assert neighborhood(g, g.node_index["B"], "in") == [(0, NORM(10)), (1, 0.0)]
 
     def test_self_only(self):
         g = build_session_graph(SessionRecord("s", [("A", 0), ("B", 10)]), NORM)
-        assert in_neighbors(g, g.node_index["A"]) == [(0, 0.0)]
+        assert neighborhood(g, g.node_index["A"], "in") == [(0, 0.0)]
 
     def test_explicit_self_loop_interval_wins(self):
         g = build_session_graph(SessionRecord("s", [("A", 0), ("A", 7)]), NORM)
-        assert in_neighbors(g, 0) == [(0, NORM(7))]
+        assert neighborhood(g, 0, "in") == [(0, NORM(7))]
 
     def test_out_of_range(self):
         g = build_session_graph(SessionRecord("s", [("A", 0), ("B", 10)]), NORM)
         with pytest.raises(IndexError):
-            in_neighbors(g, 5)
+            neighborhood(g, 5, "in")
         with pytest.raises(IndexError):
-            out_neighbors(g, -1)
+            neighborhood(g, -1, "out")
 
     def test_directions(self):
         g = build_session_graph(

@@ -13,7 +13,7 @@ from oracles import (
     rand_ball,
 )
 
-from hypersess import manifold as M, model
+from hypersess import grad as G, manifold as M, model
 from hypersess.graph import IntervalNormalizer, SessionRecord, build_session_graph
 from hypersess.manifold import EPS_BALL
 
@@ -43,12 +43,28 @@ class TestBoundParams:
         vec, row = np.full(5, 0.25), np.full(5, 0.1)
         b = model.BoundParams(p, {"att_vec": vec, "item:c": row})
         assert isinstance(b, model.ModelParams)
-        assert b.att_vec is vec and b.item_vec("c") is row
+        assert b.att_vec is vec
+        np.testing.assert_array_equal(b.item_vec("c"), row)
         assert b.feat_proj is p.feat_proj
         np.testing.assert_array_equal(b.item_vec("a"), p.item_vec("a"))
         assert (b.num_layers, b.neighborhood, b.dim) == (2, "both", 5)
         assert p.att_vec is not vec
         np.testing.assert_array_equal(p.item_features, before)
+
+    def test_row_override_node_receives_its_adjoint(self):
+        p = make_params(np.random.default_rng(1))
+        row, w = G.Node(np.full(5, 0.1)), np.arange(5.0)
+        b = model.BoundParams(p, {"item:c": row})
+        G.backward(G.dot(w, b.item_vec("c")))
+        np.testing.assert_array_equal(row.adjoint, w)
+
+    def test_sub_catalog_indexes_its_own_items(self):
+        # the training step binds a batch's items and their rows only
+        p = make_params(np.random.default_rng(2))
+        b = model.BoundParams(p, {"items": ["b", "d"], "item_features": p.item_features[[1, 3]]})
+        assert b.item_index == {"b": 0, "d": 1}
+        np.testing.assert_array_equal(b.item_rows(["d", "b"]), p.item_features[[3, 1]])
+        assert p.item_index == {it: i for i, it in enumerate("abcde")}
 
 
 class TestHyperbolicProjection:

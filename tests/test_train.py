@@ -208,66 +208,86 @@ class TestBatchLosses:
 
 
 class TestOptimizerStep:
-    def zero_grads(self, params):
+    @staticmethod
+    def zero_grads(params, items=("a", "b", "c", "d")):
+        """Zero gradients for the matrices and the block of ``items``' rows,
+        with the rows that block stands for."""
         g = {n: np.zeros_like(getattr(params, n)) for n in params.matrix_fields()}
-        g.update({"item:" + i: np.zeros(params.feat_dim) for i in params.items})
-        return g
+        g["item_features"] = np.zeros((len(items), params.feat_dim))
+        return g, [params.item_index[it] for it in items]
 
     def test_zero_gradients_fixed_point(self):
         params = spread_params(6)
-        before = {n: getattr(params, n).copy() for n in params.matrix_fields()}
-        train.optimizer_step(params, self.zero_grads(params), lr=0.1)
-        for n, b in before.items():
-            np.testing.assert_array_equal(getattr(params, n), b)
+        before = copy.deepcopy(params)
+        g, rows = self.zero_grads(params)
+        assert train.optimizer_step(params, g, 0.1, train.GRAD_CLIP, rows)
+        for n in params.matrix_fields() + ("item_features",):
+            np.testing.assert_array_equal(getattr(params, n), getattr(before, n))
 
     def test_scalar_update_rule(self):
         params = spread_params(7)
         w0 = params.att_vec[2]
-        g = self.zero_grads(params)
-        g["att_vec"] = np.zeros(6)
+        g, rows = self.zero_grads(params)
         g["att_vec"][2] = 2.0
-        train.optimizer_step(params, g, lr=0.1)
+        train.optimizer_step(params, g, 0.1, train.GRAD_CLIP, rows)
         assert params.att_vec[2] == pytest.approx(w0 - 0.2)
 
     def test_ball_reprojection(self):
         params = spread_params(8)
         row = params.item_index["a"]
-        g = self.zero_grads(params)
+        g, rows = self.zero_grads(params, ["a"])
         # push the embedding far outside the ball
-        g["item:a"] = -(params.item_features[row] / np.linalg.norm(params.item_features[row])) * 1.2
-        train.optimizer_step(params, g, lr=1.0, clip=1e9)
+        g["item_features"][0] = -(params.item_features[row] / np.linalg.norm(params.item_features[row])) * 1.2
+        train.optimizer_step(params, g, 1.0, 1e9, rows)
         assert np.linalg.norm(params.item_features[row]) <= 1 - 1e-5 + 1e-15
 
     def test_nonfinite_aborts_step(self):
         params = spread_params(9)
-        before = params.att_vec.copy()
-        g = self.zero_grads(params)
+        before = copy.deepcopy(params)
+        g, rows = self.zero_grads(params)
         g["att_vec"] = np.full(6, np.nan)
-        train.optimizer_step(params, g, lr=0.1)
-        np.testing.assert_array_equal(params.att_vec, before)
+        g["item_features"][:] = 0.01
+        assert not train.optimizer_step(params, g, 0.1, train.GRAD_CLIP, rows)
+        np.testing.assert_array_equal(params.att_vec, before.att_vec)
+        np.testing.assert_array_equal(params.item_features, before.item_features)
 
     def test_global_clip(self):
         params = spread_params(10)
         w0 = params.att_vec.copy()
-        g = self.zero_grads(params)
+        g, rows = self.zero_grads(params)
         g["att_vec"] = np.full(6, 100.0)
-        train.optimizer_step(params, g, lr=1.0, clip=5.0)
+        train.optimizer_step(params, g, 1.0, 5.0, rows)
         moved = np.linalg.norm(params.att_vec - w0)
         assert moved == pytest.approx(5.0, abs=1e-9)
+
+    def test_clip_scales_the_item_block_with_the_matrices(self):
+        # the global norm spans the block: both move by lr * clip / ||g||
+        params = spread_params(13)
+        before = copy.deepcopy(params)
+        g = {"att_vec": np.full(6, 3.0), "item_features": np.full((2, 6), -1.0)}
+        rows = [params.item_index["b"], params.item_index["d"]]
+        assert train.optimizer_step(params, g, 0.1, 1.0, rows)
+        step = 0.1 * 1.0 / np.sqrt(6 * 9.0 + 12 * 1.0)
+        np.testing.assert_allclose(before.att_vec - params.att_vec, step * g["att_vec"], rtol=1e-12)
+        np.testing.assert_allclose(before.item_features[rows] - params.item_features[rows],
+                                   step * g["item_features"], rtol=1e-12)
 
     def test_row_without_gradient_untouched(self):
         params = spread_params(11)
         before = params.item_features.copy()
-        g = {"item:a": np.full(6, 0.01), "item:c": np.full(6, -0.02)}
-        train.optimizer_step(params, g, lr=1.0, clip=1e9)
+        g = {"item_features": np.stack([np.full(6, 0.01), np.full(6, -0.02)])}
+        rows = [params.item_index["a"], params.item_index["c"]]
+        train.optimizer_step(params, g, 1.0, 1e9, rows)
         for it in ("b", "d"):
             np.testing.assert_array_equal(params.item_vec(it), before[params.item_index[it]])
         np.testing.assert_array_equal(params.item_vec("a"), before[params.item_index["a"]] - 0.01)
 
     def test_rows_and_bias_projected_in_one_step(self):
         params = spread_params(12)
-        g = {"item:a": np.full(6, 3.0), "item:d": np.full(6, -3.0), "att_bias": np.full(6, 3.0)}
-        train.optimizer_step(params, g, lr=1.0, clip=1e9)
+        g = {"item_features": np.stack([np.full(6, 3.0), np.full(6, -3.0)]),
+             "att_bias": np.full(6, 3.0)}
+        rows = [params.item_index["a"], params.item_index["d"]]
+        train.optimizer_step(params, g, 1.0, 1e9, rows)
         for v in (params.item_vec("a"), params.item_vec("d"), params.att_bias):
             # on the shell: each was pushed past it, and clipped
             assert 1 - 1e-5 - 1e-12 <= np.linalg.norm(v) <= 1 - 1e-5 + 1e-15
@@ -354,6 +374,13 @@ class TestFit:
         with pytest.raises(ValueError, match=field):
             train.fit(exs, config, params=params)
 
+    @pytest.mark.parametrize("kw", [{"vocab": ["zz"]}, {"categories": {"zz": 0}}])
+    def test_vocab_and_categories_need_a_new_model(self, kw):
+        exs, items = tiny_dataset()
+        params = model.init_params(items, 8, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="only to a new model"):
+            train.fit(exs, TrainConfig(dim=8, epochs=1), params=params, **kw)
+
     def test_matching_params_train(self):
         exs, items = tiny_dataset()
         config = TrainConfig(dim=8, learning_rate=0.02, epochs=2, batch_size=3, seed=9,
@@ -396,8 +423,9 @@ class TestFit:
             return G.mul(losses, np.nan) if len(calls) == n_batches else losses
 
         def recorded(params, *args, **kwargs):
-            optimizer_step(params, *args, **kwargs)
+            result = optimizer_step(params, *args, **kwargs)
             stepped.append(copy.deepcopy(params))
+            return result
 
         monkeypatch.setattr(train, "batch_losses", poisoned)
         monkeypatch.setattr(train, "optimizer_step", recorded)
@@ -410,6 +438,38 @@ class TestFit:
         np.testing.assert_array_equal(res.params.item_features, stepped[-1].item_features)
         for n in res.params.matrix_fields():
             np.testing.assert_array_equal(getattr(res.params, n), getattr(stepped[-1], n))
+
+    def test_item_gradient_is_one_block_of_the_batch_items(self, monkeypatch):
+        exs, items = tiny_dataset()
+        batch_losses, optimizer_step = train.batch_losses, train.optimizer_step
+        batches, steps = [], []
+
+        def seen(examples, *args, **kwargs):
+            batches.append(examples)
+            return batch_losses(examples, *args, **kwargs)
+
+        def recorded(params, grads, lr, clip, rows):
+            # the same batch's item gradients, from one "item:<id>" Node per row
+            batch = batches[-1]
+            used = sorted({it for ex in batch for it in ex.graph.nodes}
+                          | {ex.target_item for ex in batch})
+            theta = {"item:" + it: G.Node(params.item_vec(it)) for it in used}
+            losses = batch_losses(batch, model.BoundParams(params, theta))
+            G.backward(G.div(G.dot(np.ones(len(batch)), losses), float(len(batch))))
+            per_row = np.stack([theta["item:" + it].adjoint for it in used])
+            steps.append((grads, list(rows), used, per_row))
+            return optimizer_step(params, grads, lr, clip, rows)
+
+        monkeypatch.setattr(train, "batch_losses", seen)
+        monkeypatch.setattr(train, "optimizer_step", recorded)
+        config = TrainConfig(dim=6, learning_rate=0.05, epochs=1, batch_size=3, seed=1)
+        params = train.fit(exs, config, vocab=items).params
+        assert len(steps) == len(batches) == -(-len(exs) // 3)
+        for grads, rows, used, per_row in steps:
+            assert set(grads) == set(model.MATRIX_FIELDS) | {"item_features"}
+            assert rows == [params.item_index[it] for it in used]
+            assert grads["item_features"].shape == (len(used), params.feat_dim)
+            np.testing.assert_allclose(grads["item_features"], per_row, rtol=1e-12, atol=0)
 
     def test_nonfinite_gradient_counts_as_skipped(self, monkeypatch):
         exs, items = tiny_dataset()
@@ -480,6 +540,22 @@ class TestCheckpoint:
         loaded, loaded_config = train.load_checkpoint(path)
         assert loaded_config == config
         np.testing.assert_array_equal(loaded.item_features, params.item_features)
+
+    def test_clip_and_slope_of_earlier_versions_load(self, tmp_path):
+        # checkpoints written while both were settings store them
+        def earlier(meta):
+            meta["config"]["grad_clip"] = 5.0
+            meta["leaky_slope"] = 0.2
+
+        path, params, config = self.saved_with_meta(tmp_path, earlier)
+        loaded, loaded_config = train.load_checkpoint(path)
+        assert loaded_config == config
+        np.testing.assert_array_equal(loaded.item_features, params.item_features)
+
+    def test_other_leaky_slope_rejected(self, tmp_path):
+        path, _, _ = self.saved_with_meta(tmp_path, lambda meta: meta.update(leaky_slope=0.3))
+        with pytest.raises(ValueError, match="leaky_slope 0.3"):
+            train.load_checkpoint(path)
 
     @pytest.mark.parametrize("name", ["att_vec", "feat_proj", "time_proj"])
     def test_nonfinite_array_rejected(self, tmp_path, name):
