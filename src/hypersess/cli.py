@@ -15,7 +15,7 @@ import sys
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict
+from typing import Dict, get_type_hints
 
 import numpy as np
 
@@ -72,12 +72,7 @@ def cmd_synth(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    with open(outdir / "clicks.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["session_id", "item_id", "timestamp"])
-        for rec in synth.records:
-            for item, ts in rec.events:
-                w.writerow([rec.session_id, item, ts])
+    data.write_sessions(outdir / "clicks.csv", synth.records)
     np.savetxt(outdir / "transitions.csv", synth.transition, delimiter=",")
 
     # ready-to-train split: most recent 20% of sessions held out
@@ -88,8 +83,6 @@ def cmd_synth(args) -> int:
         test=ordered[-n_test:],
         item_vocabulary={it: i for i, it in enumerate(synth.items)},
     )
-    split.test = [r for r in split.test
-                  if all(it in split.item_vocabulary for it, _ in r.events)]
     data.save_split(split, outdir)
     print(f"items={args.items} sessions={args.sessions} "
           f"(train={len(split.train)} test={len(split.test)}) -> {outdir}")
@@ -220,23 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a model on a preprocessed split")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lambda-s", dest="lambda_s", type=float)
-    p.add_argument("--lambda-v", dest="lambda_v", type=float)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--attention-sign", dest="attention_sign")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--cap", type=float)
-    p.add_argument("--neighborhood")
-    p.add_argument("--augment-prefixes", dest="augment_prefixes",
-                   action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--margin-negatives", dest="margin_negatives",
-                   action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--margin", type=float)
+    types = get_type_hints(train_mod.TrainConfig)
+    for name, key in TRAIN_KEYS.items():
+        flag = "--" + key.replace("_", "-")
+        if types[name] is bool:
+            p.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction)
+        else:  # TrainConfig parses the sign, so a bad one fails there in one line
+            p.add_argument(flag, dest=key, type=None if name == "attention_sign" else types[name])
     p.add_argument("--config")
     p.set_defaults(func=cmd_train)
 

@@ -322,18 +322,22 @@ def generate_synthetic(
 # on-disk split format
 # ---------------------------------------------------------------------------
 
+def write_sessions(path, records: Sequence[SessionRecord]) -> None:
+    """Write one ``session_id,item_id,timestamp`` row per event."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["session_id", "item_id", "timestamp"])
+        for rec in records:
+            for item, ts in rec.events:
+                w.writerow([rec.session_id, item, ts])
+
+
 def save_split(split: DatasetSplit, outdir) -> None:
     """Write train/test session CSVs plus the vocabulary file."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, records in (("train_sessions.csv", split.train),
-                          ("test_sessions.csv", split.test)):
-        with open(outdir / name, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["session_id", "item_id", "timestamp"])
-            for rec in records:
-                for item, ts in rec.events:
-                    w.writerow([rec.session_id, item, ts])
+    write_sessions(outdir / "train_sessions.csv", split.train)
+    write_sessions(outdir / "test_sessions.csv", split.test)
     with open(outdir / "vocabulary.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         header = ["item_id", "index"]

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import model
 from .graph import IntervalNormalizer, SessionRecord
 from .metrics import mrr_at_k, p_at_k
-from .model import ModelParams, TargetRank
+from .model import ModelParams
 from .train import examples_from_records
 
 
@@ -43,30 +43,28 @@ def rank_test_sessions(
     params: ModelParams,
     records: Sequence[SessionRecord],
     norm: IntervalNormalizer,
-) -> Tuple[List[Tuple[TargetRank, str]], int]:
-    """The full-catalog rank of every usable test session's target.
+) -> Tuple[List[Tuple[int, str]], int]:
+    """The 1-based full-catalog rank of every usable test session's target,
+    as (rank, target) pairs.
 
-    The catalog is projected once for the whole call.  Sessions with fewer
-    than 2 events, or touching items outside the vocabulary, are skipped and
-    counted.
+    The catalog is projected once for the whole call.  Sessions that yield
+    no example (fewer than 2 events), or touching items outside the
+    vocabulary, are skipped and counted.
     """
     table = model.ItemTable(params)
-    cases: List[Tuple[TargetRank, str]] = []
+    cases: List[Tuple[int, str]] = []
     skipped = 0
     for rec in records:
-        if len(rec.events) < 2:
+        examples = examples_from_records([rec], norm)
+        if not examples or any(item not in params.item_index for item, _ in rec.events):
             skipped += 1
             continue
-        if any(item not in params.item_index for item, _ in rec.events):
-            skipped += 1
-            continue
-        (ex,) = examples_from_records([rec], norm)
+        (ex,) = examples
         try:
             fw = model.forward_session(ex.graph, ex.target_interval, params)
-            position = table.rank(fw.item_future, ex.target_item)
+            cases.append((table.rank(fw.item_future, ex.target_item), ex.target_item))
         except ValueError as exc:
             raise ValueError(f"test session {rec.session_id!r}: {exc}") from exc
-        cases.append((TargetRank(ex.target_item, position), ex.target_item))
     return cases, skipped
 
 

@@ -289,8 +289,6 @@ def nsum(items: Sequence[Arrayish]):
 def _scatter_add(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
     """out[index[k]] += values[k] for every k, in order of k (np.add.at's
     summation order), as one bincount over the flattened rows."""
-    if values.ndim == 1:
-        return np.bincount(index, values, minlength=n)
     width = math.prod(values.shape[1:])
     flat = (index[:, None] * width + np.arange(width)).ravel()
     out = np.bincount(flat, values.reshape(-1), minlength=n * width)

@@ -39,12 +39,8 @@ def project_to_ball(v: Arrayish) -> Arrayish:
     return grad.mul(v, grad.div(MAX_NORM, vn))
 
 
-def project_rows_to_ball(m: np.ndarray) -> np.ndarray:
-    """Row-wise shell projection for a (n, d) matrix (numeric only)."""
-    m = np.asarray(m, dtype=np.float64)
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    scale = np.where(norms > MAX_NORM, MAX_NORM / np.maximum(norms, 1e-300), 1.0)
-    return m * scale
+# the benchmark's catalog workload calls it by this name
+project_rows_to_ball = project_to_ball
 
 
 def _safe_norm(x: Arrayish):
@@ -129,10 +125,7 @@ def exp_map(x: Arrayish, v: Arrayish) -> Arrayish:
     n, mask = safe
     lam = conformal_factor(x)
     scale = grad.div(grad.tanh(grad.div(grad.mul(lam, n), 2.0)), n)
-    u = grad.mul(_masked(scale, mask), v)
-    if not isinstance(x, grad.Node) and not value_of(x).any():
-        return project_to_ball(u)
-    return mobius_add(x, u)
+    return mobius_add(x, grad.mul(_masked(scale, mask), v))
 
 
 def log_map(x: Arrayish, a: Arrayish) -> Arrayish:

@@ -1,21 +1,21 @@
 """Ranking metrics over (ranking, target) pairs.
 
-A ranking is a :class:`~hypersess.model.RankedList` or a
-:class:`~hypersess.model.TargetRank`; either answers ``rank(target)``.
+A ranking is a :class:`~hypersess.model.RankedList`, or the target's
+1-based full-catalog rank as an int, which is what evaluation produces.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple, Union
 
-from .model import RankedList, TargetRank
+from .model import RankedList
 
-Ranking = Union[RankedList, TargetRank]
+Ranking = Union[RankedList, int]
 
 
 def rank_of(ranking: Ranking, target: str) -> Optional[int]:
     """1-based position of the target, or None if absent from the ranking."""
-    return ranking.rank(target)
+    return ranking if isinstance(ranking, int) else ranking.rank(target)
 
 
 def mrr_at_k(rankings: Sequence[Tuple[Ranking, str]], k: int) -> float:

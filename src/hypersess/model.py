@@ -141,7 +141,7 @@ def init_params(
         feats = np.zeros((n, n_cat))
         for i, it in enumerate(items):
             feats[i, categories[it]] = 1.0
-        feats = manifold.project_rows_to_ball(feats)
+        feats = manifold.project_to_ball(feats)
         feat_dim = n_cat
     else:
         feat_dim = dim
@@ -368,20 +368,6 @@ class RankedList:
             if item == target:
                 return pos
         return None
-
-
-@dataclass(frozen=True)
-class TargetRank:
-    """The full-catalog rank of one target item, counted rather than sorted,
-    so an evaluated session keeps one integer instead of a catalog-long list."""
-
-    target: Item
-    position: int
-
-    def rank(self, target: Item) -> int:
-        if target != self.target:
-            raise ValueError(f"rank of {target!r} asked of the ranking for {self.target!r}")
-        return self.position
 
 
 def project_item_table(params: ModelParams) -> np.ndarray:

@@ -236,11 +236,12 @@ def fit(
     gradient is not finite updates nothing and is counted in
     ``skipped_steps``; its losses still enter the epoch loss.
     ``vocab`` fixes a new model's catalog (defaults to the items present in
-    the dataset).  Given ``params`` are trained in place, must agree with
-    the config's ``dim`` and model hyperparameters, and take no ``vocab``
-    or ``categories``.  The collapse trace
-    records the mean pairwise distance among up to 100 sampled projected
-    item embeddings after each epoch.
+    the dataset); an item the dataset reads outside the catalog is a
+    ValueError naming it.  Given ``params`` are trained in place, must agree
+    with the config's ``dim`` and model hyperparameters, and take no
+    ``vocab`` or ``categories``.  The collapse trace records the mean
+    pairwise distance among up to 100 sampled projected item embeddings
+    after each epoch.
     """
     if not dataset:
         raise ValueError("empty training dataset")
@@ -248,15 +249,10 @@ def fit(
     rng = np.random.default_rng(config.seed)
     monitor_rng = np.random.default_rng(config.seed + 1)
 
+    used = _batch_items(dataset, [])
     if params is None:
-        if vocab is None:
-            seen = set()
-            for ex in dataset:
-                seen.update(ex.graph.nodes)
-                seen.add(ex.target_item)
-            vocab = sorted(seen)
-        params = model.init_params(list(vocab), config.dim, rng, categories=categories,
-                                   **config.model_hyperparameters())
+        params = model.init_params(list(used if vocab is None else vocab), config.dim, rng,
+                                   categories=categories, **config.model_hyperparameters())
     elif vocab is not None or categories is not None:
         raise ValueError("vocab and categories apply only to a new model, not to given params")
     else:
@@ -264,6 +260,9 @@ def fit(
             if getattr(params, name) != value:
                 raise ValueError(f"params have {name}={getattr(params, name)!r} "
                                  f"but the config sets {value!r}")
+    missing = next((it for it in used if it not in params.item_index), None)
+    if missing is not None:
+        raise ValueError(f"training item {missing!r} is not in the model's vocabulary")
 
     n = len(dataset)
     n_items = len(params.items)

@@ -1,6 +1,7 @@
 """End-to-end command-line workflows."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -133,6 +134,36 @@ class TestTrainEvaluate:
         from hypersess.train import load_checkpoint
         params, config = load_checkpoint(ck)
         assert params.attention_sign == -1.0 and config.attention_sign == -1.0
+
+    def test_every_config_field_is_a_flag(self, tmp_path, capsys):
+        from dataclasses import fields
+        from hypersess.train import TrainConfig
+        values = {"--dim": ("dim", 7), "--lr": ("learning_rate", 0.5),
+                  "--epochs": ("epochs", 3), "--batch": ("batch_size", 5),
+                  "--lambda-s": ("lambda_s", 0.25), "--lambda-v": ("lambda_v", 0.75),
+                  "--seed": ("seed", 11), "--attention-sign": ("attention_sign", -1.0),
+                  "--layers": ("layers", 2), "--tau": ("tau", 30.0), "--cap": ("cap", 1000.0),
+                  "--neighborhood": ("neighborhood", "both"),
+                  "--augment-prefixes": ("augment_prefixes", True),
+                  "--margin-negatives": ("margin_negatives", True),
+                  "--margin": ("margin", 0.5)}
+        assert {name for name, _ in values.values()} == {f.name for f in fields(TrainConfig)}
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["train", "--help"])
+        flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert flags == {"--help", "--data", "--checkpoint", "--config",
+                         "--no-augment-prefixes", "--no-margin-negatives", *values}
+        argv = ["train", "--data", "d", "--checkpoint", "c"]
+        for flag, (_, value) in values.items():
+            argv += [flag] if value is True else [flag, str(value)]
+        config = train_config(build_parser().parse_args(argv))
+        for name, value in values.values():
+            assert getattr(config, name) == value and type(getattr(config, name)) is type(value)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"augment_prefixes": True}))
+        negated = build_parser().parse_args(["train", "--data", "d", "--checkpoint", "c",
+                                             "--config", str(cfg), "--no-augment-prefixes"])
+        assert train_config(negated).augment_prefixes is False
 
     def test_no_optional_flags_gives_default_config(self):
         from hypersess.train import TrainConfig

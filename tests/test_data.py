@@ -71,6 +71,28 @@ class TestParseOtherFormats:
         assert [e.item_id for e in events] == ["81766", "31331"]
         assert events[1].timestamp - events[0].timestamp == 1031018 // 1000 - 526309 // 1000
 
+    def test_yoochoose_malformed_rows_skipped_and_counted(self, tmp_path, caplog):
+        p = write(tmp_path, "y.dat",
+                  "1,2014-04-07T10:51:09.277Z,214536502,0\n"
+                  "1,2014-04-07T10:52:09Z\n"
+                  "1,yesterday,214536501\n"
+                  "1,2014-04-07T10:54:09.868Z,214536500,0\n"
+                  "2,2014-04-07T10:55:00Z,214536500\n")
+        events = parse_clicklog(p, "yoochoose")
+        assert [e.item_id for e in events] == ["214536502", "214536500", "214536500"]
+        assert "skipped 2 of 5 malformed rows" in caplog.text
+
+    def test_diginetica_malformed_rows_skipped_and_counted(self, tmp_path, caplog):
+        p = write(tmp_path, "d.csv",
+                  "sessionId;userId;itemId;timeframe;eventdate\n"
+                  "1;NA;81766;526309;2016-05-09\n"
+                  "1;NA;31331;soon;2016-05-09\n"
+                  "1;NA;31332;1031018\n"
+                  "2;NA;31331;1031018;2016-05-10\n")
+        events = parse_clicklog(p, "diginetica")
+        assert [e.item_id for e in events] == ["81766", "31331"]
+        assert "skipped 2 of 4 malformed rows" in caplog.text
+
 
 def ev(sid, item, ts, cat=None):
     return ClickEvent(sid, item, ts, cat)
@@ -124,6 +146,14 @@ class TestPreprocess:
                            test_window_seconds=10_000)
         assert [r.session_id for r in split.test] == ["s2"]
         assert "q" not in split.item_vocabulary
+
+    def test_items_without_category_share_a_bucket(self):
+        cats = [("a", "x"), ("b", None), ("c", "w"), ("d", None)]
+        events = ([ev("s1", it, 100 + i, cat) for i, (it, cat) in enumerate(cats)]
+                  + [ev("s2", it, 90_000 + i) for i, it in enumerate("ab")])
+        split = preprocess(events, min_session_len=2, min_item_freq=1,
+                           test_window_seconds=3600)
+        assert split.category_map == {"a": 1, "b": 2, "c": 0, "d": 2}
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)

@@ -76,6 +76,14 @@ class TestEvaluate:
         report = ev.evaluate(params, records, k=2)
         assert report.n_test == 1 and report.skipped == 2
 
+    def test_ranks_are_ints(self):
+        params = spread_params(5, ["a", "b", "c"])
+        records = [SessionRecord("ok", [("a", 0), ("b", 10), ("c", 30)]),
+                   SessionRecord("short", [("a", 0)])]
+        cases, skipped = ev.rank_test_sessions(params, records, NORM)
+        ((rank, target),) = cases
+        assert type(rank) is int and 1 <= rank <= 3 and target == "c" and skipped == 1
+
     def test_empty_split_rejected(self):
         params = spread_params(6, ["a", "b"])
         with pytest.raises(ValueError):

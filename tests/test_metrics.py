@@ -88,3 +88,8 @@ class TestInvariants:
         assert rank_of(rl, "a") == 1
         assert rank_of(rl, "c") == 3
         assert rank_of(rl, "z") is None
+
+    def test_rank_of_an_int_is_that_rank(self):
+        assert rank_of(3, "a") == 3
+        assert mrr_at_k([(1, "a"), (4, "b"), (2, "c")], 3) == pytest.approx(0.5)
+        assert p_at_k([(1, "a"), (4, "b"), (2, "c")], 3) == pytest.approx(2 / 3)

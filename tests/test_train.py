@@ -381,6 +381,22 @@ class TestFit:
         with pytest.raises(ValueError, match="only to a new model"):
             train.fit(exs, TrainConfig(dim=8, epochs=1), params=params, **kw)
 
+    def test_default_vocab_is_every_item_the_dataset_reads(self):
+        records = [SessionRecord("s1", [("c", 0), ("a", 10), ("b", 20)]),
+                   SessionRecord("s2", [("d", 0), ("c", 10)])]
+        exs = train.examples_from_records(records, NORM)
+        res = train.fit(exs, TrainConfig(dim=4, epochs=1))
+        assert res.params.items == ["a", "b", "c", "d"]
+
+    @pytest.mark.parametrize("given", ["vocab", "params"])
+    def test_item_outside_the_vocabulary_named(self, given):
+        exs = train.examples_from_records(
+            [SessionRecord("s", [("a", 0), ("zz", 10), ("b", 20)])], NORM)
+        kw = ({"vocab": ["a", "b"]} if given == "vocab"
+              else {"params": model.init_params(["a", "b"], 4, np.random.default_rng(0))})
+        with pytest.raises(ValueError, match="'zz'"):
+            train.fit(exs, TrainConfig(dim=4, epochs=1), **kw)
+
     def test_matching_params_train(self):
         exs, items = tiny_dataset()
         config = TrainConfig(dim=8, learning_rate=0.02, epochs=2, batch_size=3, seed=9,
