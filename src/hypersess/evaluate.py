@@ -47,11 +47,13 @@ def rank_test_sessions(
     """The 1-based full-catalog rank of every usable test session's target,
     as (rank, target) pairs.
 
-    The catalog is projected once for the whole call.  Sessions that yield
+    The catalog is projected at most once for the whole call, and not at
+    all when read-only params keep their table (see
+    :func:`~hypersess.model.item_table`).  Sessions that yield
     no example (fewer than 2 events), or touching items outside the
     vocabulary, are skipped and counted.
     """
-    table = model.ItemTable(params)
+    table = model.item_table(params)
     cases: List[Tuple[int, str]] = []
     skipped = 0
     for rec in records:

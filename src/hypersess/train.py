@@ -237,11 +237,11 @@ def fit(
     ``skipped_steps``; its losses still enter the epoch loss.
     ``vocab`` fixes a new model's catalog (defaults to the items present in
     the dataset); an item the dataset reads outside the catalog is a
-    ValueError naming it.  Given ``params`` are trained in place, must agree
-    with the config's ``dim`` and model hyperparameters, and take no
-    ``vocab`` or ``categories``.  The collapse trace records the mean
-    pairwise distance among up to 100 sampled projected item embeddings
-    after each epoch.
+    ValueError naming it.  Given ``params`` are trained in place, must be
+    writable (loaded ones are not: train a copy), must agree with the
+    config's ``dim`` and model hyperparameters, and take no ``vocab`` or
+    ``categories``.  The collapse trace records the mean pairwise distance
+    among up to 100 sampled projected item embeddings after each epoch.
     """
     if not dataset:
         raise ValueError("empty training dataset")
@@ -255,6 +255,9 @@ def fit(
                                    categories=categories, **config.model_hyperparameters())
     elif vocab is not None or categories is not None:
         raise ValueError("vocab and categories apply only to a new model, not to given params")
+    elif not all(getattr(params, name).flags.writeable for name in ARRAY_FIELDS):
+        raise ValueError("params are read-only, as load_checkpoint returns them; "
+                         "train a copy (copy.deepcopy(params))")
     else:
         for name, value in {"dim": config.dim, **config.model_hyperparameters()}.items():
             if getattr(params, name) != value:
@@ -334,6 +337,7 @@ def save_checkpoint(path, params: ModelParams, config: TrainConfig) -> None:
 
 
 def load_checkpoint(path) -> Tuple[ModelParams, TrainConfig]:
+    """The saved model, with every array read-only, and its config."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         if meta.get("version") != CHECKPOINT_VERSION:
@@ -344,6 +348,9 @@ def load_checkpoint(path) -> Tuple[ModelParams, TrainConfig]:
     for name in model.MATRIX_FIELDS:
         if not np.isfinite(arrays[name]).all():
             raise ValueError(f"checkpoint array {name!r} has non-finite entries")
+    # a loaded model is read-only, so model.item_table may keep its projection
+    for array in arrays.values():
+        array.flags.writeable = False
     # earlier versions saved the slope, fixed since; another value changes the outputs
     if meta.get("leaky_slope", model.LEAKY_SLOPE) != model.LEAKY_SLOPE:
         raise ValueError(f"checkpoint leaky_slope {meta['leaky_slope']!r} is not "

@@ -206,6 +206,7 @@ class TestRecommend:
     def test_nonfinite_item_row_fails(self, checkpoint, tmp_path, capsys):
         from hypersess.train import load_checkpoint, save_checkpoint
         params, config = load_checkpoint(checkpoint)
+        params.item_features = params.item_features.copy()    # loaded arrays are read-only
         params.item_features[-1] = np.nan    # an item outside the session
         bad = tmp_path / "nan.npz"
         save_checkpoint(bad, params, config)
