@@ -4,6 +4,19 @@ Each test session is scored by rebuilding the graph from all but its final
 event, normalizing the gap between the penultimate and final timestamps as
 the query interval, and ranking the full catalog against the predicted item
 embedding.
+
+Sessions are scored in blocks of at most ``BLOCK_BYTES // (8 * n_items)``:
+one ``forward_batch`` over the block's graphs, each distinct item projected
+once, and one (sessions x items) distance screen from a single GEMM (see
+:meth:`~hypersess.model.ItemTable.ranks` for its rounding bound).  Items the
+screen places certainly nearer than the target are counted; the few within
+the bound of the target are recomputed exactly, with the formula of
+``manifold.distances_to_rows``, so every rank is the exact counted position.
+A block's predictions can differ from a batch-of-one ``forward_session`` in
+the last bit (a GEMM over many rows rounds differently from one over a
+single row), which can move a rank only where two items' distances lie
+within that rounding.  A block whose ranking raises a ValueError is ranked
+again one session at a time, so that the error names its session.
 """
 
 from __future__ import annotations
@@ -16,7 +29,10 @@ from . import model
 from .graph import IntervalNormalizer, SessionRecord
 from .metrics import mrr_at_k, p_at_k
 from .model import ModelParams
-from .train import examples_from_records
+from .train import TrainingExample, examples_from_records, forward_examples
+
+# the bytes of one block's (sessions x items) float64 distance screen
+BLOCK_BYTES = 8 * 2**20
 
 
 @dataclass
@@ -51,23 +67,45 @@ def rank_test_sessions(
     all when read-only params keep their table (see
     :func:`~hypersess.model.item_table`).  Sessions that yield
     no example (fewer than 2 events), or touching items outside the
-    vocabulary, are skipped and counted.
+    vocabulary, are skipped and counted.  The others are ranked in blocks of
+    at most ``BLOCK_BYTES // (8 * n_items)`` sessions; a block whose ranking
+    raises a ValueError is ranked again one session at a time, so that the
+    error names the first session that fails.
     """
     table = model.item_table(params)
+    size = max(1, BLOCK_BYTES // (8 * len(table.items)))
     cases: List[Tuple[int, str]] = []
     skipped = 0
+    block: List[Tuple[SessionRecord, TrainingExample]] = []
     for rec in records:
         examples = examples_from_records([rec], norm)
         if not examples or any(item not in params.item_index for item, _ in rec.events):
             skipped += 1
             continue
-        (ex,) = examples
-        try:
-            fw = model.forward_session(ex.graph, ex.target_interval, params)
-            cases.append((table.rank(fw.item_future, ex.target_item), ex.target_item))
-        except ValueError as exc:
-            raise ValueError(f"test session {rec.session_id!r}: {exc}") from exc
+        block.append((rec, examples[0]))
+        if len(block) == size:
+            cases += _rank_block(block, params, table)
+            block = []
+    if block:
+        cases += _rank_block(block, params, table)
     return cases, skipped
+
+
+def _rank_block(block: List[Tuple[SessionRecord, TrainingExample]], params: ModelParams,
+                table: model.ItemTable) -> List[Tuple[int, str]]:
+    """(rank, target) of each session in the block, from one forward pass
+    and one screened distance matrix.  On a ValueError the block is ranked
+    again one session at a time, so that the error names its session."""
+    examples = [ex for _, ex in block]
+    targets = [ex.target_item for ex in examples]
+    try:
+        items = sorted({it for ex in examples for it in ex.graph.nodes})
+        fw = forward_examples(examples, params, items)[0]
+        return list(zip(table.ranks(fw.item_future, targets).tolist(), targets))
+    except ValueError as exc:
+        if len(block) == 1:
+            raise ValueError(f"test session {block[0][0].session_id!r}: {exc}") from exc
+        return [case for one in block for case in _rank_block([one], params, table)]
 
 
 def evaluate(

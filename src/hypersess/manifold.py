@@ -181,9 +181,16 @@ def distances_to_rows(p: np.ndarray, rows: np.ndarray, gaps=None) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float64)
     if gaps is None:
         gaps = 1.0 - np.sum(rows * rows, axis=1)
+    return paired_distances(p, rows, 1.0 - np.dot(p, p), gaps)
+
+
+def paired_distances(p: np.ndarray, rows: np.ndarray, p_gaps, gaps) -> np.ndarray:
+    """Distance from each row of ``rows`` to its point (numeric): ``p`` is
+    one (d,) point for every row or an (M, d) point per row, and ``p_gaps``
+    its 1 - ||p||^2, a scalar or one per row.  Each row's result has the
+    same bits whichever other rows are passed with it."""
     diff2 = np.sum((rows - p) ** 2, axis=1)
-    denom = (1.0 - np.dot(p, p)) * gaps
-    x = np.maximum(2.0 * diff2 / denom, 0.0)
+    x = np.maximum(2.0 * diff2 / (p_gaps * gaps), 0.0)
     return np.log1p(x + np.sqrt(x * (x + 2.0)))
 
 

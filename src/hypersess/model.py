@@ -405,7 +405,8 @@ class ItemTable:
         # checked before projecting, to name the item
         check_item_rows(self.items, params.item_features)
         self.rows = project_item_table(params)
-        self.gaps = 1.0 - np.sum(self.rows * self.rows, axis=1)
+        self.norms2 = np.sum(self.rows * self.rows, axis=1)
+        self.gaps = 1.0 - self.norms2
 
     def distances(self, point: Arrayish) -> np.ndarray:
         """Geodesic distance from the point to every item, in table order."""
@@ -426,13 +427,82 @@ class ItemTable:
         return RankedList(entries=[(self.items[r], float(dists[r])) for r in order], k=k)
 
     def rank(self, point: Arrayish, target: Item) -> int:
-        """1-based full-catalog position of the target: 1 + the items closer
-        than it + the items at its distance with a smaller id."""
-        dists = self.distances(point)
-        d_t = dists[self.index[target]]
-        tied = np.flatnonzero(dists == d_t)
-        return (1 + int(np.count_nonzero(dists < d_t))
-                + sum(self.items[r] < target for r in tied.tolist()))
+        """1-based full-catalog position of the target: a batch of one of
+        :meth:`ranks`."""
+        return int(self.ranks(np.asarray(grad.value_of(point))[None], [target])[0])
+
+    def ranks(self, points: np.ndarray, targets: Sequence[Item]) -> np.ndarray:
+        """1-based full-catalog position of each target for its point (row
+        b of the (B, d) ``points`` for ``targets[b]``): 1 + the items closer
+        than the target + the items at its distance with a smaller id, the
+        distances being those of :func:`~hypersess.manifold.distances_to_rows`.
+
+        One GEMM screens the catalog.  For a point q and a row r, with
+        g = 1 - q.q (``np.dot``, as distances_to_rows takes it) and the stored
+        G = 1 - r.r, the exact path computes arcosh(1 + x) for
+        x = 2 ||q - r||^2 / (g G) = 2 Y / g.  The screen estimates Y as
+        S = (q.q - 2 q.r + r.r) / G.  With u = 2^-53 and all norms at most
+        1 (points must lie inside the ball), each dot product errs by at most
+        gamma_d ||q|| ||r||, gamma_n = n u / (1 - n u), in any summation
+        order, so the numerator, cancellation included, errs by at most
+        gamma_{d+3} (||q|| + ||r||)^2 <= 4 gamma_{d+3}, and
+        |S - Y| <= h + u Y with h = 4 (d + 8) u / G.
+        The exact path has x within gamma_{d+4} of its exact value (d
+        nonnegative squares summed, a product, a quotient), and
+        log1p(x + sqrt(x (x + 2))) adds at most 3 u from the sqrt chain and
+        4 ulp (8 u) from log1p.  F(x) = arcosh(1 + x) is concave with
+        F(0) = 0, so a relative error in x is at most the same relative error
+        in F: a computed distance is F(X) (1 +- eta), eta = (d + 24) u, for
+        the exact X.  So, d_t being the target's computed distance, a row is
+        certainly closer when F(X) < d_t / (1 + eta), that is when
+        Y < Lo = g sinh^2(d_t / (2 (1 + eta))), and certainly farther when
+        Y > Hi = g sinh^2(d_t / (2 (1 - eta))) (as cosh F - 1 = 2 sinh^2(F/2)).
+        The tests are S + h < Lo (1 - 64 u) and S - h > Hi (1 + 64 u); the
+        64 u covers the rounding of S, of the two sums and of Lo and Hi
+        (sinh within 4 ulp).  This holds up to the ``1 - 1e-5`` shell and
+        beyond it, for any point and row inside the ball.
+
+        Every other row is in the band and is recomputed exactly, with
+        distances_to_rows's formula (:func:`~hypersess.manifold.paired_distances`,
+        same bits): it counts when its distance is below d_t, or equal with a
+        smaller id.  The counts are vectorised over the B x N block, and the
+        screen is computed in place: at most two B x N float64 arrays.
+        """
+        q = np.asarray(points, dtype=np.float64)
+        if not np.isfinite(q).all():
+            raise ValueError("non-finite point to score the catalog against")
+        t = np.array([self.index[it] for it in targets], dtype=np.intp)
+        # one np.dot per point, the bits distances_to_rows starts from
+        q_norms2 = np.array([np.dot(p, p) for p in q])
+        q_gaps = 1.0 - q_norms2
+        if not (q_gaps > 0.0).all():
+            raise ValueError("point to score the catalog against lies outside the ball")
+        d_t = manifold.paired_distances(q, self.rows[t], q_gaps, self.gaps[t])
+
+        u = np.finfo(np.float64).eps / 2
+        eta = (q.shape[1] + 24) * u
+        lo = q_gaps * np.sinh(d_t / (2.0 * (1.0 + eta))) ** 2 * (1.0 - 64 * u)
+        hi = q_gaps * np.sinh(d_t / (2.0 * (1.0 - eta))) ** 2 * (1.0 + 64 * u)
+        h = 4 * (q.shape[1] + 8) * u / self.gaps
+
+        # scaling by -2 is exact: S = (-2 q.r + q.q + r.r) / G, in place
+        screen = np.matmul(q * -2.0, self.rows.T)
+        screen += q_norms2[:, None]
+        screen += self.norms2
+        screen /= self.gaps
+        bound = np.add(screen, h)
+        band = bound >= lo[:, None]
+        closer = len(self.items) - np.count_nonzero(band, axis=1)
+        np.subtract(screen, h, out=bound)
+        band &= bound <= hi[:, None]
+
+        b, r = np.nonzero(band)
+        dists = manifold.paired_distances(q[b], self.rows[r], q_gaps[b], self.gaps[r])
+        counted = dists < d_t[b]
+        # a tie counts when its id is smaller; ties are rare, so compared one by one
+        tied = np.flatnonzero((dists == d_t[b]) & (r != t[b]))
+        counted[tied] = [self.items[r[i]] < targets[b[i]] for i in tied.tolist()]
+        return 1 + closer + np.bincount(b[counted], minlength=len(t))
 
 
 def _read_only(a) -> bool:

@@ -9,8 +9,11 @@ and the objective must be an ordinary real.  Ball-constrained parameters
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import logging
+import math
+import zipfile
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -110,6 +113,20 @@ def _batch_items(examples: Sequence[TrainingExample], negatives: Sequence[Option
     return sorted(used)
 
 
+def forward_examples(examples: Sequence[TrainingExample], params, items: Sequence[str]):
+    """One ``forward_batch`` over the examples' graphs, each with its query
+    interval.  ``items`` holds every graph node; each is projected once,
+    from one gather of its rows.  Returns the pass, the batch and the
+    (K, d) projected rows of ``items``, in their order."""
+    row = {it: k for k, it in enumerate(items)}
+    table = model.hyperbolic_projection(params.item_rows(items), params)
+    graphs = [ex.graph for ex in examples]
+    batch = batch_graphs(graphs, params.neighborhood)
+    initial = grad.take(table, np.array([row[it] for g in graphs for it in g.nodes]))
+    t_norm = np.array([ex.target_interval for ex in examples])
+    return model.forward_batch(batch, t_norm, initial, params), batch, table
+
+
 def batch_losses(
     examples: Sequence[TrainingExample],
     params,
@@ -130,15 +147,8 @@ def batch_losses(
             raise KeyError(f"target item {ex.target_item!r} not in vocabulary")
     negatives = list(negatives) if negatives is not None else [None] * len(examples)
     items = _batch_items(examples, negatives)
+    fw, batch, table = forward_examples(examples, params, items)
     row = {it: k for k, it in enumerate(items)}
-    table = model.hyperbolic_projection(params.item_rows(items), params)
-
-    graphs = [ex.graph for ex in examples]
-    batch = batch_graphs(graphs, params.neighborhood)
-    initial = grad.take(table, np.array([row[it] for g in graphs for it in g.nodes]))
-    t_norm = np.array([ex.target_interval for ex in examples])
-    fw = model.forward_batch(batch, t_norm, initial, params)
-
     h_target = grad.take(table, np.array([row[ex.target_item] for ex in examples]))
     loss = manifold.distance(fw.item_future, h_target)
     if params.lambda_s > 0:
@@ -336,21 +346,42 @@ def save_checkpoint(path, params: ModelParams, config: TrainConfig) -> None:
     np.savez(path, meta=np.str_(json.dumps(meta)), **arrays)
 
 
+def _read_npz(path, names: Sequence[str]) -> Dict[str, np.ndarray]:
+    """The named members of an ``np.savez`` file, each a read-only view of
+    the member's bytes: no copy is made, and
+    neither the view's flag nor its base can be made writable.  Object
+    arrays are refused, as ``np.load`` refuses them without pickles."""
+    try:
+        with zipfile.ZipFile(path) as archive:
+            members = {name: archive.read(f"{name}.npy") for name in names}
+    except zipfile.BadZipFile as exc:
+        raise ValueError(f"not a checkpoint (.npz) file: {exc}") from exc
+    out = {}
+    for name, raw in members.items():
+        header = io.BytesIO(raw)
+        if np.lib.format.read_magic(header) == (1, 0):
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(header)
+        else:
+            shape, fortran, dtype = np.lib.format.read_array_header_2_0(header)
+        if dtype.hasobject:
+            raise ValueError(f"checkpoint array {name!r} holds Python objects")
+        flat = np.frombuffer(raw, dtype, count=math.prod(shape), offset=header.tell())
+        out[name] = flat.reshape(shape, order="F" if fortran else "C")
+    return out
+
+
 def load_checkpoint(path) -> Tuple[ModelParams, TrainConfig]:
-    """The saved model, with every array read-only, and its config."""
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version: {meta.get('version')}")
-        arrays = {name: data[name] for name in ARRAY_FIELDS}
+    """The saved model and its config.  Every array is read-only for good,
+    so that :func:`~hypersess.model.item_table` may keep its projection."""
+    arrays = _read_npz(path, ("meta",) + ARRAY_FIELDS)
+    meta = json.loads(str(arrays.pop("meta")[()]))
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version: {meta.get('version')}")
     items = list(meta["items"])
     model.check_item_rows(items, arrays["item_features"])
     for name in model.MATRIX_FIELDS:
         if not np.isfinite(arrays[name]).all():
             raise ValueError(f"checkpoint array {name!r} has non-finite entries")
-    # a loaded model is read-only, so model.item_table may keep its projection
-    for array in arrays.values():
-        array.flags.writeable = False
     # earlier versions saved the slope, fixed since; another value changes the outputs
     if meta.get("leaky_slope", model.LEAKY_SLOPE) != model.LEAKY_SLOPE:
         raise ValueError(f"checkpoint leaky_slope {meta['leaky_slope']!r} is not "

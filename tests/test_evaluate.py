@@ -119,6 +119,79 @@ class TestEvaluate:
         assert len(calls) == 1
 
 
+def per_session_ranks(params, records):
+    """rank_test_sessions written as one forward_session and one rank per
+    session, with its skip rules."""
+    table = model.ItemTable(params)
+    cases, skipped = [], 0
+    for rec in records:
+        examples = train.examples_from_records([rec], NORM)
+        if not examples or any(item not in params.item_index for item, _ in rec.events):
+            skipped += 1
+            continue
+        (ex,) = examples
+        fw = model.forward_session(ex.graph, ex.target_interval, params)
+        cases.append((table.rank(fw.item_future, ex.target_item), ex.target_item))
+    return cases, skipped
+
+
+@pytest.fixture
+def forward_batches(monkeypatch):
+    """The number of sessions of each forward_batch call."""
+    sizes = []
+    forward = model.forward_batch
+
+    def counted(batch, *args):
+        sizes.append(batch.n_sessions)
+        return forward(batch, *args)
+
+    monkeypatch.setattr(model, "forward_batch", counted)
+    return sizes
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("block", [2, 3])
+    def test_blocks_rank_as_single_sessions(self, monkeypatch, forward_batches, block):
+        synth = data.generate_synthetic(20, 40, seed=5)
+        params = spread_params(4, synth.items)
+        records = ([SessionRecord("short", [(synth.items[0], 0)])] + synth.records[:15]
+                   + [SessionRecord("alien", [(synth.items[0], 0), ("zz", 10)])] + synth.records[15:])
+        expected, expected_skipped = per_session_ranks(params, records)
+        forward_batches.clear()
+        monkeypatch.setattr(ev, "BLOCK_BYTES", 8 * len(synth.items) * block)
+        cases, skipped = ev.rank_test_sessions(params, records, NORM)
+        assert (cases, skipped) == (expected, expected_skipped)
+        assert len(cases) > 3 * block
+        full, last = divmod(len(cases), block)
+        assert forward_batches == [block] * full + ([last] if last else [])
+
+    def test_failing_block_names_its_first_session(self, monkeypatch):
+        params = spread_params(8, ["a", "b", "c"])
+        params.item_future_proj = np.full_like(params.item_future_proj, np.nan)
+        records = [SessionRecord("short", [("a", 0)])] + [
+            SessionRecord(f"s{i}", [("a", 0), ("b", 10 * i), ("c", 30 * i)]) for i in range(1, 6)]
+        monkeypatch.setattr(ev, "BLOCK_BYTES", 8 * 3 * 4)
+        with pytest.raises(ValueError, match="^test session 's1': .*non-finite"):
+            ev.rank_test_sessions(params, records, NORM)
+
+    def test_failing_session_named_inside_its_block(self, monkeypatch):
+        params = spread_params(8, ["a", "b", "c"])
+        # session s<i> asks about 20 i seconds ahead; s3's prediction is spoilt
+        records = [SessionRecord(f"s{i}", [("a", 0), ("b", 10), ("c", 10 + 20 * i)])
+                   for i in range(1, 5)]
+        forward = model.forward_batch
+
+        def spoilt(batch, t_norm, initial, p):
+            fw = forward(batch, t_norm, initial, p)
+            fw.item_future[t_norm == NORM(60)] = np.nan
+            return fw
+
+        monkeypatch.setattr(model, "forward_batch", spoilt)
+        monkeypatch.setattr(ev, "BLOCK_BYTES", 8 * 3 * 4)
+        with pytest.raises(ValueError, match="^test session 's3': non-finite point"):
+            ev.rank_test_sessions(params, records, NORM)
+
+
 class TestPopularityBaseline:
     def test_repeated_item_ranks_first(self):
         train_recs = [SessionRecord("t", [("a", 0), ("b", 5), ("a", 9), ("c", 20)])]

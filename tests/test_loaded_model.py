@@ -52,6 +52,24 @@ def test_loaded_arrays_are_read_only(loaded, name):
         getattr(loaded, name).flat[0] = 0.0
 
 
+@pytest.mark.parametrize("name", train.ARRAY_FIELDS)
+def test_loaded_arrays_stay_read_only(loaded, name):
+    array = getattr(loaded, name)
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        array.flags.writeable = True
+    # every base down to the file's bytes refuses a write as well
+    base = array.base
+    while isinstance(base, np.ndarray):
+        with pytest.raises(ValueError, match="read-only"):
+            base[...] = 0.0
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            base.flags.writeable = True
+        base = base.base
+    assert isinstance(base, bytes)
+    with pytest.raises(TypeError):
+        memoryview(base)[0] = 0
+
+
 def test_fit_refuses_loaded_params(saved, loaded):
     before = {name: getattr(loaded, name).copy() for name in train.ARRAY_FIELDS}
     with pytest.raises(ValueError, match="read-only.*train a copy"):
@@ -80,6 +98,9 @@ def test_loaded_model_projects_once(saved, loaded, projections):
 
 
 def test_table_not_served_once_writable(loaded, projections):
+    # a loaded array's flag cannot be set back, so the rows are a read-only copy
+    loaded.item_features = loaded.item_features.copy()
+    loaded.item_features.flags.writeable = False
     point = query()
     first = model.score_items(point, loaded, K)
     loaded.item_features.flags.writeable = True

@@ -448,6 +448,90 @@ class TestScoringProperties:
             assert table.rank(query, item) == pos
 
 
+@st.composite
+def ranked_blocks(draw):
+    """A catalog whose feature rows repeat, some of them projecting onto the
+    ``1 - 1e-5`` shell, and a block of 1-8 points: free ball points, exact
+    rows, and points just inside the shell near a row or anywhere."""
+    ids = draw(st.lists(st.text("abcd", min_size=1, max_size=3),
+                        min_size=1, max_size=16, unique=True))
+    n = len(ids)
+    d = draw(st.sampled_from([1, 2, 3, 5, 8, 60]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = model.init_params(ids, d, rng)
+    # doubling in the tangent space takes a row of norm tanh(30) to the shell
+    params.feat_proj = 2.0 * np.eye(d)
+    pool = rng.uniform(-0.4, 0.4, (draw(st.integers(1, n)), d))
+    shell = rng.random(len(pool)) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    pool[shell] *= 30.0 / np.linalg.norm(pool[shell], axis=1, keepdims=True)
+    params.item_features = pool[rng.integers(0, len(pool), n)]
+    table = model.ItemTable(params)
+    points = []
+    for kind in draw(st.lists(st.sampled_from(["free", "row", "near_row", "near_shell"]),
+                              min_size=1, max_size=8)):
+        row = table.rows[rng.integers(n)]
+        if kind == "free":
+            points.append(rand_ball(rng, d, 0.9))
+        elif kind == "row":
+            points.append(row)
+        elif kind == "near_row":
+            points.append(row * (1.0 - 10.0 ** -rng.uniform(6, 15)))
+        else:
+            v = rng.normal(size=d)
+            points.append(v * (M.MAX_NORM * (1.0 - 10.0 ** -rng.uniform(6, 15)) / np.linalg.norm(v)))
+    return table, np.array(points)
+
+
+def sorted_position(table, point, target):
+    """1-based place of the target in the catalog sorted by (distance, id)."""
+    dists = M.distances_to_rows(point, table.rows, table.gaps)
+    return sorted(zip(dists.tolist(), table.items)).index((dists[table.index[target]], target)) + 1
+
+
+class TestBlockRanks:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ranked_blocks(), st.data())
+    def test_ranks_are_the_sorted_positions(self, block, data):
+        table, points = block
+        targets = [data.draw(st.sampled_from(table.items)) for _ in points]
+        assert table.ranks(points, targets).tolist() == \
+            [sorted_position(table, p, t) for p, t in zip(points, targets)]
+        # every item as the target of every point, in one block
+        every = np.repeat(points, len(table.items), axis=0)
+        targets = table.items * len(points)
+        assert table.ranks(every, targets).tolist() == \
+            [sorted_position(table, p, t) for p, t in zip(every, targets)]
+
+    def test_target_tied_on_both_sides(self):
+        params = make_params(np.random.default_rng(3), items=("c", "a", "e", "b", "d"), d=3)
+        params.item_features = np.array([[0.2, 0.1, 0.0]] * 3 + [[0.1, -0.3, 0.2]] * 2)
+        table = model.ItemTable(params)
+        points = np.array([table.rows[0], 0.9 * table.rows[0], table.rows[3]])
+        # c, a and e share a row; so do b and d
+        assert table.ranks(points, ["c"] * 3).tolist() == [2, 2, 4]
+        assert table.ranks(points, ["b"] * 3).tolist() == [4, 4, 1]
+        assert [table.rank(p, "e") for p in points] == [3, 3, 5]
+
+    def test_point_outside_the_ball_rejected(self):
+        table = model.ItemTable(make_params(np.random.default_rng(0)))
+        with pytest.raises(ValueError, match="outside the ball"):
+            table.ranks(np.array([[0.6, 0.8, 0.0, 0.0, 0.0]]), ["a"])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 70), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_paired_rows_match_distances_to_rows(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        rows = np.array([rand_ball(rng, d, 0.99) for _ in range(n)])
+        points = np.array([rand_ball(rng, d, 0.99) for _ in range(3)])
+        gaps = 1.0 - np.sum(rows * rows, axis=1)
+        pick = rng.integers(0, n, 7)
+        which = rng.integers(0, 3, 7)
+        got = M.paired_distances(points[which], rows[pick],
+                                 1.0 - np.array([np.dot(p, p) for p in points])[which], gaps[pick])
+        full = [M.distances_to_rows(p, rows, gaps) for p in points]
+        assert got.tolist() == [full[w][r] for w, r in zip(which, pick)]
+
+
 class TestForwardInvariants:
     def test_every_embedding_inside_shell(self):
         rng = np.random.default_rng(13)

@@ -594,6 +594,31 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"item {params.items[2]!r} has a non-finite feature row"):
             train.load_checkpoint(path)
 
+    def test_object_array_rejected(self, tmp_path):
+        path, _, _ = self.saved_with_meta(tmp_path, lambda meta: None)
+        blob = dict(np.load(path, allow_pickle=False))
+        blob["att_vec"] = np.array([1.0, "x"], dtype=object)
+        np.savez(path, **blob)
+        with pytest.raises(ValueError, match="'att_vec' holds Python objects"):
+            train.load_checkpoint(path)
+
+    def test_fortran_order_array_loads(self, tmp_path):
+        exs, items = tiny_dataset()
+        config = TrainConfig(dim=8, epochs=1, batch_size=3, seed=5)
+        params = train.fit(exs, config, vocab=items).params
+        params.feat_proj = np.asfortranarray(params.feat_proj + np.arange(8.0)[:, None])
+        path = tmp_path / "model.npz"
+        train.save_checkpoint(path, params, config)
+        loaded = train.load_checkpoint(path)[0]
+        assert loaded.feat_proj.flags.f_contiguous
+        np.testing.assert_array_equal(loaded.feat_proj, params.feat_proj)
+
+    def test_not_an_npz_rejected(self, tmp_path):
+        path = tmp_path / "model.npz"
+        path.write_bytes(b"not a zip archive")
+        with pytest.raises(ValueError, match="not a checkpoint"):
+            train.load_checkpoint(path)
+
     def test_bad_meta_hyperparameter_rejected(self, tmp_path):
         path, _, _ = self.saved_with_meta(tmp_path, lambda meta: meta.update(neighborhood="diagonal"))
         with pytest.raises(ValueError, match="neighborhood"):
