@@ -4,13 +4,18 @@ Three input formats are supported: ``yoochoose`` (headerless
 session,iso-time,item[,category]), ``diginetica`` (semicolon CSV with
 sessionId/itemId/timeframe/eventdate columns) and ``generic`` (header-named
 session_id,item_id,timestamp[,category], epoch seconds).  All identifiers are
-handled as strings.
+handled as strings, stripped of surrounding whitespace.  One row loop reads
+all three under one rule: a row that lacks its session, item or time field,
+or whose id is empty or whose time does not parse or is not positive, is
+malformed, skipped and counted.  The category is optional.  Blank lines are
+not rows.  Header columns are found by name, the last of duplicates winning.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -21,8 +26,6 @@ import numpy as np
 from .graph import SessionRecord
 
 log = logging.getLogger(__name__)
-
-FORMATS = ("yoochoose", "diginetica", "generic")
 
 
 @dataclass
@@ -49,6 +52,24 @@ def _parse_iso_utc(text: str) -> int:
     raise ValueError(f"unparseable timestamp: {text!r}")
 
 
+def _diginetica_time(frame_ms: str, day: str) -> int:
+    base = datetime.strptime(day, "%Y-%m-%d").replace(tzinfo=timezone.utc)
+    return int(base.timestamp()) + int(frame_ms) // 1000
+
+
+# format -> (delimiter, columns, timestamp).  The columns are the session,
+# item, category and time fields: positions in the headerless yoochoose, header
+# names otherwise.  ``timestamp`` maps the time fields to epoch seconds.
+_LAYOUTS = {
+    "yoochoose": (",", (0, 2, 3, 1), lambda ts: _parse_iso_utc(ts.strip())),
+    "diginetica": (";", ("sessionId", "itemId", "categoryId", "timeframe", "eventdate"),
+                   _diginetica_time),
+    "generic": (",", ("session_id", "item_id", "category", "timestamp"),
+                lambda ts: int(float(ts))),
+}
+FORMATS = tuple(_LAYOUTS)
+
+
 def parse_clicklog(path, format: str) -> List[ClickEvent]:
     """Read one click log; malformed rows are counted and skipped.
 
@@ -56,54 +77,30 @@ def parse_clicklog(path, format: str) -> List[ClickEvent]:
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
+    delimiter, columns, timestamp = _LAYOUTS[format]
 
     events: List[ClickEvent] = []
     skipped = 0
     total = 0
     with open(path, newline="", encoding="utf-8") as fh:
-        if format == "generic":
-            reader = csv.DictReader(fh)
-            for row in reader:
-                total += 1
-                try:
-                    events.append(ClickEvent(
-                        session_id=row["session_id"].strip(),
-                        item_id=row["item_id"].strip(),
-                        timestamp=int(float(row["timestamp"])),
-                        category=(row.get("category") or "").strip() or None,
-                    ))
-                except (KeyError, TypeError, ValueError):
-                    skipped += 1
-        elif format == "yoochoose":
-            for row in csv.reader(fh):
-                total += 1
-                try:
-                    sid, ts, item = row[0], row[1], row[2]
-                    cat = row[3].strip() if len(row) > 3 and row[3].strip() else None
-                    events.append(ClickEvent(
-                        session_id=sid.strip(),
-                        item_id=item.strip(),
-                        timestamp=_parse_iso_utc(ts.strip()),
-                        category=cat,
-                    ))
-                except (IndexError, ValueError):
-                    skipped += 1
-        else:  # diginetica
-            reader = csv.DictReader(fh, delimiter=";")
-            for row in reader:
-                total += 1
-                try:
-                    day = datetime.strptime(row["eventdate"], "%Y-%m-%d")
-                    base = int(day.replace(tzinfo=timezone.utc).timestamp())
-                    frame_ms = int(row["timeframe"])
-                    events.append(ClickEvent(
-                        session_id=row["sessionId"].strip(),
-                        item_id=row["itemId"].strip(),
-                        timestamp=base + frame_ms // 1000,
-                        category=(row.get("categoryId") or "").strip() or None,
-                    ))
-                except (KeyError, TypeError, ValueError):
-                    skipped += 1
+        rows = csv.reader(fh, delimiter=delimiter)
+        if format != "yoochoose":
+            # the last of duplicate names wins, as in csv.DictReader; a missing
+            # column's position is None, so every row fails on it (TypeError)
+            header = {name: i for i, name in enumerate(next(rows, []))}
+            columns = [header.get(name) for name in columns]
+        sid, item, cat, *when = columns
+        for row in rows:
+            if not row:
+                continue
+            total += 1
+            try:
+                category = row[cat] if cat is not None and cat < len(row) else None
+                events.append(ClickEvent(row[sid].strip(), row[item].strip(),
+                                         timestamp(*[row[i] for i in when]),
+                                         (category or "").strip() or None))
+            except (IndexError, TypeError, ValueError):
+                skipped += 1
 
     if total == 0:
         log.warning("%s: empty click log", path)
@@ -134,10 +131,7 @@ def _filter_fixed_point(
 ) -> List[Session]:
     while True:
         sessions = [s for s in sessions if len(s[1]) >= min_session_len]
-        counts: Dict[str, int] = {}
-        for _, ev in sessions:
-            for item, _ in ev:
-                counts[item] = counts.get(item, 0) + 1
+        counts = Counter(item for _, ev in sessions for item, _ in ev)
         rare = {it for it, c in counts.items() if c < min_item_freq}
         if not rare:
             return sessions
@@ -171,47 +165,41 @@ def preprocess(
         if ev.category is not None and ev.item_id not in categories:
             categories[ev.item_id] = ev.category
     sessions: List[Session] = [
-        (sid, sorted(ev, key=lambda e: e[1])) for sid, ev in sorted(by_session.items())
+        (sid, sorted(ev, key=lambda e: e[1])) for sid, ev in by_session.items()
     ]
 
-    def split_once(sess: List[Session]):
-        sess = _filter_fixed_point(sess, min_session_len, min_item_freq)
-        if not sess:
+    # A round only removes events (and the sessions it empties): one that keeps
+    # the event count is the fixed point.  (end time, id) is a total order, so
+    # the train sessions are a prefix and the input order does not matter.
+    n_events = len(events)
+    while True:
+        sessions = sorted(_filter_fixed_point(sessions, min_session_len, min_item_freq),
+                          key=lambda s: (s[1][-1][1], s[0]))
+        if not sessions:
             raise ValueError(
                 f"preprocessing removed everything (min_len={min_session_len}, "
                 f"min_freq={min_item_freq})"
             )
-        t_max = max(ev[-1][1] for _, ev in sess)
-        boundary = t_max - test_window_seconds
-        train = [s for s in sess if s[1][-1][1] <= boundary]
-        test = [s for s in sess if s[1][-1][1] > boundary]
+        boundary = sessions[-1][1][-1][1] - test_window_seconds
+        train = [s for s in sessions if s[1][-1][1] <= boundary]
         if not train:
             raise ValueError(
-                f"empty training split: all {len(sess)} sessions end within the "
+                f"empty training split: all {len(sessions)} sessions end within the "
                 f"final {test_window_seconds}s window"
             )
-        train.sort(key=lambda s: (s[1][-1][1], s[0]))
-        test.sort(key=lambda s: (s[1][-1][1], s[0]))
-        vocab = _vocab_of(train)
-        test = [s for s in test if all(it in vocab for it, _ in s[1])]
-        return train, test, vocab
-
-    prev_state = None
-    while True:
-        train, test, vocab = split_once(sessions)
-        state = tuple((sid, tuple(ev)) for sid, ev in train + test)
-        if state == prev_state:
-            break
-        prev_state = state
+        vocab, test = _vocab_and_test(train, sessions[len(train):])
         sessions = train + test
+        kept = sum(len(ev) for _, ev in sessions)
+        if kept == n_events:
+            break
+        n_events = kept
 
     if fraction is not None:
         if not 0 < fraction <= 1:
             raise ValueError(f"fraction {fraction} outside (0, 1]")
         keep = max(1, int(round(len(train) * fraction)))
         train = train[-keep:]
-        vocab = _vocab_of(train)
-        test = [s for s in test if all(it in vocab for it, _ in s[1])]
+        vocab, test = _vocab_and_test(train, test)
 
     if not test:
         raise ValueError("empty test split after vocabulary filtering")
@@ -235,13 +223,12 @@ def preprocess(
     )
 
 
-def _vocab_of(train: List[Session]) -> Dict[str, int]:
-    vocab: Dict[str, int] = {}
-    for _, ev in train:
-        for item, _ in ev:
-            if item not in vocab:
-                vocab[item] = len(vocab)
-    return vocab
+def _vocab_and_test(train: List[Session],
+                    test: List[Session]) -> Tuple[Dict[str, int], List[Session]]:
+    """``train``'s items in first-seen order, and the ``test`` sessions they cover."""
+    seen = dict.fromkeys(item for _, ev in train for item, _ in ev)
+    vocab = {item: i for i, item in enumerate(seen)}
+    return vocab, [s for s in test if all(it in vocab for it, _ in s[1])]
 
 
 def split_to_events(split: DatasetSplit) -> List[ClickEvent]:

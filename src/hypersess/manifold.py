@@ -186,21 +186,25 @@ def distances_to_rows(p: np.ndarray, rows: np.ndarray, gaps=None) -> np.ndarray:
 
 def paired_distances(p: np.ndarray, rows: np.ndarray, p_gaps, gaps) -> np.ndarray:
     """Distance from each row of ``rows`` to its point (numeric): ``p`` is
-    one (d,) point for every row or an (M, d) point per row, and ``p_gaps``
-    its 1 - ||p||^2, a scalar or one per row.  Each row's result has the
-    same bits whichever other rows are passed with it."""
-    diff2 = np.sum((rows - p) ** 2, axis=1)
+    one (d,) point for every row, an (M, d) point per row or (n, 1, d) against
+    (1, m, d) rows, and ``p_gaps`` its 1 - ||p||^2, shaped alike.  Each row's
+    result has the same bits whichever other rows are passed with it."""
+    diff2 = np.sum((rows - p) ** 2, axis=-1)
     x = np.maximum(2.0 * diff2 / (p_gaps * gaps), 0.0)
     return np.log1p(x + np.sqrt(x * (x + 2.0)))
 
 
 def pairwise_mean_distance(rows: np.ndarray) -> float:
-    """Mean geodesic distance over all unordered row pairs (numeric)."""
+    """Mean geodesic distance over all unordered row pairs (numeric), from one
+    (n, n) table with the bits of one ``distances_to_rows`` call per row."""
     rows = np.asarray(rows, dtype=np.float64)
     n = rows.shape[0]
     if n < 2:
         return 0.0
+    p_gaps = 1.0 - np.array([np.dot(p, p) for p in rows])
+    dist = paired_distances(rows[:, None, :], rows[None, :, :], p_gaps[:, None],
+                            1.0 - np.sum(rows * rows, axis=1))
     total = 0.0
     for i in range(n - 1):
-        total += float(np.sum(distances_to_rows(rows[i], rows[i + 1:])))
+        total += float(np.sum(dist[i, i + 1:]))
     return total / (n * (n - 1) / 2)

@@ -1,0 +1,238 @@
+"""The one row loop of ``parse_clicklog`` and the fixed point of
+``preprocess``: malformed-row rules in each format, and properties that
+compare both with the code they replaced (``clicklog_oracle.py``)."""
+
+import csv
+import io
+import logging
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import clicklog_oracle as oracle
+from hypersess.data import ClickEvent, parse_clicklog, preprocess
+
+
+def write(tmp_path, name, text):
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    return p
+
+
+# ---------------------------------------------------------------------------
+# malformed rows: a short row and a whitespace-only row are skipped and
+# counted in every format; a blank line is not a row
+# ---------------------------------------------------------------------------
+
+MALFORMED = {
+    "generic": ("g.csv",
+                "session_id,item_id,timestamp\n"
+                "1,a,100\n"
+                "1,b,200\n"
+                "2\n"
+                "   \n"
+                "\n"
+                "2,c,300\n"
+                "2,d,400\n"),
+    "yoochoose": ("y.dat",
+                  "1,2014-04-07T10:51:09.277Z,a\n"
+                  "1,2014-04-07T10:52:09Z,b\n"
+                  "2\n"
+                  "   \n"
+                  "\n"
+                  "2,2014-04-07T10:53:09Z,c\n"
+                  "2,2014-04-07T10:54:09Z,d\n"),
+    "diginetica": ("d.csv",
+                   "sessionId;userId;itemId;timeframe;eventdate\n"
+                   "1;NA;a;1000;2016-05-09\n"
+                   "1;NA;b;2000;2016-05-09\n"
+                   "2\n"
+                   "   \n"
+                   "\n"
+                   "2;NA;c;3000;2016-05-09\n"
+                   "2;NA;d;4000;2016-05-09\n"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(MALFORMED))
+def test_short_and_blank_rows(tmp_path, caplog, fmt):
+    p = write(tmp_path, *MALFORMED[fmt])
+    events = parse_clicklog(p, fmt)
+    assert [(e.session_id, e.item_id) for e in events] == [
+        ("1", "a"), ("1", "b"), ("2", "c"), ("2", "d")]
+    assert f"{p}: skipped 2 of 6 malformed rows" in caplog.text
+
+
+def test_category_is_optional(tmp_path):
+    p = write(tmp_path, "g.csv", "session_id,item_id,timestamp,category\ns1,a,100\ns1,b,200,c7\n")
+    assert parse_clicklog(p, "generic") == [ClickEvent("s1", "a", 100), ClickEvent("s1", "b", 200, "c7")]
+
+
+def test_missing_required_column_makes_every_row_malformed(tmp_path):
+    p = write(tmp_path, "d.csv", "sessionId;userId;itemId;timeframe\n1;NA;a;1000\n1;NA;b;2000\n")
+    with pytest.raises(ValueError, match="2/2 rows malformed"):
+        parse_clicklog(p, "diginetica")
+
+
+def test_duplicate_header_name_last_wins(tmp_path):
+    p = write(tmp_path, "g.csv", "session_id,item_id,timestamp,item_id\ns1,a,100,b\ns1,a,200\n")
+    assert [e.item_id for e in parse_clicklog(p, "generic")] == ["b"]
+
+
+# ---------------------------------------------------------------------------
+# parse_clicklog against the oracle
+# ---------------------------------------------------------------------------
+
+DELIMITER = {"yoochoose": ",", "diginetica": ";", "generic": ","}
+HEADERS = {
+    "generic": [
+        ["session_id", "item_id", "timestamp"],
+        ["session_id", "item_id", "timestamp", "category"],
+        ["timestamp", "category", "item_id", "session_id"],
+        ["session_id", "item_id", "timestamp", "item_id"],
+        ["session_id", "item_id", "time"],
+    ],
+    # the oracle's diginetica loop still crashes on a short row whose
+    # sessionId or itemId is missing, so that format keeps its column order
+    "diginetica": [
+        ["sessionId", "userId", "itemId", "timeframe", "eventdate"],
+        ["sessionId", "userId", "itemId", "timeframe", "eventdate", "categoryId"],
+        ["sessionId", "userId", "itemId", "timeframe"],
+    ],
+}
+
+# Most rows are well formed, so that most logs parse; a messy row draws its
+# values from the malformed ones too, and may lose or gain fields.
+good_ids = st.sampled_from(["s1", "s2", "42", "é", "日本", " s1 ", "\u3000x\xa0", "a,b", "a;b",
+                            'q"t', "two\nlines"])
+ids = st.one_of(good_ids, st.sampled_from(["", "  "]), st.text(alphabet="ab1 ,;\"é\t", max_size=4))
+categories = st.sampled_from(["c1", " c2 ", "", "  ", "0", "ü"])
+GOOD_TIMES = {
+    "generic": st.one_of(st.integers(1, 5).map(str), st.sampled_from(["100", "1e3", " 250 ", "100.9"])),
+    "yoochoose": st.sampled_from([
+        "2014-04-07T10:51:09.277Z", "2014-04-07T10:51:09Z", "2014-04-07T10:52:00.999Z",
+        " 2014-04-07T10:52:00Z "]),
+    "diginetica": st.tuples(st.one_of(st.integers(0, 5000).map(str), st.just(" 1000 ")),
+                            st.sampled_from(["2016-05-09", "2016-05-10"])),
+}
+BAD_TIMES = {
+    "generic": st.sampled_from(["0", "-3", "0.5", "abc", "", "nan", "inf", "\u0661\u0660\u0660",
+                                "1_000"]),
+    "yoochoose": st.sampled_from([
+        "1970-01-01T00:00:00Z", "0001-01-01T00:00:00Z", "2014-04-07 10:51:09", "yesterday", ""]),
+    "diginetica": st.tuples(
+        st.sampled_from(["-2000000", "soon", "", "1.5", "1000"]),
+        st.sampled_from(["2016-05-09", " 2016-05-09", "1970-01-01", "2016-02-30", "09/05/2016",
+                         ""])),
+}
+
+
+@st.composite
+def fields(draw, fmt, header, messy):
+    """One row's fields in column order."""
+    sid, item = (draw(ids), draw(ids)) if messy else (draw(good_ids), draw(good_ids))
+    cat = draw(categories)
+    when = draw(st.one_of(GOOD_TIMES[fmt], BAD_TIMES[fmt]) if messy else GOOD_TIMES[fmt])
+    if fmt == "yoochoose":
+        return [sid, when, item] + ([cat] if draw(st.booleans()) else [])
+    if fmt == "generic":
+        values = {"session_id": sid, "item_id": item, "timestamp": when, "time": when,
+                  "category": cat}
+    else:
+        values = {"sessionId": sid, "userId": "NA", "itemId": item, "timeframe": when[0],
+                  "eventdate": when[1], "categoryId": cat}
+    return [values[name] for name in header]
+
+
+@st.composite
+def clicklogs(draw, fmt):
+    header = draw(st.sampled_from(HEADERS[fmt])) if fmt in HEADERS else None
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        messy = draw(st.sampled_from([False, False, False, True]))
+        row = draw(fields(fmt, header, messy))
+        if messy:
+            row = row[:draw(st.sampled_from([None, 0, 1, 2, -1]))]
+            row += draw(st.lists(st.sampled_from(["x", "", " 9 "]), max_size=2))
+        # a row of no fields is a blank line, which only the oracle's
+        # yoochoose loop counts; that is the one intended difference
+        if fmt == "yoochoose" and not row:
+            row = [""]
+        rows.append(row)
+    out = io.StringIO(newline="")
+    w = csv.writer(out, delimiter=DELIMITER[fmt])
+    if header is not None:
+        w.writerow(header)
+    w.writerows(rows)
+    return out.getvalue()
+
+
+class Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def outcome(fn, *args, **kwargs):
+    """``fn``'s result, or the type and text of what it raised, with the
+    warnings it logged."""
+    handler = Warnings()
+    loggers = [logging.getLogger("hypersess.data"), logging.getLogger(oracle.__name__)]
+    for lg in loggers:
+        lg.addHandler(handler)
+    try:
+        result = fn(*args, **kwargs)
+    except Exception as e:  # compared, not swallowed
+        result = (type(e), str(e))
+    finally:
+        for lg in loggers:
+            lg.removeHandler(handler)
+    return result, handler.messages
+
+
+@pytest.fixture(scope="module")
+def log_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "clicks.csv"
+
+
+@pytest.mark.parametrize("fmt", ["yoochoose", "diginetica", "generic"])
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_parse_matches_oracle(log_path, fmt, data):
+    log_path.write_bytes(data.draw(clicklogs(fmt)).encode("utf-8"))
+    assert outcome(parse_clicklog, log_path, fmt) == outcome(oracle.parse_clicklog, log_path, fmt)
+
+
+# ---------------------------------------------------------------------------
+# preprocess against the oracle
+# ---------------------------------------------------------------------------
+
+click_events = st.lists(
+    st.builds(ClickEvent,
+              session_id=st.sampled_from([f"s{i}" for i in range(10)]),
+              item_id=st.sampled_from([f"i{i}" for i in range(5)]),
+              timestamp=st.integers(1, 200),
+              category=st.sampled_from([None, None, "c0", "c1"])),
+    min_size=20, max_size=80)
+
+
+def split_view(result):
+    """A split as plain lists, so that the vocabulary and category orders
+    count in the comparison."""
+    if isinstance(result, tuple):
+        return result
+    return (result.train, result.test, list(result.item_vocabulary.items()),
+            None if result.category_map is None else list(result.category_map.items()))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(events=click_events, min_len=st.integers(1, 3), min_freq=st.integers(1, 5),
+       window=st.integers(0, 80), fraction=st.sampled_from([None, 0.5, 1 / 64]))
+def test_preprocess_matches_oracle(events, min_len, min_freq, window, fraction):
+    kw = dict(min_session_len=min_len, min_item_freq=min_freq,
+              test_window_seconds=window, fraction=fraction)
+    (new, _), (old, _) = outcome(preprocess, events, **kw), outcome(oracle.preprocess, events, **kw)
+    assert split_view(new) == split_view(old)

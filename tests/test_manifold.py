@@ -324,3 +324,41 @@ class TestRowWise:
         p = rand_ball(rng, 5, 0.7)
         gaps = 1.0 - np.sum(rows * rows, axis=1)
         np.testing.assert_array_equal(M.distances_to_rows(p, rows, gaps), M.distances_to_rows(p, rows))
+
+
+class TestPairwiseMeanDistance:
+    """The collapse monitor against a per-pair loop of the distance formula,
+    summed as ``distances_to_rows`` rows are: each row i over j > i with
+    ``np.sum``, the row sums in row order."""
+
+    @staticmethod
+    def per_pair(rows):
+        n = len(rows)
+        total = 0.0
+        for i in range(n - 1):
+            row = []
+            for j in range(i + 1, n):
+                gap_i = 1.0 - np.dot(rows[i], rows[i])
+                gap_j = 1.0 - np.sum(rows[j] * rows[j])
+                x = max(2.0 * np.sum((rows[j] - rows[i]) ** 2) / (gap_i * gap_j), 0.0)
+                row.append(np.log1p(x + np.sqrt(x * (x + 2.0))))
+            total += float(np.sum(row))
+        return total / (n * (n - 1) / 2)
+
+    @pytest.mark.parametrize("n,d,scale", [(2, 1, 0.3), (9, 5, 0.1), (40, 16, 0.05),
+                                           (100, 60, 0.1), (33, 61, 3.0)])
+    def test_equals_per_pair_loop(self, n, d, scale):
+        rng = RNG(40 + n)
+        rows = M.project_to_ball(rng.normal(0.0, scale, size=(n, d)))
+        assert M.pairwise_mean_distance(rows) == self.per_pair(rows)
+
+    def test_shell_and_repeated_rows(self):
+        rng = RNG(41)
+        rows = rng.normal(size=(30, 8))
+        rows *= (1.0 - 1e-5) / np.linalg.norm(rows, axis=1, keepdims=True)
+        rows[[3, 7, 8]] = rows[0]
+        assert M.pairwise_mean_distance(rows) == self.per_pair(rows)
+
+    def test_fewer_than_two_rows(self):
+        assert M.pairwise_mean_distance(np.zeros((0, 3))) == 0.0
+        assert M.pairwise_mean_distance(np.full((1, 3), 0.1)) == 0.0
