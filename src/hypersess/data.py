@@ -4,10 +4,10 @@ Three input formats are supported: ``yoochoose`` (headerless
 session,iso-time,item[,category]), ``diginetica`` (semicolon CSV with
 sessionId/itemId/timeframe/eventdate columns) and ``generic`` (header-named
 session_id,item_id,timestamp[,category], epoch seconds).  All identifiers are
-handled as strings, stripped of surrounding whitespace.  One row loop reads
-all three under one rule: a row that lacks its session, item or time field,
-or whose id is empty or whose time does not parse or is not positive, is
-malformed, skipped and counted.  The category is optional.  Blank lines are
+handled as strings; they and the time fields are stripped of surrounding
+whitespace.  One row loop reads all three under one rule: a row that lacks
+its session, item or time field, or whose id is empty or whose time does not
+parse, is not finite or is not positive, is malformed, skipped and counted.  The category is optional.  Blank lines are
 not rows.  Header columns are found by name, the last of duplicates winning.
 """
 
@@ -53,7 +53,7 @@ def _parse_iso_utc(text: str) -> int:
 
 
 def _diginetica_time(frame_ms: str, day: str) -> int:
-    base = datetime.strptime(day, "%Y-%m-%d").replace(tzinfo=timezone.utc)
+    base = datetime.strptime(day.strip(), "%Y-%m-%d").replace(tzinfo=timezone.utc)
     return int(base.timestamp()) + int(frame_ms) // 1000
 
 
@@ -99,7 +99,8 @@ def parse_clicklog(path, format: str) -> List[ClickEvent]:
                 events.append(ClickEvent(row[sid].strip(), row[item].strip(),
                                          timestamp(*[row[i] for i in when]),
                                          (category or "").strip() or None))
-            except (IndexError, TypeError, ValueError):
+            # OverflowError: a generic time of inf, -inf or 1e309
+            except (IndexError, OverflowError, TypeError, ValueError):
                 skipped += 1
 
     if total == 0:

@@ -33,6 +33,8 @@ HYPER_FIELDS = (
 )
 # negative-side slope of every leaky ReLU in the model
 LEAKY_SLOPE = 0.2
+# unit roundoff of float64, for the scoring screen's rounding bound
+_U = np.finfo(np.float64).eps / 2
 
 
 def check_hyperparameters(lambda_s, lambda_v, layers, attention_sign, direction) -> None:
@@ -394,7 +396,10 @@ class ItemTable:
     Get one through :func:`item_table`, which keeps it on read-only params
     and builds a fresh one per call for writable params, whose item rows
     ``optimizer_step`` writes in place.  Items are ordered by ascending
-    distance, ties by ascending item id.
+    distance, ties by ascending item id, the distances being those of
+    :func:`~hypersess.manifold.distances_to_rows`.  :meth:`top_k` and
+    :meth:`ranks` both go through one screen (:meth:`_screen`) and recompute
+    exactly only the rows its rounding bound cannot place.
     """
 
     def __init__(self, params: ModelParams):
@@ -407,35 +412,12 @@ class ItemTable:
         self.rows = project_item_table(params)
         self.norms2 = np.sum(self.rows * self.rows, axis=1)
         self.gaps = 1.0 - self.norms2
+        # the screen's error bound h per row (see _screen)
+        self.slack = 4 * (self.rows.shape[1] + 8) * _U / self.gaps
 
-    def distances(self, point: Arrayish) -> np.ndarray:
-        """Geodesic distance from the point to every item, in table order."""
-        point = np.asarray(grad.value_of(point), dtype=np.float64)
-        if not np.isfinite(point).all():
-            raise ValueError("non-finite point to score the catalog against")
-        return manifold.distances_to_rows(point, self.rows, self.gaps)
-
-    def top_k(self, point: Arrayish, k: int) -> RankedList:
-        n = len(self.items)
-        if not 1 <= k <= n:
-            raise ValueError(f"k={k} outside 1..{n}")
-        dists = self.distances(point)
-        # every item tied with the k-th distance is a candidate for the cut
-        kth = np.partition(dists, k - 1)[k - 1]
-        near = np.flatnonzero(dists <= kth).tolist()
-        order = sorted(near, key=lambda r: (dists[r], self.items[r]))[:k]
-        return RankedList(entries=[(self.items[r], float(dists[r])) for r in order], k=k)
-
-    def rank(self, point: Arrayish, target: Item) -> int:
-        """1-based full-catalog position of the target: a batch of one of
-        :meth:`ranks`."""
-        return int(self.ranks(np.asarray(grad.value_of(point))[None], [target])[0])
-
-    def ranks(self, points: np.ndarray, targets: Sequence[Item]) -> np.ndarray:
-        """1-based full-catalog position of each target for its point (row
-        b of the (B, d) ``points`` for ``targets[b]``): 1 + the items closer
-        than the target + the items at its distance with a smaller id, the
-        distances being those of :func:`~hypersess.manifold.distances_to_rows`.
+    def _screen(self, points: np.ndarray):
+        """The (B, d) ``points`` checked, their gaps 1 - q.q, the (B, N)
+        screen S of the catalog and its (N,) error bound h.
 
         One GEMM screens the catalog.  For a point q and a row r, with
         g = 1 - q.q (``np.dot``, as distances_to_rows takes it) and the stored
@@ -453,43 +435,89 @@ class ItemTable:
         4 ulp (8 u) from log1p.  F(x) = arcosh(1 + x) is concave with
         F(0) = 0, so a relative error in x is at most the same relative error
         in F: a computed distance is F(X) (1 +- eta), eta = (d + 24) u, for
-        the exact X.  So, d_t being the target's computed distance, a row is
-        certainly closer when F(X) < d_t / (1 + eta), that is when
+        the exact X.  So, d_t being a computed distance, a row is certainly
+        closer than d_t when F(X) < d_t / (1 + eta), that is when
         Y < Lo = g sinh^2(d_t / (2 (1 + eta))), and certainly farther when
         Y > Hi = g sinh^2(d_t / (2 (1 - eta))) (as cosh F - 1 = 2 sinh^2(F/2)).
-        The tests are S + h < Lo (1 - 64 u) and S - h > Hi (1 + 64 u); the
-        64 u covers the rounding of S, of the two sums and of Lo and Hi
-        (sinh within 4 ulp).  This holds up to the ``1 - 1e-5`` shell and
-        beyond it, for any point and row inside the ball.
-
-        Every other row is in the band and is recomputed exactly, with
-        distances_to_rows's formula (:func:`~hypersess.manifold.paired_distances`,
-        same bits): it counts when its distance is below d_t, or equal with a
-        smaller id.  The counts are vectorised over the B x N block, and the
-        screen is computed in place: at most two B x N float64 arrays.
+        The tests are S + h < Lo (1 - 64 u) and S - h > Hi (1 + 64 u), with
+        the bounds of :meth:`_bounds`; the 64 u covers the rounding of S, of
+        the two sums and of Lo and Hi (sinh within 4 ulp).  This holds up to
+        the ``1 - 1e-5`` shell and beyond it, for any point and row inside
+        the ball.  Every row that neither test places is in the band, and is
+        recomputed exactly with distances_to_rows's formula
+        (:func:`~hypersess.manifold.paired_distances`, same bits).
         """
         q = np.asarray(points, dtype=np.float64)
         if not np.isfinite(q).all():
             raise ValueError("non-finite point to score the catalog against")
-        t = np.array([self.index[it] for it in targets], dtype=np.intp)
         # one np.dot per point, the bits distances_to_rows starts from
         q_norms2 = np.array([np.dot(p, p) for p in q])
         q_gaps = 1.0 - q_norms2
         if not (q_gaps > 0.0).all():
             raise ValueError("point to score the catalog against lies outside the ball")
-        d_t = manifold.paired_distances(q, self.rows[t], q_gaps, self.gaps[t])
-
-        u = np.finfo(np.float64).eps / 2
-        eta = (q.shape[1] + 24) * u
-        lo = q_gaps * np.sinh(d_t / (2.0 * (1.0 + eta))) ** 2 * (1.0 - 64 * u)
-        hi = q_gaps * np.sinh(d_t / (2.0 * (1.0 - eta))) ** 2 * (1.0 + 64 * u)
-        h = 4 * (q.shape[1] + 8) * u / self.gaps
-
         # scaling by -2 is exact: S = (-2 q.r + q.q + r.r) / G, in place
         screen = np.matmul(q * -2.0, self.rows.T)
         screen += q_norms2[:, None]
         screen += self.norms2
         screen /= self.gaps
+        return q, q_gaps, screen, self.slack
+
+    @staticmethod
+    def _bounds(q_gaps, dists, d: int):
+        """Lo (1 - 64 u) and Hi (1 + 64 u) of :meth:`_screen`'s proof, for
+        points with gaps ``q_gaps`` in dimension d and computed ``dists``."""
+        eta = (d + 24) * _U
+        return (q_gaps * np.sinh(dists / (2.0 * (1.0 + eta))) ** 2 * (1.0 - 64 * _U),
+                q_gaps * np.sinh(dists / (2.0 * (1.0 - eta))) ** 2 * (1.0 + 64 * _U))
+
+    def top_k(self, point: Arrayish, k: int) -> RankedList:
+        """The k items nearest the point, with their distances.
+
+        The k rows of smallest screen are recomputed exactly, and d_k, the
+        largest of their distances, has at least k rows at or within it.
+        Every row certainly farther than d_k (:meth:`_screen`) is dropped;
+        the rest of the band is recomputed too, and the band is sorted by
+        (distance, item id).
+        """
+        n = len(self.items)
+        if not 1 <= k <= n:
+            raise ValueError(f"k={k} outside 1..{n}")
+        q, q_gaps, screen, h = self._screen(np.asarray(grad.value_of(point))[None])
+        q, g, screen = q[0], q_gaps[0], screen[0]
+        near = np.argpartition(screen, k - 1)[:k]
+        dists = manifold.paired_distances(q, self.rows[near], g, self.gaps[near]).tolist()
+        screen -= h
+        band = screen <= self._bounds(g, max(dists), q.size)[1]
+        # the k rows lie within d_k, so they are in the band, already recomputed
+        band[near] = False
+        rest = np.flatnonzero(band)
+        if rest.size:
+            dists += manifold.paired_distances(q, self.rows[rest], g, self.gaps[rest]).tolist()
+        ids = [self.items[r] for r in near.tolist() + rest.tolist()]
+        return RankedList(entries=[(it, d) for d, it in sorted(zip(dists, ids))[:k]], k=k)
+
+    def rank(self, point: Arrayish, target: Item) -> int:
+        """1-based full-catalog position of the target: a batch of one of
+        :meth:`ranks`."""
+        return int(self.ranks(np.asarray(grad.value_of(point))[None], [target])[0])
+
+    def ranks(self, points: np.ndarray, targets: Sequence[Item]) -> np.ndarray:
+        """1-based full-catalog position of each target for its point (row
+        b of the (B, d) ``points`` for ``targets[b]``): 1 + the items closer
+        than the target + the items at its distance with a smaller id.
+
+        With d_t the target's computed distance, the rows the screen puts
+        certainly closer (:meth:`_screen`) are counted from it, and the band
+        is recomputed: a band row counts when its distance is below d_t, or
+        equal with a smaller id.  The counts are vectorised over the B x N
+        block, and the screen is computed in place: at most two B x N
+        float64 arrays.
+        """
+        q, q_gaps, screen, h = self._screen(points)
+        t = np.array([self.index[it] for it in targets], dtype=np.intp)
+        d_t = manifold.paired_distances(q, self.rows[t], q_gaps, self.gaps[t])
+        lo, hi = self._bounds(q_gaps, d_t, q.shape[1])
+
         bound = np.add(screen, h)
         band = bound >= lo[:, None]
         closer = len(self.items) - np.count_nonzero(band, axis=1)

@@ -2,11 +2,19 @@
 loop, kept verbatim as an oracle for the property tests in
 ``test_clicklog.py``.
 
-The one edit: ``AttributeError`` joins the ``generic`` format's ``except``
-tuple.  Without it a short ``generic`` row (``s2`` under a three-column
-header) crashed with ``'NoneType' object has no attribute 'strip'``, where
-the other formats skip and count it.  Blank lines are the one intended
-difference: this ``yoochoose`` loop counts them as malformed rows.
+Three edits, each an intended difference from the old code that the row
+loop shares:
+
+- ``AttributeError`` joins the ``generic`` format's ``except`` tuple.
+  Without it a short ``generic`` row (``s2`` under a three-column header)
+  crashed with ``'NoneType' object has no attribute 'strip'``, where the
+  other formats skip and count it.
+- ``OverflowError`` joins it too.  Without it a ``generic`` time of ``inf``,
+  ``-inf`` or ``1e309`` aborted the whole parse.
+- The diginetica ``eventdate`` is stripped, as the other time fields are.
+
+Blank lines are the one difference left: this ``yoochoose`` loop counts them
+as malformed rows.
 """
 
 from __future__ import annotations
@@ -55,7 +63,8 @@ def parse_clicklog(path, format: str) -> List[ClickEvent]:
                         timestamp=int(float(row["timestamp"])),
                         category=(row.get("category") or "").strip() or None,
                     ))
-                except (AttributeError, KeyError, TypeError, ValueError):
+                # intended difference: AttributeError and OverflowError were not caught
+                except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
                     skipped += 1
         elif format == "yoochoose":
             for row in csv.reader(fh):
@@ -76,7 +85,9 @@ def parse_clicklog(path, format: str) -> List[ClickEvent]:
             for row in reader:
                 total += 1
                 try:
-                    day = datetime.strptime(row["eventdate"], "%Y-%m-%d")
+                    # intended difference: the date was not stripped (a short
+                    # row's None date fails in strptime, as it did unstripped)
+                    day = datetime.strptime((row["eventdate"] or "").strip(), "%Y-%m-%d")
                     base = int(day.replace(tzinfo=timezone.utc).timestamp())
                     frame_ms = int(row["timeframe"])
                     events.append(ClickEvent(

@@ -79,6 +79,22 @@ def test_duplicate_header_name_last_wins(tmp_path):
     assert [e.item_id for e in parse_clicklog(p, "generic")] == ["b"]
 
 
+@pytest.mark.parametrize("when", ["inf", "-inf", "1e309"])
+def test_non_finite_generic_time_is_malformed(tmp_path, caplog, when):
+    p = write(tmp_path, "g.csv", f"session_id,item_id,timestamp\ns1,a,100\ns1,b,{when}\n")
+    assert parse_clicklog(p, "generic") == [ClickEvent("s1", "a", 100)]
+    assert f"{p}: skipped 1 of 2 malformed rows" in caplog.text
+
+
+def test_diginetica_date_is_stripped(tmp_path):
+    p = write(tmp_path, "d.csv", "sessionId;userId;itemId;timeframe;eventdate\n"
+                                 "1;NA;a;1000; 2016-05-09\n"
+                                 "1;NA;b;2000;2016-05-09 \n")
+    day = 1462752000  # 2016-05-09T00:00:00Z
+    assert parse_clicklog(p, "diginetica") == [ClickEvent("1", "a", day + 1),
+                                               ClickEvent("1", "b", day + 2)]
+
+
 # ---------------------------------------------------------------------------
 # parse_clicklog against the oracle
 # ---------------------------------------------------------------------------

@@ -452,7 +452,8 @@ class TestScoringProperties:
 def ranked_blocks(draw):
     """A catalog whose feature rows repeat, some of them projecting onto the
     ``1 - 1e-5`` shell, and a block of 1-8 points: free ball points, exact
-    rows, and points just inside the shell near a row or anywhere."""
+    rows, points just inside the shell near a row or anywhere, the origin
+    and points on the shell."""
     ids = draw(st.lists(st.text("abcd", min_size=1, max_size=3),
                         min_size=1, max_size=16, unique=True))
     n = len(ids)
@@ -467,7 +468,8 @@ def ranked_blocks(draw):
     params.item_features = pool[rng.integers(0, len(pool), n)]
     table = model.ItemTable(params)
     points = []
-    for kind in draw(st.lists(st.sampled_from(["free", "row", "near_row", "near_shell"]),
+    for kind in draw(st.lists(st.sampled_from(["free", "row", "near_row", "near_shell",
+                                               "origin", "shell"]),
                               min_size=1, max_size=8)):
         row = table.rows[rng.integers(n)]
         if kind == "free":
@@ -476,9 +478,12 @@ def ranked_blocks(draw):
             points.append(row)
         elif kind == "near_row":
             points.append(row * (1.0 - 10.0 ** -rng.uniform(6, 15)))
+        elif kind == "origin":
+            points.append(np.zeros(d))
         else:
             v = rng.normal(size=d)
-            points.append(v * (M.MAX_NORM * (1.0 - 10.0 ** -rng.uniform(6, 15)) / np.linalg.norm(v)))
+            inside = 1.0 - 10.0 ** -rng.uniform(6, 15) if kind == "near_shell" else 1.0
+            points.append(v * (M.MAX_NORM * inside / np.linalg.norm(v)))
     return table, np.array(points)
 
 
@@ -517,6 +522,12 @@ class TestBlockRanks:
         with pytest.raises(ValueError, match="outside the ball"):
             table.ranks(np.array([[0.6, 0.8, 0.0, 0.0, 0.0]]), ["a"])
 
+    @pytest.mark.parametrize("point", [[0.6, 0.8, 0.0, 0.0, 0.0], [0.0, 0.0, 1.5, 0.0, 0.0]])
+    def test_point_outside_the_ball_rejected_by_top_k(self, point):
+        params = make_params(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="outside the ball"):
+            model.score_items(np.array(point), params, k=3)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(1, 70), st.integers(1, 40), st.integers(0, 2**32 - 1))
     def test_paired_rows_match_distances_to_rows(self, d, n, seed):
@@ -530,6 +541,57 @@ class TestBlockRanks:
                                  1.0 - np.array([np.dot(p, p) for p in points])[which], gaps[pick])
         full = [M.distances_to_rows(p, rows, gaps) for p in points]
         assert got.tolist() == [full[w][r] for w, r in zip(which, pick)]
+
+
+def exact_top_k(table, point, k):
+    """``ItemTable.top_k`` before the screen, kept as its oracle: one exact
+    pass over the catalog, then a sort of the rows at or within the k-th
+    distance by (distance, item id)."""
+    dists = M.distances_to_rows(point, table.rows, table.gaps)
+    kth = np.partition(dists, k - 1)[k - 1]
+    near = np.flatnonzero(dists <= kth).tolist()
+    order = sorted(near, key=lambda r: (dists[r], table.items[r]))[:k]
+    return [(table.items[r], float(dists[r])) for r in order]
+
+
+class TestScreenedTopK:
+    """``top_k`` ranks through the screen; its entries must be those of the
+    exact pass: the same items with the same float bits."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ranked_blocks(), st.data())
+    def test_small_catalogs(self, block, data):
+        table, points = block
+        n = len(table.items)
+        for k in (1, n, data.draw(st.integers(1, n))):
+            for p in points:
+                assert table.top_k(p, k).entries == exact_top_k(table, p, k)
+
+    @pytest.mark.parametrize("d", [2, 16, 60])
+    def test_catalog_with_repeated_and_shell_rows(self, d):
+        rng = np.random.default_rng(d)
+        n = 3000
+        params = model.init_params([f"i{j:04d}" for j in rng.permutation(n)], d, rng)
+        # doubling in the tangent space takes a row of norm tanh(30) to the shell
+        params.feat_proj = 2.0 * np.eye(d)
+        pool = rng.uniform(-0.4, 0.4, (n // 3, d))
+        shell = rng.random(len(pool)) < 0.1
+        pool[shell] *= 30.0 / np.linalg.norm(pool[shell], axis=1, keepdims=True)
+        params.item_features = pool[rng.integers(0, len(pool), n)]
+        params.item_features[rng.choice(n, 5, replace=False)] = pool[0]
+        table = model.ItemTable(params)
+        tied = table.rows[np.flatnonzero((params.item_features == pool[0]).all(axis=1))[0]]
+        on_shell = rng.normal(size=d)
+        on_shell *= M.MAX_NORM / np.linalg.norm(on_shell)
+        points = [np.zeros(d), on_shell, tied, 0.9 * tied,
+                  *(table.rows[j] * (1.0 - 1e-9) for j in rng.integers(0, n, 3)),
+                  *(rand_ball(rng, d, 0.95) for _ in range(3))]
+        for p in points:
+            for k in (1, 2, 3, 20, n):
+                assert table.top_k(p, k).entries == exact_top_k(table, p, k)
+        # at least five items share the row at ``tied``: k = 2 cuts their tie
+        dists = np.sort(M.distances_to_rows(tied, table.rows, table.gaps))
+        assert dists[1] == dists[2] == 0.0
 
 
 class TestForwardInvariants:
