@@ -26,6 +26,8 @@ from .model import forward_session, score_items
 log = logging.getLogger(__name__)
 
 TEST_WINDOW_DAYS = {"yoochoose": 1.0, "diginetica": 7.0, "generic": 1.0}
+# the cutoff of evaluate's MRR@k/P@k and recommend's list when --k is unset
+DEFAULT_K = 20
 
 
 def _options(args: argparse.Namespace, keys) -> Dict:
@@ -123,7 +125,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    k = _options(args, ("k",)).get("k", 20)
+    k = _options(args, ("k",)).get("k", DEFAULT_K)
     params, config = train_mod.load_checkpoint(args.checkpoint)
     split = data.load_split(args.data)
     report = eval_mod.evaluate(params, split.test, k, config.normalizer())
@@ -156,7 +158,7 @@ def _parse_session(text: str) -> SessionRecord:
 
 
 def cmd_recommend(args) -> int:
-    k = _options(args, ("k",)).get("k", 20)
+    k = _options(args, ("k",)).get("k", DEFAULT_K)
     params, config = train_mod.load_checkpoint(args.checkpoint)
     record = _parse_session(args.session)
     unknown = [it for it, _ in record.events if it not in params.item_index]

@@ -7,8 +7,9 @@ session_id,item_id,timestamp[,category], epoch seconds).  All identifiers are
 handled as strings; they and the time fields are stripped of surrounding
 whitespace.  One row loop reads all three under one rule: a row that lacks
 its session, item or time field, or whose id is empty or whose time does not
-parse, is not finite or is not positive, is malformed, skipped and counted.  The category is optional.  Blank lines are
-not rows.  Header columns are found by name, the last of duplicates winning.
+parse, is not finite or is not positive, is malformed, skipped and counted.
+The category is optional.  Blank lines are not rows.  Header columns are
+found by name, the last of duplicates winning.
 """
 
 from __future__ import annotations

@@ -148,9 +148,7 @@ def popularity_baseline(
     catalog_by_pop = sorted(global_counts, key=lambda it: (-global_counts[it], it))
     pop_pos = {it: pos for pos, it in enumerate(catalog_by_pop)}
 
-    total_rr = 0.0
-    hits = 0
-    n = 0
+    cases: List[Tuple[Optional[int], str]] = []
     for rec in test_records:
         if len(rec.events) < 2:
             continue
@@ -162,19 +160,15 @@ def popularity_baseline(
             counts[item] = counts.get(item, 0) + 1
             last_pos[item] = pos
         in_session = sorted(counts, key=lambda it: (-counts[it], -last_pos[it], it))
-        n += 1
         # ranking: in_session, then catalog_by_pop without the in-session items
+        rank = None  # a target outside the vocabulary is a miss
         if target in counts:
             rank = in_session.index(target) + 1
         elif target in pop_pos:
             t_pos = pop_pos[target]
             skipped = sum(pop_pos.get(it, t_pos) < t_pos for it in in_session)
             rank = len(in_session) + t_pos - skipped + 1
-        else:
-            continue
-        if rank <= k:
-            hits += 1
-            total_rr += 1.0 / rank
-    if n == 0:
+        cases.append((rank, target))
+    if not cases:
         raise ValueError("no scorable test sessions for the baseline")
-    return total_rr / n, hits / n
+    return mrr_at_k(cases, k), p_at_k(cases, k)

@@ -200,7 +200,7 @@ def arcosh1p(a: Arrayish):
     return Node(out, ((a, vjp),))
 
 
-def leaky_relu(a: Arrayish, slope: float = 0.2):
+def leaky_relu(a: Arrayish, slope: float):
     if not isinstance(a, Node):
         x = value_of(a)
         return np.where(x > 0, x, slope * x)

@@ -21,6 +21,9 @@ from .manifold import EPS_BALL
 
 Item = str
 
+# edge directions of an aggregation neighborhood; the first is the default
+DIRECTIONS = ("in", "out", "both")
+
 
 @dataclass(frozen=True)
 class IntervalNormalizer:
@@ -110,8 +113,6 @@ def build_session_graph(
     raw: Dict[Tuple[int, int], int] = {}
     for (prev_item, prev_t), (item, t) in zip(events, events[1:]):
         delta = t - prev_t
-        if delta < 0:
-            raise ValueError(f"session {record.session_id}: timestamps decrease")
         key = (index[prev_item], index[item])
         if key not in raw or delta < raw[key]:
             raw[key] = delta
@@ -126,7 +127,7 @@ def build_session_graph(
     )
 
 
-def neighborhood(g: SessionGraph, i: int, direction: str = "in") -> List[Tuple[int, float]]:
+def neighborhood(g: SessionGraph, i: int, direction: str = DIRECTIONS[0]) -> List[Tuple[int, float]]:
     """Aggregation neighborhood of node i under the configured edge direction
     ("in": predecessors, "out": successors), the node itself included:
     (node, interval) pairs ordered by node index.  The implicit self entry
@@ -166,7 +167,7 @@ class GraphBatch:
         return len(self.last)
 
 
-def batch_graphs(graphs: Sequence[SessionGraph], direction: str = "in") -> GraphBatch:
+def batch_graphs(graphs: Sequence[SessionGraph], direction: str = DIRECTIONS[0]) -> GraphBatch:
     """Edge arrays of the union of ``graphs`` under an edge direction.
 
     Entry (dst, src) holds the interval of the edge src -> dst ("in"),
@@ -174,7 +175,7 @@ def batch_graphs(graphs: Sequence[SessionGraph], direction: str = "in") -> Graph
     entry for itself carries 0 unless the node has a self-loop, whose
     interval replaces it.
     """
-    if direction not in ("in", "out", "both"):
+    if direction not in DIRECTIONS:
         raise ValueError(f"unknown neighborhood direction: {direction!r}")
     entries: List[Tuple[int, int, float]] = []
     node_session: List[int] = []

@@ -1,46 +1,42 @@
 """Ranking metrics over (ranking, target) pairs.
 
 A ranking is a :class:`~hypersess.model.RankedList`, or the target's
-1-based full-catalog rank as an int, which is what evaluation produces.
+1-based full-catalog rank as an int, which is what evaluation produces, or
+None for a case whose target could not be ranked, which counts as a miss.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .model import RankedList
 
 Ranking = Union[RankedList, int]
 
 
-def rank_of(ranking: Ranking, target: str) -> Optional[int]:
+def rank_of(ranking: Optional[Ranking], target: str) -> Optional[int]:
     """1-based position of the target, or None if absent from the ranking."""
-    return ranking if isinstance(ranking, int) else ranking.rank(target)
+    return ranking if ranking is None or isinstance(ranking, int) else ranking.rank(target)
 
 
-def mrr_at_k(rankings: Sequence[Tuple[Ranking, str]], k: int) -> float:
-    """Mean of 1/rank(target) over cases, 0 when the target misses the top-k."""
+def _ranks_within(rankings: Sequence[Tuple[Optional[Ranking], str]], k: int) -> List[int]:
+    """The targets' ranks that are at most k, in case order."""
     if not rankings:
         raise ValueError("no rankings to score")
     if k < 1:
         raise ValueError("k must be positive")
+    ranks = (rank_of(ranking, target) for ranking, target in rankings)
+    return [r for r in ranks if r is not None and r <= k]
+
+
+def mrr_at_k(rankings: Sequence[Tuple[Optional[Ranking], str]], k: int) -> float:
+    """Mean of 1/rank(target) over cases, 0 when the target misses the top-k."""
     total = 0.0
-    for ranking, target in rankings:
-        r = rank_of(ranking, target)
-        if r is not None and r <= k:
-            total += 1.0 / r
+    for r in _ranks_within(rankings, k):
+        total += 1.0 / r
     return total / len(rankings)
 
 
-def p_at_k(rankings: Sequence[Tuple[Ranking, str]], k: int) -> float:
+def p_at_k(rankings: Sequence[Tuple[Optional[Ranking], str]], k: int) -> float:
     """Fraction of cases whose target appears in the top-k."""
-    if not rankings:
-        raise ValueError("no rankings to score")
-    if k < 1:
-        raise ValueError("k must be positive")
-    hits = 0
-    for ranking, target in rankings:
-        r = rank_of(ranking, target)
-        if r is not None and r <= k:
-            hits += 1
-    return hits / len(rankings)
+    return len(_ranks_within(rankings, k)) / len(rankings)

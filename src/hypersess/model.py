@@ -17,7 +17,7 @@ import numpy as np
 
 from . import grad, manifold
 from .grad import Arrayish
-from .graph import GraphBatch, SessionGraph, batch_graphs
+from .graph import DIRECTIONS, GraphBatch, SessionGraph, batch_graphs
 
 Item = str
 
@@ -45,7 +45,7 @@ def check_hyperparameters(lambda_s, lambda_v, layers, attention_sign, direction)
         raise ValueError("layers must be in 1..3")
     if attention_sign not in (1.0, -1.0):
         raise ValueError("attention_sign must be +1 or -1")
-    if direction not in ("in", "out", "both"):
+    if direction not in DIRECTIONS:
         raise ValueError("neighborhood must be in/out/both")
 
 
@@ -72,7 +72,7 @@ class ModelParams:
     lambda_v: float = 0.1
     num_layers: int = 1
     attention_sign: float = 1.0
-    neighborhood: str = "in"
+    neighborhood: str = DIRECTIONS[0]
     item_index: Dict[Item, int] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -495,11 +495,6 @@ class ItemTable:
             dists += manifold.paired_distances(q, self.rows[rest], g, self.gaps[rest]).tolist()
         ids = [self.items[r] for r in near.tolist() + rest.tolist()]
         return RankedList(entries=[(it, d) for d, it in sorted(zip(dists, ids))[:k]], k=k)
-
-    def rank(self, point: Arrayish, target: Item) -> int:
-        """1-based full-catalog position of the target: a batch of one of
-        :meth:`ranks`."""
-        return int(self.ranks(np.asarray(grad.value_of(point))[None], [target])[0])
 
     def ranks(self, points: np.ndarray, targets: Sequence[Item]) -> np.ndarray:
         """1-based full-catalog position of each target for its point (row

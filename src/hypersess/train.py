@@ -35,14 +35,14 @@ class TrainConfig:
     learning_rate: float = 0.01
     epochs: int = 30
     batch_size: int = 64
-    lambda_s: float = 0.1
-    lambda_v: float = 0.1
+    lambda_s: float = ModelParams.lambda_s
+    lambda_v: float = ModelParams.lambda_v
     seed: int = 0
-    attention_sign: float = 1.0
-    layers: int = 1
-    tau: float = 60.0
-    cap: float = 86400.0
-    neighborhood: str = "in"
+    attention_sign: float = ModelParams.attention_sign
+    layers: int = ModelParams.num_layers
+    tau: float = IntervalNormalizer.tau
+    cap: float = IntervalNormalizer.cap
+    neighborhood: str = ModelParams.neighborhood
     augment_prefixes: bool = False
     margin_negatives: bool = False  # optional repulsion term, off by default
     margin: float = 1.0
@@ -54,15 +54,16 @@ class TrainConfig:
         if self.dim < 1 or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("dim, epochs and batch_size must be positive")
         # lr = 0 is admitted so a no-update run can be constructed
-        if self.learning_rate < 0 or self.tau <= 0 or self.cap <= 0:
-            raise ValueError("learning_rate, tau and cap must be nonnegative/positive")
+        if self.learning_rate < 0:
+            raise ValueError("learning_rate must be nonnegative")
+        self.normalizer()  # checks tau and cap
         model.check_hyperparameters(self.lambda_s, self.lambda_v, self.layers,
                                     self.attention_sign, self.neighborhood)
 
     def model_hyperparameters(self) -> Dict[str, object]:
         """The ModelParams hyperparameters this config sets."""
-        return {"lambda_s": self.lambda_s, "lambda_v": self.lambda_v, "num_layers": self.layers,
-                "attention_sign": self.attention_sign, "neighborhood": self.neighborhood}
+        return {name: getattr(self, "layers" if name == "num_layers" else name)
+                for name in model.HYPER_FIELDS}
 
     def normalizer(self) -> IntervalNormalizer:
         return IntervalNormalizer(tau=self.tau, cap=self.cap)
@@ -131,7 +132,7 @@ def batch_losses(
     examples: Sequence[TrainingExample],
     params,
     negatives: Optional[Sequence[Optional[str]]] = None,
-    margin: float = 1.0,
+    margin: float = TrainConfig.margin,
 ):
     """The (B,) per-example losses of a minibatch, forwarded as one graph.
 
@@ -169,7 +170,7 @@ def compute_loss(
     example: TrainingExample,
     params,
     negative_item: Optional[str] = None,
-    margin: float = 1.0,
+    margin: float = TrainConfig.margin,
 ):
     """The loss of one example (see :func:`batch_losses`): a batch of one.
 

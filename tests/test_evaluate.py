@@ -131,7 +131,7 @@ def per_session_ranks(params, records):
             continue
         (ex,) = examples
         fw = model.forward_session(ex.graph, ex.target_interval, params)
-        cases.append((table.rank(fw.item_future, ex.target_item), ex.target_item))
+        cases.append((int(table.ranks(fw.item_future[None], [ex.target_item])[0]), ex.target_item))
     return cases, skipped
 
 
@@ -206,6 +206,11 @@ class TestPopularityBaseline:
         # prefix has only 'a'; remaining catalog ordered by train counts: c, b
         mrr, p = ev.popularity_baseline(train_recs, test_recs, 2, ["a", "b", "c"])
         assert mrr == 0.5 and p == 1.0
+
+    def test_k_below_one_rejected(self):
+        records = [SessionRecord("s", [("a", 0), ("b", 9)])]
+        with pytest.raises(ValueError, match="k must be positive"):
+            ev.popularity_baseline(records, records, 0, ["a", "b"])
 
     def test_matches_list_ranking(self):
         rng = np.random.default_rng(31)

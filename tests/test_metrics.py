@@ -89,6 +89,11 @@ class TestInvariants:
         assert rank_of(rl, "c") == 3
         assert rank_of(rl, "z") is None
 
+    def test_none_ranking_is_a_miss(self):
+        assert rank_of(None, "a") is None
+        assert mrr_at_k([(None, "a"), (2, "b")], 3) == 0.25
+        assert p_at_k([(None, "a"), (2, "b")], 3) == 0.5
+
     def test_rank_of_an_int_is_that_rank(self):
         assert rank_of(3, "a") == 3
         assert mrr_at_k([(1, "a"), (4, "b"), (2, "c")], 3) == pytest.approx(0.5)

@@ -382,7 +382,7 @@ class TestScoreItems:
         assert [e[0] for e in model.score_items(query, params, k=4).entries] == \
             ["a", "b", "c", "d"]
         table = model.ItemTable(params)
-        assert [table.rank(query, it) for it in "abcde"] == [1, 2, 3, 4, 5]
+        assert table.ranks(np.array([query] * 5), list("abcde")).tolist() == [1, 2, 3, 4, 5]
 
     def test_nonfinite_query_rejected(self):
         params = make_params(np.random.default_rng(0))
@@ -445,7 +445,7 @@ class TestScoringProperties:
         params, query = catalog
         table = model.ItemTable(params)
         for pos, (_, item) in enumerate(sorted_by_brute_force(params, query), start=1):
-            assert table.rank(query, item) == pos
+            assert table.ranks(np.asarray(query)[None], [item]).tolist() == [pos]
 
 
 @st.composite
@@ -515,7 +515,7 @@ class TestBlockRanks:
         # c, a and e share a row; so do b and d
         assert table.ranks(points, ["c"] * 3).tolist() == [2, 2, 4]
         assert table.ranks(points, ["b"] * 3).tolist() == [4, 4, 1]
-        assert [table.rank(p, "e") for p in points] == [3, 3, 5]
+        assert table.ranks(points, ["e"] * 3).tolist() == [3, 3, 5]
 
     def test_point_outside_the_ball_rejected(self):
         table = model.ItemTable(make_params(np.random.default_rng(0)))

@@ -43,6 +43,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(neighborhood="diagonal")
 
+    @pytest.mark.parametrize("bad", [{"tau": 0}, {"cap": -1}])
+    def test_bad_tau_or_cap_fails_in_the_normalizer(self, bad):
+        with pytest.raises(ValueError, match="^tau and cap must be positive$"):
+            TrainConfig(**bad)
+
+    def test_defaults_are_the_model_and_normalizer_defaults(self):
+        config = TrainConfig()
+        params = model.init_params(["a"], config.dim, np.random.default_rng(0))
+        assert config.model_hyperparameters() == \
+            {name: getattr(params, name) for name in model.HYPER_FIELDS}
+        assert config.normalizer() == IntervalNormalizer()
+
     def test_attention_sign_string_coerced(self):
         assert TrainConfig(attention_sign="+1") == TrainConfig()
         assert TrainConfig(attention_sign="-1").attention_sign == -1.0
