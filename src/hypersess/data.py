@@ -147,10 +147,12 @@ def preprocess(
     events: Sequence[ClickEvent],
     min_session_len: int = 2,
     min_item_freq: int = 5,
-    test_window_seconds: int = 86400,
+    *,
+    test_window_seconds: int,
     fraction: Optional[float] = None,
 ) -> DatasetSplit:
-    """Group, filter, and split by the trailing time window.
+    """Group, filter, and split by the trailing time window, whose length
+    ``test_window_seconds`` every caller sets.
 
     The filter/split/vocabulary stage is iterated to a global fixed point,
     so reapplying preprocess to its own output is a no-op.  ``fraction``

@@ -3,10 +3,11 @@
 Each test session is scored by rebuilding the graph from all but its final
 event, normalizing the gap between the penultimate and final timestamps as
 the query interval, and ranking the full catalog against the predicted item
-embedding.
+embedding, under the normalizer the model was trained with, which every
+call takes.  Nothing here comes from ``train``.
 
 Sessions are scored in blocks of at most ``BLOCK_BYTES // (8 * n_items)``:
-one ``forward_batch`` over the block's graphs, each distinct item projected
+one ``forward_graphs`` over the block's graphs, each distinct item projected
 once, and one (sessions x items) distance screen from a single GEMM (see
 :meth:`~hypersess.model.ItemTable._screen` for its rounding bound).  Items the
 screen places certainly nearer than the target are counted; the few within
@@ -26,10 +27,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import model
-from .graph import IntervalNormalizer, SessionRecord
+from .graph import IntervalNormalizer, SessionRecord, TrainingExample, examples_from_records
 from .metrics import mrr_at_k, p_at_k
 from .model import ModelParams
-from .train import TrainingExample, examples_from_records, forward_examples
 
 # the bytes of one block's (sessions x items) float64 distance screen
 BLOCK_BYTES = 8 * 2**20
@@ -99,8 +99,9 @@ def _rank_block(block: List[Tuple[SessionRecord, TrainingExample]], params: Mode
     examples = [ex for _, ex in block]
     targets = [ex.target_item for ex in examples]
     try:
-        items = sorted({it for ex in examples for it in ex.graph.nodes})
-        fw = forward_examples(examples, params, items)[0]
+        fw = model.forward_graphs([ex.graph for ex in examples],
+                                  [ex.target_interval for ex in examples], params,
+                                  sorted({it for ex in examples for it in ex.graph.nodes}))[0]
         return list(zip(table.ranks(fw.item_future, targets).tolist(), targets))
     except ValueError as exc:
         if len(block) == 1:
@@ -112,16 +113,15 @@ def evaluate(
     params: ModelParams,
     records: Sequence[SessionRecord],
     k: int,
-    norm: Optional[IntervalNormalizer] = None,
+    norm: IntervalNormalizer,
 ) -> EvalReport:
     if not records:
         raise ValueError("empty test split")
-    norm = norm or IntervalNormalizer()
     start = time.perf_counter()
     cases, skipped = rank_test_sessions(params, records, norm)
     if not cases:
         raise ValueError("no scorable test sessions (all skipped)")
-    report = EvalReport(
+    return EvalReport(
         mrr_at_k=mrr_at_k(cases, k),
         p_at_k=p_at_k(cases, k),
         k=k,
@@ -129,7 +129,6 @@ def evaluate(
         wall_time=time.perf_counter() - start,
         skipped=skipped,
     )
-    return report
 
 
 def popularity_baseline(

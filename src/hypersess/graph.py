@@ -4,6 +4,8 @@ A session's unique items become nodes (first-appearance order) and each
 consecutive click pair contributes a directed edge carrying the elapsed
 seconds between the two clicks, log-compressed into [0, 1 - EPS_BALL) so it
 can later be embedded.  Repeated ordered pairs keep the smallest interval.
+A :class:`TrainingExample` pairs the graph of a session's prefix with the
+next event; training and evaluation both read sessions that way.
 
 The model reads graphs as a :class:`GraphBatch`: the disjoint union of one
 or more session graphs, as edge arrays over one numbering of their nodes.
@@ -12,7 +14,7 @@ or more session graphs, as edge arrays over one numbering of their nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -73,11 +75,7 @@ class SessionGraph:
     edges: List[Tuple[int, int, float]]
     last_index: int
     last_timestamp: int
-    node_index: Dict[Item, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.node_index:
-            self.node_index = {item: i for i, item in enumerate(self.nodes)}
+    node_index: Dict[Item, int]
 
     @property
     def n_nodes(self) -> int:
@@ -125,6 +123,43 @@ def build_session_graph(
         last_timestamp=events[-1][1],
         node_index=index,
     )
+
+
+@dataclass
+class TrainingExample:
+    """Graph over all but a session's final event, plus that event as target."""
+
+    graph: SessionGraph
+    target_item: str
+    target_interval: float
+
+
+def examples_from_records(
+    records: Sequence[SessionRecord],
+    norm: IntervalNormalizer,
+    augment_prefixes: bool = False,
+) -> List[TrainingExample]:
+    """One example per session (prefix of n-1 events, target v_n).
+
+    With ``augment_prefixes`` every prefix of length >= 2 additionally yields
+    an example.  Sessions shorter than 2 events are skipped.
+    """
+    out: List[TrainingExample] = []
+    for rec in records:
+        n = len(rec.events)
+        if n < 2:
+            continue
+        cuts = range(2, n + 1) if augment_prefixes else [n]
+        for c in cuts:
+            prefix = SessionRecord(rec.session_id, list(rec.events[:c - 1]))
+            g = build_session_graph(prefix, norm, min_events=1)
+            target_item, target_t = rec.events[c - 1]
+            out.append(TrainingExample(
+                graph=g,
+                target_item=target_item,
+                target_interval=norm(target_t - rec.events[c - 2][1]),
+            ))
+    return out
 
 
 def neighborhood(g: SessionGraph, i: int, direction: str = DIRECTIONS[0]) -> List[Tuple[int, float]]:

@@ -11,7 +11,7 @@ whole minibatch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,12 +89,19 @@ class ModelParams:
     def feat_dim(self) -> int:
         return self.feat_proj.shape[1]
 
+    def item_positions(self, items: Iterable[Item]) -> List[int]:
+        """Each item's table row; ValueError naming the first unknown item."""
+        try:
+            return [self.item_index[it] for it in items]
+        except KeyError as exc:
+            raise ValueError(f"item {exc.args[0]!r} is not in the model's vocabulary") from None
+
     def item_vec(self, item_id: Item) -> Arrayish:
-        return grad.take(self.item_features, self.item_index[item_id])
+        return grad.take(self.item_features, self.item_positions([item_id])[0])
 
     def item_rows(self, items: Sequence[Item]) -> Arrayish:
         """The (K, f) feature rows of the given items, in their order."""
-        return grad.take(self.item_features, [self.item_index[it] for it in items])
+        return grad.take(self.item_features, self.item_positions(items))
 
     def matrix_fields(self) -> Tuple[str, ...]:
         return MATRIX_FIELDS
@@ -119,8 +126,8 @@ class BoundParams(ModelParams):
                             for f in fields(ModelParams) if f.name != "item_index"})
         rows = {key[5:]: v for key, v in overrides.items() if key.startswith("item:")}
         if rows:
-            self.item_features = grad.stack([rows.get(it, self.item_features[i])
-                                             for i, it in enumerate(self.items)])
+            at = dict(zip(self.item_positions(rows), rows.values()))
+            self.item_features = grad.stack([at.get(i, row) for i, row in enumerate(self.item_features)])
 
 
 def init_params(
@@ -346,10 +353,21 @@ def forward_batch(batch: GraphBatch, t_norm: np.ndarray, initial: Arrayish, para
     )
 
 
+def forward_graphs(graphs: Sequence[SessionGraph], t_norm: Sequence[float], params, items: Sequence[Item]):
+    """The forward pass of recommend, evaluation and training: one
+    :func:`forward_batch` over ``graphs``, graph b asked about ``t_norm[b]``.
+    ``items`` holds every graph node; each is projected once.  Returns the
+    pass, the batch, the (K, d) projected ``items`` and each one's row."""
+    row = {it: k for k, it in enumerate(items)}
+    table = hyperbolic_projection(params.item_rows(items), params)
+    batch = batch_graphs(graphs, params.neighborhood)
+    initial = grad.take(table, np.array([row[it] for g in graphs for it in g.nodes]))
+    return forward_batch(batch, np.array(t_norm, dtype=np.float64), initial, params), batch, table, row
+
+
 def forward_session(g: SessionGraph, t_norm: float, params) -> ForwardResult:
     """Full pass for one session graph and query interval: a batch of one."""
-    fw = forward_batch(_as_batch(g, params), np.array([t_norm]),
-                       hyperbolic_projection(params.item_rows(g.nodes), params), params)
+    fw = forward_graphs([g], [t_norm], params, g.nodes)[0]
     return ForwardResult(
         initial=_unstack(fw.initial),
         final=_unstack(fw.final),

@@ -4,6 +4,8 @@ The loss combines three geodesic distances with plain real-number weights
 (lambda_s, lambda_v); Mobius arithmetic on scalar distances is not defined,
 and the objective must be an ordinary real.  Ball-constrained parameters
 (item feature rows, readout bias) are re-projected after every update.
+Minibatches go through ``model.forward_graphs``, as recommend and evaluation
+do; the examples are ``graph``'s, and their names are importable from here.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import grad, manifold, model
-from .graph import IntervalNormalizer, SessionGraph, SessionRecord, batch_graphs, build_session_graph
+from .graph import IntervalNormalizer, TrainingExample, examples_from_records
 from .model import BoundParams, ModelParams
 
 log = logging.getLogger(__name__)
@@ -69,63 +71,12 @@ class TrainConfig:
         return IntervalNormalizer(tau=self.tau, cap=self.cap)
 
 
-@dataclass
-class TrainingExample:
-    """Graph over all but a session's final event, plus that event as target."""
-
-    graph: SessionGraph
-    target_item: str
-    target_interval: float
-
-
-def examples_from_records(
-    records: Sequence[SessionRecord],
-    norm: IntervalNormalizer,
-    augment_prefixes: bool = False,
-) -> List[TrainingExample]:
-    """One example per session (prefix of n-1 events, target v_n).
-
-    With ``augment_prefixes`` every prefix of length >= 2 additionally yields
-    an example.  Sessions shorter than 2 events are skipped.
-    """
-    out: List[TrainingExample] = []
-    for rec in records:
-        n = len(rec.events)
-        if n < 2:
-            continue
-        cuts = range(2, n + 1) if augment_prefixes else [n]
-        for c in cuts:
-            prefix = SessionRecord(rec.session_id, list(rec.events[:c - 1]))
-            g = build_session_graph(prefix, norm, min_events=1)
-            target_item, target_t = rec.events[c - 1]
-            out.append(TrainingExample(
-                graph=g,
-                target_item=target_item,
-                target_interval=norm(target_t - rec.events[c - 2][1]),
-            ))
-    return out
-
-
 def _batch_items(examples: Sequence[TrainingExample], negatives: Sequence[Optional[str]]) -> List[str]:
     """Every item a minibatch's loss reads, sorted."""
     used = {it for ex in examples for it in ex.graph.nodes}
     used.update(ex.target_item for ex in examples)
     used.update(neg for neg in negatives if neg is not None)
     return sorted(used)
-
-
-def forward_examples(examples: Sequence[TrainingExample], params, items: Sequence[str]):
-    """One ``forward_batch`` over the examples' graphs, each with its query
-    interval.  ``items`` holds every graph node; each is projected once,
-    from one gather of its rows.  Returns the pass, the batch and the
-    (K, d) projected rows of ``items``, in their order."""
-    row = {it: k for k, it in enumerate(items)}
-    table = model.hyperbolic_projection(params.item_rows(items), params)
-    graphs = [ex.graph for ex in examples]
-    batch = batch_graphs(graphs, params.neighborhood)
-    initial = grad.take(table, np.array([row[it] for g in graphs for it in g.nodes]))
-    t_norm = np.array([ex.target_interval for ex in examples])
-    return model.forward_batch(batch, t_norm, initial, params), batch, table
 
 
 def batch_losses(
@@ -143,13 +94,10 @@ def batch_losses(
     BoundParams with tape Nodes, in which case the result is a Node; each
     distinct item is projected once, from one gather of its rows.
     """
-    for ex in examples:
-        if ex.target_item not in params.item_index:
-            raise KeyError(f"target item {ex.target_item!r} not in vocabulary")
     negatives = list(negatives) if negatives is not None else [None] * len(examples)
-    items = _batch_items(examples, negatives)
-    fw, batch, table = forward_examples(examples, params, items)
-    row = {it: k for k, it in enumerate(items)}
+    fw, batch, table, row = model.forward_graphs(
+        [ex.graph for ex in examples], [ex.target_interval for ex in examples],
+        params, _batch_items(examples, negatives))
     h_target = grad.take(table, np.array([row[ex.target_item] for ex in examples]))
     loss = manifold.distance(fw.item_future, h_target)
     if params.lambda_s > 0:
@@ -274,19 +222,15 @@ def fit(
             if getattr(params, name) != value:
                 raise ValueError(f"params have {name}={getattr(params, name)!r} "
                                  f"but the config sets {value!r}")
-    missing = next((it for it in used if it not in params.item_index), None)
-    if missing is not None:
-        raise ValueError(f"training item {missing!r} is not in the model's vocabulary")
+    params.item_positions(used)  # an item outside the vocabulary fails here, before any step
 
     n = len(dataset)
     n_items = len(params.items)
     monitor_idx = monitor_rng.choice(n_items, size=min(100, n_items), replace=False)
 
     # one negative per example, drawn once so the objective is stationary
-    negatives: Dict[int, str] = {}
-    if config.margin_negatives:
-        for i in range(n):
-            negatives[i] = params.items[int(rng.integers(n_items))]
+    negatives = ([params.items[int(rng.integers(n_items))] for _ in range(n)]
+                 if config.margin_negatives else [None] * n)
 
     epoch_losses: List[float] = []
     collapse: List[float] = []
@@ -299,11 +243,11 @@ def fit(
             # float summation (and full-batch gradients) are order-stable
             batch_idx = np.sort(order[start:start + config.batch_size])
             batch = [dataset[i] for i in batch_idx]
-            batch_negatives = [negatives.get(i) for i in batch_idx]
+            batch_negatives = [negatives[i] for i in batch_idx]
 
             # the batch's items as a sub-catalog: one (K, f) leaf of their rows
             items = _batch_items(batch, batch_negatives)
-            rows = [params.item_index[it] for it in items]
+            rows = params.item_positions(items)
             leaves = {name: grad.Node(getattr(params, name)) for name in params.matrix_fields()}
             leaves["item_features"] = grad.Node(params.item_features[rows])
 

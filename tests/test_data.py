@@ -206,7 +206,7 @@ class TestPreprocess:
 
     def test_empty_events_rejected(self):
         with pytest.raises(ValueError):
-            preprocess([])
+            preprocess([], test_window_seconds=3600)
 
     def test_all_filtered_is_hard_error(self):
         events = [ev("s1", "a", 100)]

@@ -29,7 +29,7 @@ class TestEvaluate:
         fw = model.forward_session(g, t_norm, params)
         # plant the target exactly at the prediction
         params.item_features[params.item_index["c"]] = M.log_map0(fw.item_future)
-        report = ev.evaluate(params, [rec], k=20)
+        report = ev.evaluate(params, [rec], k=20, norm=NORM)
         assert report.mrr_at_k == 1.0 and report.p_at_k == 1.0
         assert report.n_test == 1
 
@@ -41,7 +41,7 @@ class TestEvaluate:
         vals = []
         for pseed in (1, 2, 3):
             params = spread_params(pseed, synth.items)
-            report = ev.evaluate(params, synth.records[:500], k=20)
+            report = ev.evaluate(params, synth.records[:500], k=20, norm=NORM)
             assert report.n_test >= 480
             vals.append(report.p_at_k)
         assert np.mean(vals) == pytest.approx(0.2, abs=0.05)
@@ -49,8 +49,8 @@ class TestEvaluate:
     def test_deterministic_reports(self):
         synth = data.generate_synthetic(20, 30, seed=3)
         params = spread_params(2, synth.items)
-        r1 = ev.evaluate(params, synth.records, k=5)
-        r2 = ev.evaluate(params, synth.records, k=5)
+        r1 = ev.evaluate(params, synth.records, k=5, norm=NORM)
+        r2 = ev.evaluate(params, synth.records, k=5, norm=NORM)
         assert r1.csv_rows() == r2.csv_rows()
         assert (r1.mrr_at_k, r1.p_at_k, r1.n_test) == (r2.mrr_at_k, r2.p_at_k, r2.n_test)
 
@@ -73,7 +73,7 @@ class TestEvaluate:
             SessionRecord("short", [("a", 0)]),
             SessionRecord("alien", [("a", 0), ("zz", 10)]),
         ]
-        report = ev.evaluate(params, records, k=2)
+        report = ev.evaluate(params, records, k=2, norm=NORM)
         assert report.n_test == 1 and report.skipped == 2
 
     def test_ranks_are_ints(self):
@@ -87,12 +87,12 @@ class TestEvaluate:
     def test_empty_split_rejected(self):
         params = spread_params(6, ["a", "b"])
         with pytest.raises(ValueError):
-            ev.evaluate(params, [], k=2)
+            ev.evaluate(params, [], k=2, norm=NORM)
 
     def test_metric_ordering_invariant(self):
         synth = data.generate_synthetic(30, 40, seed=7)
         params = spread_params(7, synth.items)
-        report = ev.evaluate(params, synth.records, k=10)
+        report = ev.evaluate(params, synth.records, k=10, norm=NORM)
         assert 0.0 <= report.mrr_at_k <= report.p_at_k <= 1.0
 
     def test_nonfinite_prediction_names_session(self):
@@ -101,7 +101,7 @@ class TestEvaluate:
         records = [SessionRecord("short", [("a", 0)]),
                    SessionRecord("s-bad", [("a", 0), ("b", 10), ("c", 30)])]
         with pytest.raises(ValueError, match="'s-bad'.*non-finite"):
-            ev.evaluate(params, records, k=2)
+            ev.evaluate(params, records, k=2, norm=NORM)
 
     def test_one_table_projection_per_call(self, monkeypatch):
         synth = data.generate_synthetic(20, 30, seed=3)
@@ -114,7 +114,7 @@ class TestEvaluate:
             return project(p)
 
         monkeypatch.setattr(model, "project_item_table", counted)
-        report = ev.evaluate(params, synth.records, k=5)
+        report = ev.evaluate(params, synth.records, k=5, norm=NORM)
         assert report.n_test >= 3
         assert len(calls) == 1
 

@@ -67,6 +67,19 @@ class TestBoundParams:
         assert p.item_index == {it: i for i, it in enumerate("abcde")}
 
 
+class TestItemLookup:
+    @pytest.mark.parametrize("read", [
+        lambda p: p.item_vec("zz"),
+        lambda p: p.item_rows(["a", "zz", "yy"]),
+        lambda p: model.BoundParams(p, {"item:zz": np.full(5, 0.1)}),
+        lambda p: model.forward_session(chain_graph([("a", 0), ("zz", 10)]), 0.3, p),
+    ], ids=["item_vec", "item_rows", "row_override", "forward_session"])
+    def test_unknown_item_named(self, read):
+        p = make_params(np.random.default_rng(3))
+        with pytest.raises(ValueError, match="^item 'zz' is not in the model's vocabulary$"):
+            read(p)
+
+
 class TestHyperbolicProjection:
     def test_zero_feature_maps_to_origin(self):
         params = make_params(np.random.default_rng(0))

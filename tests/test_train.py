@@ -115,7 +115,13 @@ class TestComputeLoss:
     def test_unknown_target_rejected(self):
         params = spread_params(3)
         ex = example_of([("a", 0), ("b", 30)], "zzz", 60)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="^item 'zzz' is not in the model's vocabulary$"):
+            train.compute_loss(ex, params)
+
+    def test_unknown_graph_item_rejected(self):
+        params = spread_params(3)
+        ex = example_of([("a", 0), ("zz", 30)], "b", 60)
+        with pytest.raises(ValueError, match="^item 'zz' is not in the model's vocabulary$"):
             train.compute_loss(ex, params)
 
     def test_single_node_graph_supported(self):
