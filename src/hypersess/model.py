@@ -3,14 +3,16 @@
 Layer math follows the tangent-space convention: sums and nonlinearities are
 applied after a log map at the origin and the result is mapped back with the
 exp map.  Every function here is generic over plain ndarrays (inference) and
-tape Nodes (training); see ``grad``.  Layers act on matrices of node rows
-over a :class:`~hypersess.graph.GraphBatch`, so one tape node carries a
-whole minibatch.
+tape Nodes (training); see ``grad``.  Every layer takes an (N, d) matrix of
+node rows over a :class:`~hypersess.graph.GraphBatch`, so one tape node
+carries a whole minibatch.  Training binds a minibatch's tape leaves with
+``dataclasses.replace(params, ...)``: the fields it names are Nodes, and
+``item_index`` follows the ``items`` it is given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,6 +37,15 @@ HYPER_FIELDS = (
 LEAKY_SLOPE = 0.2
 # unit roundoff of float64, for the scoring screen's rounding bound
 _U = np.finfo(np.float64).eps / 2
+
+
+def item_positions(index: Dict[Item, int], items: Iterable[Item]) -> List[int]:
+    """Each item's row under ``index``; ValueError naming the first unknown
+    item.  The one item lookup of the model and of scoring."""
+    try:
+        return [index[it] for it in items]
+    except KeyError as exc:
+        raise ValueError(f"item {exc.args[0]!r} is not in the model's vocabulary") from None
 
 
 def check_hyperparameters(lambda_s, lambda_v, layers, attention_sign, direction) -> None:
@@ -73,11 +84,11 @@ class ModelParams:
     num_layers: int = 1
     attention_sign: float = 1.0
     neighborhood: str = DIRECTIONS[0]
-    item_index: Dict[Item, int] = field(default_factory=dict)
+    # each item's table row, always built from ``items``
+    item_index: Dict[Item, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.item_index:
-            self.item_index = {it: i for i, it in enumerate(self.items)}
+        self.item_index = {it: i for i, it in enumerate(self.items)}
         check_hyperparameters(self.lambda_s, self.lambda_v, self.num_layers,
                               self.attention_sign, self.neighborhood)
 
@@ -91,10 +102,7 @@ class ModelParams:
 
     def item_positions(self, items: Iterable[Item]) -> List[int]:
         """Each item's table row; ValueError naming the first unknown item."""
-        try:
-            return [self.item_index[it] for it in items]
-        except KeyError as exc:
-            raise ValueError(f"item {exc.args[0]!r} is not in the model's vocabulary") from None
+        return item_positions(self.item_index, items)
 
     def item_vec(self, item_id: Item) -> Arrayish:
         return grad.take(self.item_features, self.item_positions([item_id])[0])
@@ -103,31 +111,11 @@ class ModelParams:
         """The (K, f) feature rows of the given items, in their order."""
         return grad.take(self.item_features, self.item_positions(items))
 
-    def matrix_fields(self) -> Tuple[str, ...]:
-        return MATRIX_FIELDS
-
     def __getstate__(self):
         # a copy's arrays are writable: it must neither carry nor serve the kept table
         state = dict(vars(self))
         state.pop("_item_table", None)
         return state
-
-
-class BoundParams(ModelParams):
-    """ModelParams with selected arrays overridden (typically by Nodes).
-
-    Override keys are field names or ``"item:<id>"`` for single table rows,
-    which are stacked with the other rows into one ``item_features``; every
-    other field is the base's, and ``item_index`` follows ``items``.
-    """
-
-    def __init__(self, base: ModelParams, overrides: Dict[str, Arrayish]):
-        super().__init__(**{f.name: overrides.get(f.name, getattr(base, f.name))
-                            for f in fields(ModelParams) if f.name != "item_index"})
-        rows = {key[5:]: v for key, v in overrides.items() if key.startswith("item:")}
-        if rows:
-            at = dict(zip(self.item_positions(rows), rows.values()))
-            self.item_features = grad.stack([at.get(i, row) for i, row in enumerate(self.item_features)])
 
 
 def init_params(
@@ -191,26 +179,8 @@ def init_params(
 # forward components
 # ---------------------------------------------------------------------------
 # Every layer works on an (N, d) matrix of node rows over a GraphBatch, the
-# disjoint union of session graphs; one session is a batch of one.  The
-# per-session entry points (a SessionGraph and a list of rows, or one (d,)
-# vector) keep their shapes by converting at the boundary.
-
-def _as_batch(g, params) -> GraphBatch:
-    if isinstance(g, GraphBatch):
-        return g
-    return batch_graphs([g], params.neighborhood)
-
-
-def _unstack(m: Arrayish) -> List[Arrayish]:
-    """The rows of a matrix as a list, taped when the matrix is a Node."""
-    if isinstance(m, grad.Node):
-        return [grad.take(m, i) for i in range(m.value.shape[0])]
-    return list(m)
-
-
-def _first(m: Arrayish) -> Arrayish:
-    return grad.take(m, 0) if isinstance(m, grad.Node) else m[0]
-
+# disjoint union of session graphs; one session is a batch of one
+# (:func:`forward_session`).
 
 def hyperbolic_projection(raw_feature: Arrayish, params) -> Arrayish:
     """Map raw feature vectors (a (f,) vector or (N, f) rows) into the ball
@@ -244,44 +214,25 @@ def _attention_weights(state: Arrayish, batch: GraphBatch, params) -> Arrayish:
     return grad.div(exps, grad.take(total, batch.dst))
 
 
-def attention_coefficients(
-    state: Sequence[Arrayish], g: SessionGraph, i: int, params,
-) -> List[Tuple[int, Arrayish]]:
-    """Softmax over signed neighbor distances; returns (node index, weight)."""
-    batch = _as_batch(g, params)
-    weights = grad.reshape(_attention_weights(grad.stack(state), batch, params), (-1,))
-    return [(int(batch.src[e]), grad.take(weights, e))
-            for e in np.flatnonzero(batch.dst == i)]
-
-
-def self_attention_layer(state, g, params):
-    """One aggregation step: weighted, time-shifted neighbors in tangent space.
-
-    ``state`` is an (N, d) matrix over the batch ``g``, or the list of one
-    session graph's node rows, which gives a list back.
-    """
-    rows = isinstance(state, (list, tuple))
-    h = grad.stack(state) if rows else state
-    batch = _as_batch(g, params)
-    weights = _attention_weights(h, batch, params)
+def self_attention_layer(state: Arrayish, batch: GraphBatch, params) -> Arrayish:
+    """One aggregation step over the (N, d) node rows ``state``: weighted,
+    time-shifted neighbors in tangent space."""
+    weights = _attention_weights(state, batch, params)
     # interval 0 embeds to a zero row, and x (+) 0 = x
-    joint = manifold.mobius_add(grad.take(h, batch.src), time_embedding(batch.interval, params))
+    joint = manifold.mobius_add(grad.take(state, batch.src), time_embedding(batch.interval, params))
     terms = manifold.log_map0(manifold.mobius_scalar_mul(weights, joint))
     agg = grad.leaky_relu(grad.segment_sum(terms, batch.dst, batch.n_nodes), LEAKY_SLOPE)
-    out = manifold.exp_map0(agg)
-    return _unstack(out) if rows else out
+    return manifold.exp_map0(agg)
 
 
-def soft_attention_session(state, g, params) -> Arrayish:
+def soft_attention_session(h: Arrayish, batch: GraphBatch, params) -> Arrayish:
     """Session readout keyed on the last item.
 
     Each item's coefficient is the signed scalar produced by a 1-row Mobius
     matrix-vector product against the activated joint embedding; the
-    coefficients are not normalized.  Gives one (d,) vector for a session
-    graph and (B, d) rows for a batch.
+    coefficients are not normalized.  Gives one (d,) row per session of the
+    batch: (B, d).
     """
-    batch = _as_batch(g, params)
-    h = grad.stack(state) if isinstance(state, (list, tuple)) else state
     last_part = manifold.mobius_matvec(params.att_last_proj, grad.take(h, batch.last))
     inner = manifold.mobius_add(
         manifold.mobius_add(
@@ -295,8 +246,7 @@ def soft_attention_session(state, g, params) -> Arrayish:
     beta = manifold.mobius_matvec(row, activated)
     terms = manifold.log_map0(manifold.mobius_scalar_mul(beta, h))
     agg = grad.leaky_relu(grad.segment_sum(terms, batch.node_session, batch.n_sessions), LEAKY_SLOPE)
-    out = manifold.exp_map0(agg)
-    return out if isinstance(g, GraphBatch) else _first(out)
+    return manifold.exp_map0(agg)
 
 
 def project_session_future(h_s: Arrayish, t_norm, params) -> Arrayish:
@@ -325,11 +275,12 @@ def project_item_future(h_s_future: Arrayish, h_last: Arrayish, t_norm, params) 
 
 @dataclass
 class ForwardResult:
-    """One session's pass (lists of node rows and (d,) vectors), or a
-    batch's from :func:`forward_batch` (matrices of rows)."""
+    """A batch's pass from :func:`forward_batch`, every field a matrix of
+    rows; :func:`forward_session` gives one session's, whose last three
+    fields are (d,) vectors."""
 
-    initial: List[Arrayish]     # per-node embeddings after input projection
-    final: List[Arrayish]       # per-node embeddings after the last layer
+    initial: Arrayish           # (N, d) node embeddings after input projection
+    final: Arrayish             # (N, d) node embeddings after the last layer
     session: Arrayish           # readout before future projection
     session_future: Arrayish
     item_future: Arrayish
@@ -366,15 +317,12 @@ def forward_graphs(graphs: Sequence[SessionGraph], t_norm: Sequence[float], para
 
 
 def forward_session(g: SessionGraph, t_norm: float, params) -> ForwardResult:
-    """Full pass for one session graph and query interval: a batch of one."""
+    """Full pass for one session graph and query interval: a batch of one,
+    with the (n, d) node rows and (d,) vectors for the session."""
     fw = forward_graphs([g], [t_norm], params, g.nodes)[0]
-    return ForwardResult(
-        initial=_unstack(fw.initial),
-        final=_unstack(fw.final),
-        session=_first(fw.session),
-        session_future=_first(fw.session_future),
-        item_future=_first(fw.item_future),
-    )
+    return replace(fw, session=grad.take(fw.session, 0),
+                   session_future=grad.take(fw.session_future, 0),
+                   item_future=grad.take(fw.item_future, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +335,6 @@ class RankedList:
 
     entries: List[Tuple[Item, float]]
     k: int
-
-    def rank(self, target: Item) -> Optional[int]:
-        """1-based position of the target, or None if absent from the list."""
-        for pos, (item, _) in enumerate(self.entries, start=1):
-            if item == target:
-                return pos
-        return None
 
 
 def project_item_table(params: ModelParams) -> np.ndarray:
@@ -527,7 +468,7 @@ class ItemTable:
         float64 arrays.
         """
         q, q_gaps, screen, h = self._screen(points)
-        t = np.array([self.index[it] for it in targets], dtype=np.intp)
+        t = np.array(item_positions(self.index, targets), dtype=np.intp)
         d_t = manifold.paired_distances(q, self.rows[t], q_gaps, self.gaps[t])
         lo, hi = self._bounds(q_gaps, d_t, q.shape[1])
 

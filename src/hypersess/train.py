@@ -16,14 +16,14 @@ import json
 import logging
 import math
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import grad, manifold, model
 from .graph import IntervalNormalizer, TrainingExample, examples_from_records
-from .model import BoundParams, ModelParams
+from .model import ModelParams
 
 log = logging.getLogger(__name__)
 
@@ -90,8 +90,8 @@ def batch_losses(
     Each loss is d(item_future, target) + lambda_s d(session_future, session)
     + lambda_v d(target, last item), all geodesic, plus the hinge
     max(0, margin - d(item_future, negative)) where the example has a
-    negative other than its target.  ``params`` may be a ModelParams or a
-    BoundParams with tape Nodes, in which case the result is a Node; each
+    negative other than its target.  ``params`` may hold tape Nodes (bound
+    with ``dataclasses.replace``), in which case the result is a Node; each
     distinct item is projected once, from one gather of its rows.
     """
     negatives = list(negatives) if negatives is not None else [None] * len(examples)
@@ -122,8 +122,8 @@ def compute_loss(
 ):
     """The loss of one example (see :func:`batch_losses`): a batch of one.
 
-    ``params`` may be a ModelParams or a BoundParams with tape Nodes, in
-    which case the result is a scalar Node.
+    ``params`` may hold tape Nodes, in which case the result is a scalar
+    Node.
     """
     return grad.reshape(batch_losses([example], params, [negative_item], margin), ())
 
@@ -248,10 +248,10 @@ def fit(
             # the batch's items as a sub-catalog: one (K, f) leaf of their rows
             items = _batch_items(batch, batch_negatives)
             rows = params.item_positions(items)
-            leaves = {name: grad.Node(getattr(params, name)) for name in params.matrix_fields()}
+            leaves = {name: grad.Node(getattr(params, name)) for name in model.MATRIX_FIELDS}
             leaves["item_features"] = grad.Node(params.item_features[rows])
 
-            losses = batch_losses(batch, BoundParams(params, {**leaves, "items": items}),
+            losses = batch_losses(batch, replace(params, items=items, **leaves),
                                   batch_negatives, config.margin)
             example_losses[batch_idx] = losses.value
             batch_loss = grad.div(grad.dot(np.ones(len(batch)), losses), float(len(batch)))

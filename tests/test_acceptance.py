@@ -6,6 +6,7 @@ Every tolerance is pinned here; nothing is deferred to later calibration.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from oracles import (
 
 from hypersess import data, evaluate as ev, grad as G, manifold as M, model, train
 from hypersess.cli import main as cli_main
-from hypersess.graph import IntervalNormalizer, SessionRecord, build_session_graph
+from hypersess.graph import IntervalNormalizer, SessionRecord, batch_graphs, build_session_graph
 from hypersess.metrics import mrr_at_k, p_at_k
 
 NORM = IntervalNormalizer()
@@ -90,10 +91,9 @@ def interior_params(rng, items=("a", "b", "c", "d"), d=6):
     return p
 
 
-def theta_of(params, items="abcd"):
-    th = {n: getattr(params, n) for n in params.matrix_fields()}
-    th.update({"item:" + i: params.item_vec(i) for i in items})
-    return th
+def theta_of(params):
+    """Every learnable array, the whole item table as one leaf."""
+    return {n: getattr(params, n) for n in ("item_features",) + model.MATRIX_FIELDS}
 
 
 def test_gradient_suite():
@@ -134,34 +134,33 @@ def test_gradient_suite():
     g = build_session_graph(
         SessionRecord("s", [("a", 0), ("b", 30), ("a", 95), ("c", 140)]), NORM)
 
+    batch = batch_graphs([g], model.ModelParams.neighborhood)
+
     def layer_check(build, seed):
+        """``build(b, probe)`` runs a layer on params b, the leaves bound."""
         nonlocal worst
         for trial in range(10):
             rng = np.random.default_rng(seed * 977 + trial)
             params = interior_params(rng)
             probe = 0.01 * rng.normal(size=params.dim)
-            rep = G.check_gradients(build(params, probe), theta_of(params), h=1e-6)
+            rep = G.check_gradients(lambda t: build(replace(params, **t), probe),
+                                    theta_of(params), h=1e-6)
             assert not rep.failures
             worst = max(worst, rep.max_rel_error)
 
     def state_of(b):
-        return [model.hyperbolic_projection(b.item_vec(i), b) for i in g.nodes]
+        return model.hyperbolic_projection(b.item_rows(g.nodes), b)
 
-    layer_check(lambda p, w: lambda t: G.dot(
-        w, model.hyperbolic_projection(model.BoundParams(p, t).item_vec("a"),
-                                       model.BoundParams(p, t))), 11)
-    layer_check(lambda p, w: lambda t: G.dot(
-        w, model.time_embedding(0.37, model.BoundParams(p, t))), 12)
-    layer_check(lambda p, w: lambda t: G.nsum([
-        G.dot(w, s) for s in model.self_attention_layer(
-            state_of(model.BoundParams(p, t)), g, model.BoundParams(p, t))]), 13)
-    layer_check(lambda p, w: lambda t: G.dot(
-        w, model.soft_attention_session(
-            model.self_attention_layer(state_of(model.BoundParams(p, t)), g,
-                                       model.BoundParams(p, t)),
-            g, model.BoundParams(p, t))), 14)
-    layer_check(lambda p, w: lambda t: G.dot(
-        w, model.forward_session(g, 0.41, model.BoundParams(p, t)).item_future), 15)
+    def probed(w, rows):
+        """The sum over the (N, d) rows of each row's dot with w."""
+        return G.dot(G.reshape(rows, (-1,)), np.tile(w, rows.shape[0]))
+
+    layer_check(lambda b, w: G.dot(w, model.hyperbolic_projection(b.item_vec("a"), b)), 11)
+    layer_check(lambda b, w: G.dot(w, model.time_embedding(0.37, b)), 12)
+    layer_check(lambda b, w: probed(w, model.self_attention_layer(state_of(b), batch, b)), 13)
+    layer_check(lambda b, w: probed(w, model.soft_attention_session(
+        model.self_attention_layer(state_of(b), batch, b), batch, b)), 14)
+    layer_check(lambda b, w: G.dot(w, model.forward_session(g, 0.41, b).item_future), 15)
 
     # full loss: |f| ~ O(1) over a ~1500-op tape; at h = 1e-6 the float64
     # quotient noise floor (ulp(f)/2h ~ 3e-11 absolute) is unresolvable for
@@ -172,7 +171,7 @@ def test_gradient_suite():
         params = interior_params(rng)
         ex = train.TrainingExample(graph=g, target_item="d", target_interval=NORM(120))
         rep = G.check_gradients(
-            lambda t: train.compute_loss(ex, model.BoundParams(params, t)),
+            lambda t: train.compute_loss(ex, replace(params, **t)),
             theta_of(params), h=1e-4)
         assert not rep.failures
         worst = max(worst, rep.max_rel_error)
@@ -198,13 +197,14 @@ def test_oracle_equivalence():
             SessionRecord("s", [("a", 0), ("b", 35), ("c", 90), ("a", 170), ("d", 230)]),
             NORM)
         state = [rand_ball(rng, 5, 0.7) for _ in g.nodes]
+        batch = batch_graphs([g], params.neighborhood)
 
-        ours = model.self_attention_layer(state, g, params)
+        ours = model.self_attention_layer(np.stack(state), batch, params)
         ref = o_layer(state, g, params.time_proj)
         for o, r in zip(ours, ref):
             worst = max(worst, float(np.max(np.abs(np.asarray(o) - r))))
 
-        h_ours = model.soft_attention_session(state, g, params)
+        h_ours = model.soft_attention_session(np.stack(state), batch, params)[0]
         h_ref = o_soft_attention(state, g, params.att_last_proj,
                                  params.att_item_proj, params.att_vec,
                                  params.att_bias)
@@ -238,20 +238,8 @@ def test_oracle_equivalence():
 # ---------------------------------------------------------------------------
 
 def test_metric_fixtures():
-    pool = [f"i{n}" for n in range(30)]
-
-    def case(rank):
-        items = pool[: rank - 1] + ["T"] + pool[rank - 1: 25]
-        rl = model.RankedList(entries=[(it, float(i)) for i, it in enumerate(items)],
-                              k=len(items))
-        return (rl, "T")
-
-    def miss():
-        rl = model.RankedList(entries=[(it, float(i)) for i, it in enumerate(pool[:25])],
-                              k=25)
-        return (rl, "T")
-
-    cases = [case(1), case(4), miss(), case(2), miss()]
+    # each case is the target's 1-based rank, or None for a miss
+    cases = [(1, "T"), (4, "T"), (None, "T"), (2, "T"), (None, "T")]
     mrr, prec = mrr_at_k(cases, 20), p_at_k(cases, 20)
     announce("metric-fixtures",
              mrr == 0.35 and prec == 0.6,

@@ -6,11 +6,13 @@ functions use a small fixed probe vector so the comparison stays inside the
 range where an h = 1e-6 quotient is resolvable in float64.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hypersess import grad as G, manifold as M, model, train
-from hypersess.graph import IntervalNormalizer, SessionRecord, build_session_graph
+from hypersess.graph import IntervalNormalizer, SessionRecord, batch_graphs, build_session_graph
 
 
 def rand_ball(rng, d, max_norm):
@@ -237,10 +239,14 @@ def interior_params(rng, items=("a", "b", "c", "d"), d=6):
     return p
 
 
-def theta_of(params, items="abcd"):
-    th = {n: getattr(params, n) for n in params.matrix_fields()}
-    th.update({"item:" + i: params.item_vec(i) for i in items})
-    return th
+def theta_of(params):
+    """Every learnable array, the whole item table as one leaf."""
+    return {n: getattr(params, n) for n in ("item_features",) + model.MATRIX_FIELDS}
+
+
+def probed_rows(probe, rows):
+    """The sum over the (N, d) rows of each row's dot with the probe."""
+    return G.dot(G.reshape(rows, (-1,)), np.tile(probe, rows.shape[0]))
 
 
 class TestModelLayerGradients:
@@ -262,7 +268,7 @@ class TestModelLayerGradients:
     def test_projection_layer(self):
         def build(params, g, probe):
             def f(th):
-                b = model.BoundParams(params, th)
+                b = replace(params, **th)
                 return G.dot(probe, model.hyperbolic_projection(b.item_vec("a"), b))
             return f
         self.layer_check(build, 31)
@@ -270,7 +276,7 @@ class TestModelLayerGradients:
     def test_time_embedding(self):
         def build(params, g, probe):
             def f(th):
-                b = model.BoundParams(params, th)
+                b = replace(params, **th)
                 return G.dot(probe, model.time_embedding(0.37, b))
             return f
         self.layer_check(build, 32)
@@ -278,28 +284,28 @@ class TestModelLayerGradients:
     def test_self_attention_layer(self):
         def build(params, g, probe):
             def f(th):
-                b = model.BoundParams(params, th)
-                state = [model.hyperbolic_projection(b.item_vec(i), b) for i in g.nodes]
-                state = model.self_attention_layer(state, g, b)
-                return G.nsum([G.dot(probe, s) for s in state])
+                b = replace(params, **th)
+                batch = batch_graphs([g], b.neighborhood)
+                state = model.hyperbolic_projection(b.item_rows(g.nodes), b)
+                return probed_rows(probe, model.self_attention_layer(state, batch, b))
             return f
         self.layer_check(build, 33)
 
     def test_soft_attention_session(self):
         def build(params, g, probe):
             def f(th):
-                b = model.BoundParams(params, th)
-                state = [model.hyperbolic_projection(b.item_vec(i), b) for i in g.nodes]
-                state = model.self_attention_layer(state, g, b)
-                return G.dot(probe, model.soft_attention_session(state, g, b))
+                b = replace(params, **th)
+                batch = batch_graphs([g], b.neighborhood)
+                state = model.hyperbolic_projection(b.item_rows(g.nodes), b)
+                state = model.self_attention_layer(state, batch, b)
+                return probed_rows(probe, model.soft_attention_session(state, batch, b))
             return f
         self.layer_check(build, 34)
 
     def test_projection_heads(self):
         def build(params, g, probe):
             def f(th):
-                b = model.BoundParams(params, th)
-                fw = model.forward_session(g, 0.41, b)
+                fw = model.forward_session(g, 0.41, replace(params, **th))
                 return G.dot(probe, fw.item_future)
             return f
         self.layer_check(build, 35)
@@ -320,7 +326,7 @@ class TestFullLossGradient:
             ex = train.TrainingExample(graph=g, target_item="d",
                                        target_interval=norm(120))
             def f(th):
-                return train.compute_loss(ex, model.BoundParams(params, th))
+                return train.compute_loss(ex, replace(params, **th))
             rep = G.check_gradients(f, theta_of(params), h=1e-4)
             assert not rep.failures
             worst = max(worst, rep.max_rel_error)
@@ -343,7 +349,7 @@ class TestFullLossGradient:
             params.neighborhood = ("in", "out", "both")[trial]
 
             def f(th):
-                losses = train.batch_losses(examples, model.BoundParams(params, th), ["c", None, "b"])
+                losses = train.batch_losses(examples, replace(params, **th), ["c", None, "b"])
                 return G.div(G.dot(np.ones(3), losses), 3.0)
             rep = G.check_gradients(f, theta_of(params), h=1e-4)
             assert not rep.failures

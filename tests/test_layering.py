@@ -1,6 +1,7 @@
 """Inference, evaluation and the graph code must not need the training
 module: walking the package imports of ``evaluate.py``, ``model.py`` and
-``graph.py``, and of every package module they import, finds no ``train``."""
+``graph.py``, and of every package module they import, finds no ``train``.
+``metrics`` imports no package module at all: a ranking is a plain int."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,8 @@ def test_evaluation_and_model_do_not_import_train():
     assert {"evaluate", "model", "graph", "grad", "manifold", "metrics"} <= reached
     assert "train" not in reached
     assert "train" in reached_from(["cli"])  # the walk does see an import of train
+
+
+def test_metrics_imports_no_package_module():
+    assert list(package_imports("metrics")) == []
+    assert "model" in package_imports("evaluate")  # the walk does see an import of model

@@ -2,13 +2,14 @@
 models, copies and overrides are projected afresh, so no table goes stale."""
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from oracles import rand_ball
 
 from hypersess import data, evaluate as ev, model, train
-from hypersess.model import BoundParams, ItemTable
+from hypersess.model import ItemTable
 
 CONFIG = train.TrainConfig(dim=8, learning_rate=0.05, epochs=1, batch_size=8, seed=6)
 K = 5
@@ -128,7 +129,7 @@ def test_bound_params_score_their_override(loaded):
     kept = model.score_items(point, loaded, K)
     override = np.random.default_rng(2).permutation(loaded.feat_proj)
     override.flags.writeable = False
-    bound = BoundParams(loaded, {"feat_proj": override})
+    bound = replace(loaded, feat_proj=override)
     got = model.score_items(point, bound, K)
     assert got == ItemTable(bound).top_k(point, K) != kept
     assert model.score_items(point, loaded, K) == kept

@@ -4,25 +4,16 @@ import numpy as np
 import pytest
 
 from hypersess.metrics import mrr_at_k, p_at_k, rank_of
-from hypersess.model import RankedList
-
-
-def ranked(*items):
-    return RankedList(entries=[(it, float(i)) for i, it in enumerate(items)],
-                      k=len(items))
-
-
-POOL = [f"i{n}" for n in range(30)]
 
 
 def case_with_rank(rank):
-    """Target 'T' placed at the given 1-based rank among filler items."""
-    items = POOL[: rank - 1] + ["T"] + POOL[rank - 1: 25]
-    return (ranked(*items), "T")
+    """Target 'T' at the given 1-based rank."""
+    return (rank, "T")
 
 
 def miss_case():
-    return (ranked(*POOL[:25]), "T")
+    """A target that could not be ranked."""
+    return (None, "T")
 
 
 class TestMrr:
@@ -84,10 +75,9 @@ class TestInvariants:
             assert 0.0 <= m <= p <= 1.0
 
     def test_rank_of(self):
-        rl = ranked("a", "b", "c")
-        assert rank_of(rl, "a") == 1
-        assert rank_of(rl, "c") == 3
-        assert rank_of(rl, "z") is None
+        assert rank_of(1, "a") == 1
+        assert rank_of(26, "c") == 26
+        assert rank_of(None, "z") is None
 
     def test_none_ranking_is_a_miss(self):
         assert rank_of(None, "a") is None

@@ -1,6 +1,7 @@
 """Model layers against hand values and straight-line oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from oracles import (
     rand_ball,
 )
 
-from hypersess import grad as G, manifold as M, model
-from hypersess.graph import IntervalNormalizer, SessionRecord, build_session_graph
+from hypersess import manifold as M, model
+from hypersess.graph import IntervalNormalizer, SessionRecord, batch_graphs, build_session_graph
 from hypersess.manifold import EPS_BALL
 
 NORM = IntervalNormalizer()
@@ -36,32 +37,41 @@ def chain_graph(items_times):
     return build_session_graph(SessionRecord("s", items_times), NORM, min_events=1)
 
 
+def batch_of(g, params):
+    """One session graph as a batch, the layers' input form."""
+    return batch_graphs([g], params.neighborhood)
+
+
+def coefficients(state, g, i, params):
+    """(source node, weight) of each of node i's attention entries."""
+    batch = batch_of(g, params)
+    weights = model._attention_weights(np.stack(state), batch, params)[:, 0]
+    return [(int(batch.src[e]), weights[e]) for e in np.flatnonzero(batch.dst == i)]
+
+
 class TestBoundParams:
+    """Params with some fields bound by ``dataclasses.replace``, as ``fit``
+    binds a minibatch's tape leaves."""
+
     def test_overrides_fields_and_rows_only(self):
         p = make_params(np.random.default_rng(0), num_layers=2, neighborhood="both")
         before = p.item_features.copy()
-        vec, row = np.full(5, 0.25), np.full(5, 0.1)
-        b = model.BoundParams(p, {"att_vec": vec, "item:c": row})
+        vec, rows = np.full(5, 0.25), p.item_features.copy()
+        rows[2] = 0.1
+        b = replace(p, att_vec=vec, item_features=rows)
         assert isinstance(b, model.ModelParams)
         assert b.att_vec is vec
-        np.testing.assert_array_equal(b.item_vec("c"), row)
+        np.testing.assert_array_equal(b.item_vec("c"), np.full(5, 0.1))
         assert b.feat_proj is p.feat_proj
         np.testing.assert_array_equal(b.item_vec("a"), p.item_vec("a"))
         assert (b.num_layers, b.neighborhood, b.dim) == (2, "both", 5)
         assert p.att_vec is not vec
         np.testing.assert_array_equal(p.item_features, before)
 
-    def test_row_override_node_receives_its_adjoint(self):
-        p = make_params(np.random.default_rng(1))
-        row, w = G.Node(np.full(5, 0.1)), np.arange(5.0)
-        b = model.BoundParams(p, {"item:c": row})
-        G.backward(G.dot(w, b.item_vec("c")))
-        np.testing.assert_array_equal(row.adjoint, w)
-
     def test_sub_catalog_indexes_its_own_items(self):
         # the training step binds a batch's items and their rows only
         p = make_params(np.random.default_rng(2))
-        b = model.BoundParams(p, {"items": ["b", "d"], "item_features": p.item_features[[1, 3]]})
+        b = replace(p, items=["b", "d"], item_features=p.item_features[[1, 3]])
         assert b.item_index == {"b": 0, "d": 1}
         np.testing.assert_array_equal(b.item_rows(["d", "b"]), p.item_features[[3, 1]])
         assert p.item_index == {it: i for i, it in enumerate("abcde")}
@@ -71,9 +81,9 @@ class TestItemLookup:
     @pytest.mark.parametrize("read", [
         lambda p: p.item_vec("zz"),
         lambda p: p.item_rows(["a", "zz", "yy"]),
-        lambda p: model.BoundParams(p, {"item:zz": np.full(5, 0.1)}),
+        lambda p: model.ItemTable(p).ranks(np.zeros((1, 5)), ["zz"]),
         lambda p: model.forward_session(chain_graph([("a", 0), ("zz", 10)]), 0.3, p),
-    ], ids=["item_vec", "item_rows", "row_override", "forward_session"])
+    ], ids=["item_vec", "item_rows", "ranks", "forward_session"])
     def test_unknown_item_named(self, read):
         p = make_params(np.random.default_rng(3))
         with pytest.raises(ValueError, match="^item 'zz' is not in the model's vocabulary$"):
@@ -138,7 +148,7 @@ class TestAttentionCoefficients:
         params = make_params(np.random.default_rng(0))
         g = chain_graph([("a", 0)])
         state = [rand_ball(np.random.default_rng(1), 5, 0.5)]
-        weights = model.attention_coefficients(state, g, 0, params)
+        weights = coefficients(state, g, 0, params)
         assert len(weights) == 1
         assert float(weights[0][1]) == pytest.approx(1.0, abs=1e-12)
 
@@ -149,7 +159,7 @@ class TestAttentionCoefficients:
         point = rand_ball(np.random.default_rng(2), 5, 0.4)
         state = [point.copy() for _ in g.nodes]
         i = g.node_index["a"]
-        weights = model.attention_coefficients(state, g, i, params)
+        weights = coefficients(state, g, i, params)
         for _, w in weights:
             assert float(w) == pytest.approx(1.0 / len(weights), abs=1e-12)
 
@@ -160,7 +170,7 @@ class TestAttentionCoefficients:
         state = [np.zeros(2), np.zeros(2)]
         state[g.node_index["b"]] = np.array([0.5, 0.0])
         i = g.node_index["a"]
-        weights = dict(model.attention_coefficients(state, g, i, params))
+        weights = dict(coefficients(state, g, i, params))
         assert float(weights[g.node_index["a"]]) == pytest.approx(0.25, abs=1e-10)
         assert float(weights[g.node_index["b"]]) == pytest.approx(0.75, abs=1e-10)
 
@@ -170,7 +180,7 @@ class TestAttentionCoefficients:
         g = chain_graph([("a", 0), ("b", 7), ("c", 30), ("a", 41), ("d", 60)])
         state = [rand_ball(rng, 5, 0.7) for _ in g.nodes]
         for i in range(g.n_nodes):
-            weights = model.attention_coefficients(state, g, i, params)
+            weights = coefficients(state, g, i, params)
             total = sum(float(w) for _, w in weights)
             assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -180,9 +190,9 @@ class TestAttentionCoefficients:
         g = chain_graph([("b", 0), ("a", 10)])
         state = [np.array([0.05, 0.0]), np.array([0.6, 0.0])]
         i = g.node_index["a"]
-        w_plus = dict(model.attention_coefficients(state, g, i, params))
+        w_plus = dict(coefficients(state, g, i, params))
         params.attention_sign = -1.0
-        w_minus = dict(model.attention_coefficients(state, g, i, params))
+        w_minus = dict(coefficients(state, g, i, params))
         j = g.node_index["b"]
         assert float(w_plus[j]) > 0.5 > float(w_minus[j])
 
@@ -192,7 +202,7 @@ class TestSelfAttentionLayer:
         params = make_params(np.random.default_rng(0))
         g = chain_graph([("a", 0)])
         h = rand_ball(np.random.default_rng(1), 5, 0.5)
-        out = model.self_attention_layer([h], g, params)
+        out = model.self_attention_layer(np.stack([h]), batch_of(g, params), params)
         expected = M.exp_map0(np.where(M.log_map0(h) > 0, M.log_map0(h), 0.2 * M.log_map0(h)))
         np.testing.assert_allclose(out[0], expected, atol=1e-12)
 
@@ -200,7 +210,7 @@ class TestSelfAttentionLayer:
         params = make_params(np.random.default_rng(0))
         g = chain_graph([("a", 0), ("b", 10), ("a", 20), ("b", 30)])
         point = rand_ball(np.random.default_rng(2), 5, 0.4)
-        out = model.self_attention_layer([point.copy(), point.copy()], g, params)
+        out = model.self_attention_layer(np.stack([point, point]), batch_of(g, params), params)
         np.testing.assert_allclose(out[0], out[1], atol=1e-12)
 
     def test_matches_straight_line_oracle(self):
@@ -209,7 +219,7 @@ class TestSelfAttentionLayer:
             params = make_params(np.random.default_rng(50 + trial))
             g = chain_graph([("a", 0), ("b", 40), ("c", 100), ("a", 160)])
             state = [rand_ball(rng, 5, 0.7) for _ in g.nodes]
-            ours = model.self_attention_layer(state, g, params)
+            ours = model.self_attention_layer(np.stack(state), batch_of(g, params), params)
             ref = o_layer(state, g, params.time_proj)
             for o, r in zip(ours, ref):
                 np.testing.assert_allclose(o, r, atol=1e-10)
@@ -221,9 +231,9 @@ class TestSelfAttentionLayer:
         g = chain_graph([("a", 0), ("b", 0), ("c", 0)])
         assert all(iv == 0.0 for _, _, iv in g.edges)
         state = [rand_ball(rng, 5, 0.7) for _ in g.nodes]
-        with_time = model.self_attention_layer(state, g, params)
+        with_time = model.self_attention_layer(np.stack(state), batch_of(g, params), params)
         params.time_proj = np.zeros(5)  # removes the time pathway entirely
-        without = model.self_attention_layer(state, g, params)
+        without = model.self_attention_layer(np.stack(state), batch_of(g, params), params)
         for a, b in zip(with_time, without):
             np.testing.assert_allclose(a, b, atol=1e-15)
 
@@ -233,16 +243,16 @@ class TestSelfAttentionLayer:
         events = [("a", 0), ("b", 40), ("c", 100), ("a", 160), ("d", 220)]
         g = chain_graph(events)
         state = [rand_ball(rng, 5, 0.7) for _ in g.nodes]
-        out = model.self_attention_layer(state, g, params)
-        h_s = model.soft_attention_session(out, g, params)
+        out = model.self_attention_layer(np.stack(state), batch_of(g, params), params)
+        h_s = model.soft_attention_session(out, batch_of(g, params), params)[0]
 
         # relabel items; graph nodes appear in a different order
         mapping = {"a": "z", "b": "y", "c": "x", "d": "w"}
         g2 = chain_graph([(mapping[i], t) for i, t in events])
         state2 = [state[g.node_index[{v: k for k, v in mapping.items()}[item]]]
                   for item in g2.nodes]
-        out2 = model.self_attention_layer(state2, g2, params)
-        h_s2 = model.soft_attention_session(out2, g2, params)
+        out2 = model.self_attention_layer(np.stack(state2), batch_of(g2, params), params)
+        h_s2 = model.soft_attention_session(out2, batch_of(g2, params), params)[0]
         for item, new in mapping.items():
             np.testing.assert_allclose(
                 out[g.node_index[item]], out2[g2.node_index[new]], atol=1e-12
@@ -255,7 +265,7 @@ class TestSoftAttention:
         params = make_params(np.random.default_rng(0))
         g = chain_graph([("a", 0)])
         h = rand_ball(np.random.default_rng(1), 5, 0.5)
-        ours = model.soft_attention_session([h], g, params)
+        ours = model.soft_attention_session(np.stack([h]), batch_of(g, params), params)[0]
         ref = o_soft_attention([h], g, params.att_last_proj, params.att_item_proj,
                                params.att_vec, params.att_bias)
         np.testing.assert_allclose(ours, ref, atol=1e-10)
@@ -265,7 +275,7 @@ class TestSoftAttention:
         params.att_vec = np.zeros(5)
         g = chain_graph([("a", 0), ("b", 10)])
         state = [rand_ball(np.random.default_rng(2), 5, 0.5) for _ in g.nodes]
-        out = model.soft_attention_session(state, g, params)
+        out = model.soft_attention_session(np.stack(state), batch_of(g, params), params)[0]
         np.testing.assert_array_equal(out, np.zeros(5))
 
     def test_matches_straight_line_oracle(self):
@@ -274,7 +284,7 @@ class TestSoftAttention:
             params = make_params(np.random.default_rng(80 + trial))
             g = chain_graph([("a", 0), ("b", 25)])
             state = [rand_ball(rng, 5, 0.7) for _ in g.nodes]
-            ours = model.soft_attention_session(state, g, params)
+            ours = model.soft_attention_session(np.stack(state), batch_of(g, params), params)[0]
             ref = o_soft_attention(state, g, params.att_last_proj,
                                    params.att_item_proj, params.att_vec,
                                    params.att_bias)
@@ -613,7 +623,7 @@ class TestForwardInvariants:
         params = make_params(rng)
         g = chain_graph([("a", 0), ("b", 40), ("c", 100), ("a", 160)])
         fw = model.forward_session(g, 0.8, params)
-        for vec in fw.initial + fw.final + [fw.session, fw.session_future, fw.item_future]:
+        for vec in [*fw.initial, *fw.final, fw.session, fw.session_future, fw.item_future]:
             assert np.linalg.norm(np.asarray(vec)) <= 1 - EPS_BALL + 1e-15
 
     def test_layer_count_config(self):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,9 +170,8 @@ def minibatches(draw, gaps=(0, 0, 3, 40, 900, 100000)):
 
 
 def taped(params):
-    theta = {n: G.Node(getattr(params, n)) for n in params.matrix_fields()}
-    theta.update({"item:" + it: G.Node(params.item_vec(it)) for it in params.items})
-    return theta
+    """Every learnable array as a tape leaf, the whole item table as one."""
+    return {n: G.Node(getattr(params, n)) for n in ("item_features",) + model.MATRIX_FIELDS}
 
 
 class TestBatchLosses:
@@ -201,12 +201,12 @@ class TestBatchLosses:
         examples, negatives, params = batch
         negs = negatives or [None] * len(examples)
         theta = taped(params)
-        losses = train.batch_losses(examples, model.BoundParams(params, theta), negatives, self.MARGIN)
+        losses = train.batch_losses(examples, replace(params, **theta), negatives, self.MARGIN)
         G.backward(G.dot(np.ones(len(examples)), losses))
         summed = {k: np.zeros_like(v.value) for k, v in theta.items()}
         for ex, neg in zip(examples, negs):
             one = taped(params)
-            G.backward(train.compute_loss(ex, model.BoundParams(params, one), neg, self.MARGIN))
+            G.backward(train.compute_loss(ex, replace(params, **one), neg, self.MARGIN))
             for k, v in one.items():
                 summed[k] += v.adjoint
         for k, v in theta.items():
@@ -230,7 +230,7 @@ class TestOptimizerStep:
     def zero_grads(params, items=("a", "b", "c", "d")):
         """Zero gradients for the matrices and the block of ``items``' rows,
         with the rows that block stands for."""
-        g = {n: np.zeros_like(getattr(params, n)) for n in params.matrix_fields()}
+        g = {n: np.zeros_like(getattr(params, n)) for n in model.MATRIX_FIELDS}
         g["item_features"] = np.zeros((len(items), params.feat_dim))
         return g, [params.item_index[it] for it in items]
 
@@ -239,7 +239,7 @@ class TestOptimizerStep:
         before = copy.deepcopy(params)
         g, rows = self.zero_grads(params)
         assert train.optimizer_step(params, g, 0.1, train.GRAD_CLIP, rows)
-        for n in params.matrix_fields() + ("item_features",):
+        for n in model.MATRIX_FIELDS + ("item_features",):
             np.testing.assert_array_equal(getattr(params, n), getattr(before, n))
 
     def test_scalar_update_rule(self):
@@ -334,7 +334,7 @@ class TestFit:
         r2 = train.fit(exs, config, vocab=items)
         assert r1.epoch_losses == r2.epoch_losses
         assert r1.collapse_trace == r2.collapse_trace
-        for n in r1.params.matrix_fields():
+        for n in model.MATRIX_FIELDS:
             np.testing.assert_array_equal(getattr(r1.params, n), getattr(r2.params, n))
         np.testing.assert_array_equal(r1.params.item_features, r2.params.item_features)
 
@@ -470,7 +470,7 @@ class TestFit:
         # the last batch was poisoned: the result is the model before it
         assert len(stepped) == n_batches - 1
         np.testing.assert_array_equal(res.params.item_features, stepped[-1].item_features)
-        for n in res.params.matrix_fields():
+        for n in model.MATRIX_FIELDS:
             np.testing.assert_array_equal(getattr(res.params, n), getattr(stepped[-1], n))
 
     def test_item_gradient_is_one_block_of_the_batch_items(self, monkeypatch):
@@ -483,14 +483,14 @@ class TestFit:
             return batch_losses(examples, *args, **kwargs)
 
         def recorded(params, grads, lr, clip, rows):
-            # the same batch's item gradients, from one "item:<id>" Node per row
+            # the same batch's item gradients, from the whole item table as one leaf
             batch = batches[-1]
             used = sorted({it for ex in batch for it in ex.graph.nodes}
                           | {ex.target_item for ex in batch})
-            theta = {"item:" + it: G.Node(params.item_vec(it)) for it in used}
-            losses = batch_losses(batch, model.BoundParams(params, theta))
+            table = G.Node(params.item_features)
+            losses = batch_losses(batch, replace(params, item_features=table))
             G.backward(G.div(G.dot(np.ones(len(batch)), losses), float(len(batch))))
-            per_row = np.stack([theta["item:" + it].adjoint for it in used])
+            per_row = table.adjoint[params.item_positions(used)]
             steps.append((grads, list(rows), used, per_row))
             return optimizer_step(params, grads, lr, clip, rows)
 
@@ -544,7 +544,7 @@ class TestCheckpoint:
         assert config2 == config
         assert params2.items == res.params.items
         np.testing.assert_array_equal(params2.item_features, res.params.item_features)
-        for n in res.params.matrix_fields():
+        for n in model.MATRIX_FIELDS:
             np.testing.assert_array_equal(getattr(params2, n), getattr(res.params, n))
 
     @staticmethod
