@@ -28,21 +28,32 @@ log = logging.getLogger(__name__)
 TEST_WINDOW_DAYS = {"yoochoose": 1.0, "diginetica": 7.0, "generic": 1.0}
 # the cutoff of evaluate's MRR@k/P@k and recommend's list when --k is unset
 DEFAULT_K = 20
+# flag and config-file key -> the flag's type (train's: TRAIN_FLAGS)
+PREPROCESS_FLAGS = {"min_session_len": int, "min_item_freq": int, "test_window_days": float}
+K_FLAGS = {"k": int}
+# the JSON types of a config value, by its flag's type (None: the sign, which TrainConfig parses)
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), None: (int, float, str)}
 
 
-def _options(args: argparse.Namespace, keys) -> Dict:
-    """Values set for ``keys``: config file <- explicitly passed flags (None
-    means unset).  Whatever stays unset takes the callee's default."""
+def _options(args: argparse.Namespace, flags: Dict[str, type]) -> Dict:
+    """Values set for the keys of ``flags`` (key -> flag type): config file
+    <- explicitly passed flags (None means unset).  Whatever stays unset
+    takes the callee's default."""
     opts = {}
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         with open(cfg_path, encoding="utf-8") as fh:
             loaded = json.load(fh)
-        unknown = set(loaded) - set(keys)
+        unknown = set(loaded) - set(flags)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in loaded.items():
+            allowed = _JSON_TYPES[flags[key]]
+            if type(val) not in allowed:
+                raise ValueError(f"config key {key!r} takes JSON "
+                                 f"{' or '.join(t.__name__ for t in allowed)}, not {val!r}")
         opts.update(loaded)
-    for key in keys:
+    for key in flags:
         val = getattr(args, key, None)
         if val is not None:
             opts[key] = val
@@ -50,7 +61,7 @@ def _options(args: argparse.Namespace, keys) -> Dict:
 
 
 def cmd_preprocess(args) -> int:
-    opts = _options(args, ("min_session_len", "min_item_freq", "test_window_days"))
+    opts = _options(args, PREPROCESS_FLAGS)
     window_days = opts.pop("test_window_days", TEST_WINDOW_DAYS[args.format])
     events = data.parse_clicklog(args.input, args.format)
     fraction = float(Fraction(args.fraction)) if args.fraction else None
@@ -96,12 +107,15 @@ TRAIN_KEYS = {
     f.name: {"learning_rate": "lr", "batch_size": "batch"}.get(f.name, f.name)
     for f in fields(train_mod.TrainConfig)
 }
+# key -> flag type; TrainConfig parses the sign, so a bad one fails there in one line
+TRAIN_FLAGS = {TRAIN_KEYS[name]: None if name == "attention_sign" else kind
+               for name, kind in get_type_hints(train_mod.TrainConfig).items()}
 
 
 def train_config(args: argparse.Namespace) -> train_mod.TrainConfig:
     """TrainConfig from the set flags and config-file keys; the rest keep
     TrainConfig's defaults."""
-    opts = _options(args, TRAIN_KEYS.values())
+    opts = _options(args, TRAIN_FLAGS)
     return train_mod.TrainConfig(**{name: opts[key] for name, key in TRAIN_KEYS.items()
                                     if key in opts})
 
@@ -125,7 +139,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    k = _options(args, ("k",)).get("k", DEFAULT_K)
+    k = _options(args, K_FLAGS).get("k", DEFAULT_K)
     params, config = train_mod.load_checkpoint(args.checkpoint)
     split = data.load_split(args.data)
     report = eval_mod.evaluate(params, split.test, k, config.normalizer())
@@ -158,7 +172,7 @@ def _parse_session(text: str) -> SessionRecord:
 
 
 def cmd_recommend(args) -> int:
-    k = _options(args, ("k",)).get("k", DEFAULT_K)
+    k = _options(args, K_FLAGS).get("k", DEFAULT_K)
     params, config = train_mod.load_checkpoint(args.checkpoint)
     record = _parse_session(args.session)
     unknown = [it for it, _ in record.events if it not in params.item_index]
@@ -186,6 +200,16 @@ def cmd_recommend(args) -> int:
     return 0
 
 
+def _add_flags(p: argparse.ArgumentParser, flags: Dict[str, type]) -> None:
+    """One --flag per key of ``flags``, of its type; bools take --no-<flag>."""
+    for key, kind in flags.items():
+        flag = "--" + key.replace("_", "-")
+        if kind is bool:
+            p.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction)
+        else:
+            p.add_argument(flag, dest=key, type=kind)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypersess",
@@ -198,9 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--outdir", required=True)
     p.add_argument("--fraction", choices=["1/64", "1/4"], default=None)
-    p.add_argument("--min-session-len", dest="min_session_len", type=int)
-    p.add_argument("--min-item-freq", dest="min_item_freq", type=int)
-    p.add_argument("--test-window-days", dest="test_window_days", type=float)
+    _add_flags(p, PREPROCESS_FLAGS)
     p.add_argument("--config")
     p.set_defaults(func=cmd_preprocess)
 
@@ -215,20 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a model on a preprocessed split")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
-    types = get_type_hints(train_mod.TrainConfig)
-    for name, key in TRAIN_KEYS.items():
-        flag = "--" + key.replace("_", "-")
-        if types[name] is bool:
-            p.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction)
-        else:  # TrainConfig parses the sign, so a bad one fails there in one line
-            p.add_argument(flag, dest=key, type=None if name == "attention_sign" else types[name])
+    _add_flags(p, TRAIN_FLAGS)
     p.add_argument("--config")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on the test split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int)
+    _add_flags(p, K_FLAGS)
     p.add_argument("--report")
     p.add_argument("--config")
     p.set_defaults(func=cmd_evaluate)
@@ -238,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--session", required=True,
                    help='comma-separated "item:timestamp" events')
     p.add_argument("--at-time", dest="at_time", type=int, required=True)
-    p.add_argument("--k", type=int)
+    _add_flags(p, K_FLAGS)
     p.add_argument("--csv")
     p.add_argument("--config")
     p.set_defaults(func=cmd_recommend)

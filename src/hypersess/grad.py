@@ -7,8 +7,8 @@ code is written once against these primitives and runs in either mode.
 
 Values are vectors or matrices of row vectors: reductions (``dot``,
 ``norm``) act on the last axis and keep it for rows, so one tape node
-carries a whole (N, d) matrix.  ``take``, ``segment_sum`` and ``stack``
-move rows between matrices.
+carries a whole (N, d) matrix.  ``take`` and ``segment_sum`` move rows
+between matrices.
 
 Gradients are validated against central finite differences via
 :func:`check_gradients`; that check is the ground truth for every composite
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -278,14 +278,6 @@ def reshape(a: Arrayish, shape):
     return Node(a.value.reshape(shape), ((a, lambda g, sh=orig: g.reshape(sh)),))
 
 
-def nsum(items: Sequence[Arrayish]):
-    """Sum a nonempty sequence of same-shaped values/nodes."""
-    total = items[0]
-    for it in items[1:]:
-        total = add(total, it)
-    return total
-
-
 def _scatter_add(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
     """out[index[k]] += values[k] for every k, in order of k (np.add.at's
     summation order), as one bincount over the flattened rows."""
@@ -317,21 +309,12 @@ def take(a: Arrayish, index):
 
 def segment_sum(a: Arrayish, segments: np.ndarray, n: int):
     """Sum the rows of a into n segments: out[s] = sum of a[k] over
-    segments[k] == s, added in row order (as nsum adds its terms)."""
+    segments[k] == s, added in row order."""
     segments = np.asarray(segments, dtype=np.intp)
     if not isinstance(a, Node):
         return _scatter_add(value_of(a), segments, n)
     return Node(_scatter_add(a.value, segments, n),
                 ((a, lambda g, s=segments: g[s]),))
-
-
-def stack(rows: Sequence[Arrayish]):
-    """Stack same-shaped rows (Nodes or values) into one matrix."""
-    out = np.stack([value_of(r) for r in rows])
-    parents = tuple((r, lambda g, i=i: g[i]) for i, r in enumerate(rows) if type(r) is Node)
-    if not parents:
-        return out
-    return Node(out, parents)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Poincare ball (curvature 1) gyrovector operations.
 
 All functions accept plain float64 ndarrays or tape Nodes (see ``grad``) and
-return the same kind, for one (d,) point or for the rows of an (N, d) matrix
-alike.  Ball-valued results are re-clipped into the ``1 - EPS_BALL`` shell;
-removable singularities (zero vectors) take their continuity limits row by
-row: a zero row gives exact zeros and passes no gradient.  The
-matrix-vector product carries the unit-direction factor M a / ||M a||,
-without which the transform would collapse to a scalar.
+return the same kind, whatever the rows, for one (d,) point or for the rows
+of an (N, d) matrix alike.  Ball-valued results are re-clipped into the
+``1 - EPS_BALL`` shell.  Removable singularities (zero vectors) take their
+continuity limits by one row-wise rule, however many rows are zero: a zero
+row gives exact zeros and passes no gradient.  The matrix-vector product
+carries the unit-direction factor M a / ||M a||, without which the
+transform would collapse to a scalar.
 """
 
 from __future__ import annotations
@@ -29,13 +30,17 @@ def project_to_ball(v: Arrayish) -> Arrayish:
         return v
     if not np.isfinite(val).all():
         raise ValueError("cannot project non-finite vector")
+    huge = np.isinf(n)
+    if huge.any():
+        # a finite row too long to square: shrink it by its largest |entry|
+        v = grad.div(v, np.where(huge, np.abs(val).max(axis=-1, keepdims=True), 1.0))
+        val = value_of(v)
+        n = np.sqrt(grad.dot(val, val))
     beyond = n > MAX_NORM
     if not isinstance(v, grad.Node):
-        return val * (MAX_NORM / (n if beyond.all() else np.where(beyond, n, MAX_NORM)))
-    vn = grad.norm(v)
-    if not beyond.all():
-        # rows inside divide by the constant MAX_NORM: factor 1, no gradient
-        vn = grad.add(grad.mul(vn, beyond), np.where(beyond, 0.0, MAX_NORM))
+        return val * (MAX_NORM / np.where(beyond, n, MAX_NORM))
+    # rows inside divide by the constant MAX_NORM: factor 1, no gradient
+    vn = grad.add(grad.mul(grad.norm(v), beyond), np.where(beyond, 0.0, MAX_NORM))
     return grad.mul(v, grad.div(MAX_NORM, vn))
 
 
@@ -44,7 +49,7 @@ project_rows_to_ball = project_to_ball
 
 
 def _safe_norm(x: Arrayish):
-    """(norm, mask) for the zero-row rule, or None when every row of x is 0.
+    """(norm, mask) for the zero-row rule.
 
     The norm is that of each row, with zero rows read as 1/2 so that every
     ratio stays finite; the mask is the 0/1 column that zeroes those rows'
@@ -53,8 +58,6 @@ def _safe_norm(x: Arrayish):
     nv = value_of(n)
     if nv.all():
         return n, None
-    if not nv.any():
-        return None
     zero = nv == 0.0
     return grad.add(n, np.where(zero, 0.5, 0.0)), np.where(zero, 0.0, 1.0)
 
@@ -90,10 +93,7 @@ def mobius_scalar_mul(alpha: Arrayish, b: Arrayish) -> Arrayish:
     """alpha (x) b = tanh(alpha * artanh(||b||)) * b/||b||; 0 at b = 0.
 
     ``alpha`` is a scalar or one (N, 1) entry per row of b."""
-    safe = _safe_norm(b)
-    if safe is None:
-        return np.zeros_like(value_of(b))
-    n, mask = safe
+    n, mask = _safe_norm(b)
     scale = grad.div(grad.tanh(grad.mul(alpha, grad.artanh(n))), n)
     return project_to_ball(grad.mul(_masked(scale, mask), b))
 
@@ -104,25 +104,17 @@ def mobius_matvec(m: Arrayish, a: Arrayish) -> Arrayish:
     Rows with a = 0 or M a = 0 give the r-dimensional zero vector
     (continuity limits).
     """
-    safe_a = _safe_norm(a)
-    if safe_a is None:
-        return np.zeros(value_of(a).shape[:-1] + (value_of(m).shape[0],))
+    a_n, _ = _safe_norm(a)
     ma = grad.matvec(m, a)
-    safe_ma = _safe_norm(ma)
-    if safe_ma is None:
-        return np.zeros_like(value_of(ma))
     # a = 0 implies M a = 0, so the mask of M a covers both limits
-    a_n, man, mask = safe_a[0], safe_ma[0], safe_ma[1]
+    man, mask = _safe_norm(ma)
     scale = grad.div(grad.tanh(grad.mul(grad.div(man, a_n), grad.artanh(a_n))), man)
     return project_to_ball(grad.mul(_masked(scale, mask), ma))
 
 
 def exp_map(x: Arrayish, v: Arrayish) -> Arrayish:
     """exp_x(v) = x (+) (tanh(lambda_x ||v|| / 2) v/||v||); x at v = 0."""
-    safe = _safe_norm(v)
-    if safe is None:
-        return x
-    n, mask = safe
+    n, mask = _safe_norm(v)
     lam = conformal_factor(x)
     scale = grad.div(grad.tanh(grad.div(grad.mul(lam, n), 2.0)), n)
     return mobius_add(x, grad.mul(_masked(scale, mask), v))
@@ -130,14 +122,8 @@ def exp_map(x: Arrayish, v: Arrayish) -> Arrayish:
 
 def log_map(x: Arrayish, a: Arrayish) -> Arrayish:
     """log_x(a) = (2/lambda_x) artanh(||w||) w/||w||, w = (-x) (+) a; 0 at a = x."""
-    if not isinstance(x, grad.Node) and not value_of(x).any():
-        w = a
-    else:
-        w = mobius_add(grad.neg(x), a)
-    safe = _safe_norm(w)
-    if safe is None:
-        return np.zeros_like(value_of(w))
-    n, mask = safe
+    w = mobius_add(grad.neg(x), a)
+    n, mask = _safe_norm(w)
     lam = conformal_factor(x)
     scale = grad.mul(grad.div(2.0, lam), grad.div(grad.artanh(n), n))
     return grad.mul(_masked(scale, mask), w)
@@ -145,19 +131,13 @@ def log_map(x: Arrayish, a: Arrayish) -> Arrayish:
 
 def exp_map0(v: Arrayish) -> Arrayish:
     """exp at the origin: tanh(||v||) v/||v||; 0 at v = 0."""
-    safe = _safe_norm(v)
-    if safe is None:
-        return np.zeros_like(value_of(v))
-    n, mask = safe
+    n, mask = _safe_norm(v)
     return project_to_ball(grad.mul(_masked(grad.div(grad.tanh(n), n), mask), v))
 
 
 def log_map0(a: Arrayish) -> Arrayish:
     """log at the origin: artanh(||a||) a/||a||; 0 at a = 0."""
-    safe = _safe_norm(a)
-    if safe is None:
-        return np.zeros_like(value_of(a))
-    n, mask = safe
+    n, mask = _safe_norm(a)
     return grad.mul(_masked(grad.div(grad.artanh(n), n), mask), a)
 
 

@@ -1,13 +1,16 @@
 """End-to-end command-line workflows."""
 
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypersess
 from hypersess.cli import build_parser, main, train_config
 
 
@@ -123,6 +126,36 @@ class TestTrainEvaluate:
         assert err.startswith("error:") and err.count("\n") == 1
         assert flag[2:].replace("-", "_") in err
         assert not (tmp_path / "x.npz").exists()
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("train", "margin_negatives", "false"),
+        ("train", "augment_prefixes", "no"),
+        ("train", "layers", 1.5),
+        ("train", "attention_sign", True),
+        ("evaluate", "k", 5.5),
+        ("recommend", "k", True),
+        ("preprocess", "test_window_days", "1"),
+    ])
+    def test_config_value_of_the_wrong_type_rejected(self, synth_dir, checkpoint, tmp_path,
+                                                     capsys, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        from hypersess.data import load_split
+        item = min(load_split(synth_dir).item_vocabulary)
+        argv = {
+            "train": ["--data", str(synth_dir), "--checkpoint", str(out)],
+            "evaluate": ["--checkpoint", str(checkpoint), "--data", str(synth_dir),
+                         "--report", str(out)],
+            "recommend": ["--checkpoint", str(checkpoint), "--session", f"{item}:1000",
+                          "--at-time", "1300", "--csv", str(out)],
+            "preprocess": ["--format", "generic", "--input", str(synth_dir / "clicks.csv"),
+                           "--outdir", str(out)],
+        }[command]
+        assert run_cli(command, *argv, "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and repr(key) in err
+        assert not out.exists()
 
     def test_config_attention_sign_string(self, synth_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -251,8 +284,12 @@ class TestCategoryPipeline:
 
 class TestConsoleEntry:
     def test_installed_script(self):
+        # the child sees the package this test imported, installed or not
+        src = str(Path(hypersess.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "hypersess.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         for cmd in ("preprocess", "synth", "train", "evaluate", "recommend"):
             assert cmd in proc.stdout

@@ -45,6 +45,21 @@ class TestBallPoint:
         np.testing.assert_array_equal(M.project_to_ball(np.zeros(2)), [0.0, 0.0])
         np.testing.assert_array_equal(M.project_to_ball(np.zeros((2, 2))), np.zeros((2, 2)))
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_row_too_long_to_square_keeps_its_direction(self):
+        # ||v||^2 overflows to inf for these finite rows, and MAX_NORM / inf = 0
+        np.testing.assert_array_equal(M.project_to_ball(np.array([[1e200, 0.0]])),
+                                      [[M.MAX_NORM, 0.0]])
+        rows = np.array([[-3e200, 4e200], [0.3, 0.0], [3.0, 4.0]])
+        out = M.project_to_ball(rows)
+        np.testing.assert_allclose(out[0], [-0.6 * M.MAX_NORM, 0.8 * M.MAX_NORM], rtol=1e-15)
+        np.testing.assert_array_equal(out[1:], M.project_to_ball(rows[1:]))
+        x = G.Node(rows)
+        taped = M.project_to_ball(x)
+        np.testing.assert_array_equal(taped.value, out)
+        G.backward(G.dot(np.ones(3), G.reshape(G.dot(taped, np.array([1.0, 2.0])), (3,))))
+        assert np.isfinite(x.adjoint).all() and x.adjoint[1].tolist() == [1.0, 2.0]
+
     @pytest.mark.parametrize("bad", [[np.nan, 0.0], [np.inf, 1.0], [1.0, -np.inf]])
     def test_nonfinite_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -295,6 +310,12 @@ class TestRowWise:
             G.backward(G.dot(np.ones(6), G.reshape(G.dot(op(x), probe), (6,))))
             assert not x.adjoint[1].any()
             assert x.adjoint[[0, 2]].any(axis=1).all()
+            # every row zero: the same rule, and the result stays on the tape
+            x = G.Node(np.zeros((6, 4)))
+            out = op(x)
+            assert type(out) is G.Node and (out.value == 0.0).all()
+            G.backward(G.dot(np.ones(6), G.reshape(G.dot(out, probe), (6,))))
+            assert not x.adjoint.any()
 
     def test_projection_per_row(self):
         rng = RNG(34)

@@ -519,6 +519,29 @@ class TestFit:
         res = train.fit(exs, config, vocab=items)
         assert res.skipped_steps == 2 * -(-len(exs) // 4)
 
+    def test_all_zero_layer_inputs_train(self):
+        # zero item rows and time column: whole node matrices are zero, and
+        # their zero-row limits must stay on the tape
+        synth = data.generate_synthetic(10, 20, 1)
+        config = TrainConfig(dim=4, epochs=1, batch_size=8)
+        exs = train.examples_from_records(synth.records, config.normalizer())
+        params = model.init_params(synth.items, 4, np.random.default_rng(0))
+        params.item_features[:] = 0.0
+        params.time_proj[:] = 0.0
+        res = train.fit(exs, config, params=params)
+        assert res.skipped_steps == 0 and np.isfinite(res.epoch_losses).all()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_steps_keep_item_rows_off_the_origin(self):
+        # lr = 1e200 moves rows whose squared norm overflows; the projection
+        # puts them on the shell, and the non-finite steps that follow are skipped
+        synth = data.generate_synthetic(30, 200, 1)
+        config = TrainConfig(dim=4, epochs=3, learning_rate=1e200, batch_size=16)
+        exs = train.examples_from_records(synth.records, config.normalizer())
+        res = train.fit(exs, config, vocab=synth.items)
+        assert res.skipped_steps > 0
+        assert res.params.item_features.any(axis=1).all()
+
     def test_hundred_epoch_monotone_trend(self):
         # fixed 10-session set, lr = 0.01: >= 90% of consecutive epoch pairs
         # decrease, and the collapse monitor stays above 1e-3 throughout
