@@ -33,6 +33,9 @@ PREPROCESS_FLAGS = {"min_session_len": int, "min_item_freq": int, "test_window_d
 K_FLAGS = {"k": int}
 # the JSON types of a config value, by its flag's type (None: the sign, which TrainConfig parses)
 _JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), None: (int, float, str)}
+# the JSON name of each type json.load returns
+_JSON_NAMES = {list: "an array", str: "a string", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
 
 
 def _options(args: argparse.Namespace, flags: Dict[str, type]) -> Dict:
@@ -44,6 +47,9 @@ def _options(args: argparse.Namespace, flags: Dict[str, type]) -> Dict:
     if cfg_path:
         with open(cfg_path, encoding="utf-8") as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {cfg_path} must hold a JSON object, "
+                             f"not {_JSON_NAMES[type(loaded)]}")
         unknown = set(loaded) - set(flags)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -64,13 +64,13 @@ def rank_test_sessions(
     as (rank, target) pairs.
 
     The catalog is projected at most once for the whole call, and not at
-    all when read-only params keep their table (see
-    :func:`~hypersess.model.item_table`).  Sessions that yield
-    no example (fewer than 2 events), or touching items outside the
-    vocabulary, are skipped and counted.  The others are ranked in blocks of
-    at most ``BLOCK_BYTES // (8 * n_items)`` sessions; a block whose ranking
-    raises a ValueError is ranked again one session at a time, so that the
-    error names the first session that fails.
+    all when read-only params, as ``fit`` and ``load_checkpoint`` return
+    them, keep their table (see :func:`~hypersess.model.item_table`).
+    Sessions that yield no example (fewer than 2 events), or touching items
+    outside the vocabulary, are skipped and counted.  The others are ranked
+    in blocks of at most ``BLOCK_BYTES // (8 * n_items)`` sessions; a block
+    whose ranking raises a ValueError is ranked again one session at a time,
+    so that the error names the first session that fails.
     """
     table = model.item_table(params)
     size = max(1, BLOCK_BYTES // (8 * len(table.items)))

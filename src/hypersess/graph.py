@@ -38,8 +38,10 @@ class IntervalNormalizer:
     cap: float = 86400.0
 
     def __post_init__(self):
-        if self.tau <= 0 or self.cap <= 0:
+        if not (self.tau > 0 and self.cap > 0):  # NaN fails too
             raise ValueError("tau and cap must be positive")
+        if math.isinf(self.tau) or math.isinf(self.cap):
+            raise ValueError("tau and cap must be finite")
 
     def __call__(self, delta_seconds: float) -> float:
         if delta_seconds < 0:

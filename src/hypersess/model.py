@@ -50,8 +50,9 @@ def item_positions(index: Dict[Item, int], items: Iterable[Item]) -> List[int]:
 
 def check_hyperparameters(lambda_s, lambda_v, layers, attention_sign, direction) -> None:
     """The rules every model configuration obeys; raises ValueError."""
-    if lambda_s < 0 or lambda_v < 0:
-        raise ValueError("lambda_s and lambda_v must be nonnegative")
+    for name, value in (("lambda_s", lambda_s), ("lambda_v", lambda_v)):
+        if not 0 <= value < np.inf:  # NaN fails too
+            raise ValueError(f"{name} must be finite and nonnegative, not {value!r}")
     if not 1 <= layers <= 3:
         raise ValueError("layers must be in 1..3")
     if attention_sign not in (1.0, -1.0):
@@ -353,9 +354,10 @@ class ItemTable:
     """The catalog projected once, to score one or many points against.
 
     Get one through :func:`item_table`, which keeps it on read-only params
-    and builds a fresh one per call for writable params, whose item rows
-    ``optimizer_step`` writes in place.  Items are ordered by ascending
-    distance, ties by ascending item id, the distances being those of
+    (what ``fit`` and ``load_checkpoint`` return) and builds a fresh one per
+    call for writable params, whose item rows ``optimizer_step`` writes in
+    place.  Items are ordered by ascending distance, ties by ascending item
+    id, the distances being those of
     :func:`~hypersess.manifold.distances_to_rows`.  :meth:`top_k` and
     :meth:`ranks` both go through one screen (:meth:`_screen`) and recompute
     exactly only the rows its rounding bound cannot place.
@@ -495,10 +497,13 @@ def item_table(params: ModelParams) -> ItemTable:
     """The projected catalog of ``params``, the one way scoring gets it.
 
     The projection reads ``items``, ``item_features`` and ``feat_proj``.
-    When both arrays are read-only (as :func:`~hypersess.train.load_checkpoint`
-    returns them) the table is kept on ``params`` and served again while
-    those three are the same objects and both arrays still read-only;
-    anything else is projected afresh, once per call.
+    When both arrays are read-only (as :func:`~hypersess.train.fit` and
+    :func:`~hypersess.train.load_checkpoint` return them) the table is kept
+    on ``params`` and served again while those three are the same objects
+    and both arrays still read-only; anything else is projected afresh, once
+    per call.  A fit array's flag can be set back to writable: the first
+    call that finds it so drops the kept table, but rows written and frozen
+    again between two calls are not seen.
     """
     kept = vars(params).pop("_item_table", None)
     if not (_read_only(params.item_features) and _read_only(params.feat_proj)):

@@ -55,9 +55,12 @@ class TrainConfig:
             self.attention_sign = float(self.attention_sign)
         if self.dim < 1 or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("dim, epochs and batch_size must be positive")
-        # lr = 0 is admitted so a no-update run can be constructed
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        # lr = 0 is admitted so a no-update run can be constructed; NaN fails every test
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and nonnegative, "
+                             f"not {self.learning_rate!r}")
+        if not math.isfinite(self.margin):
+            raise ValueError(f"margin must be finite, not {self.margin!r}")
         self.normalizer()  # checks tau and cap
         model.check_hyperparameters(self.lambda_s, self.lambda_v, self.layers,
                                     self.attention_sign, self.neighborhood)
@@ -197,10 +200,14 @@ def fit(
     ``vocab`` fixes a new model's catalog (defaults to the items present in
     the dataset); an item the dataset reads outside the catalog is a
     ValueError naming it.  Given ``params`` are trained in place, must be
-    writable (loaded ones are not: train a copy), must agree with the
-    config's ``dim`` and model hyperparameters, and take no ``vocab`` or
-    ``categories``.  The collapse trace records the mean pairwise distance
-    among up to 100 sampled projected item embeddings after each epoch.
+    writable (what fit or load_checkpoint returns is not: train a copy),
+    must agree with the config's ``dim`` and model hyperparameters, and take
+    no ``vocab`` or ``categories``.  The collapse trace records the mean
+    pairwise distance among up to 100 sampled projected item embeddings
+    after each epoch.  The returned params are read-only, so that
+    :func:`~hypersess.model.item_table` keeps their projection; the freeze
+    is each array's ``writeable`` flag, cleared without a copy, which a
+    caller can set back (a loaded array's cannot be).
     """
     if not dataset:
         raise ValueError("empty training dataset")
@@ -215,7 +222,7 @@ def fit(
     elif vocab is not None or categories is not None:
         raise ValueError("vocab and categories apply only to a new model, not to given params")
     elif not all(getattr(params, name).flags.writeable for name in ARRAY_FIELDS):
-        raise ValueError("params are read-only, as load_checkpoint returns them; "
+        raise ValueError("params are read-only, as fit and load_checkpoint return them; "
                          "train a copy (copy.deepcopy(params))")
     else:
         for name, value in {"dim": config.dim, **config.model_hyperparameters()}.items():
@@ -267,6 +274,8 @@ def fit(
         epoch_losses.append(float(np.sum(example_losses)) / n)
         monitored = model.hyperbolic_projection(params.item_features[monitor_idx], params)
         collapse.append(manifold.pairwise_mean_distance(monitored))
+    for name in ARRAY_FIELDS:
+        getattr(params, name).flags.writeable = False
     return FitResult(params=params, epoch_losses=epoch_losses, collapse_trace=collapse,
                      skipped_steps=skipped)
 

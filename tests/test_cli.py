@@ -114,6 +114,26 @@ class TestTrainEvaluate:
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content,kind", [("[8]", "an array"), ('"dim"', "a string"),
+                                              ("8", "a number"), ("null", "null")])
+    def test_config_not_an_object_rejected(self, synth_dir, tmp_path, capsys, content, kind):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        code = run_cli("train", "--data", str(synth_dir), "--config", str(cfg),
+                       "--checkpoint", str(tmp_path / "x.npz"))
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: config file {cfg} must hold a JSON object, not {kind}\n"
+
+    @pytest.mark.parametrize("flag,name", [("--lr", "learning_rate"), ("--tau", "tau")])
+    def test_nan_option_one_line_error(self, synth_dir, tmp_path, capsys, flag, name):
+        code = run_cli("train", "--data", str(synth_dir), flag, "nan",
+                       "--checkpoint", str(tmp_path / "x.npz"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and name in err
+        assert not (tmp_path / "x.npz").exists()
+
     @pytest.mark.parametrize("flag,value", [("--neighborhood", "diagonal"),
                                             ("--attention-sign", "2"),
                                             ("--attention-sign", "foo")])

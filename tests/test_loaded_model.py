@@ -1,5 +1,7 @@
-"""A loaded model is read-only and keeps one projected catalog; trained
-models, copies and overrides are projected afresh, so no table goes stale."""
+"""What ``fit`` and ``load_checkpoint`` return is read-only and keeps one
+projected catalog.  A loaded array's flag cannot be set back, a fit array's
+can.  Writable arrays, copies and overrides are projected afresh, so no table
+goes stale."""
 
 import copy
 from dataclasses import replace
@@ -28,6 +30,11 @@ def saved(tmp_path_factory):
 @pytest.fixture
 def loaded(saved):
     return train.load_checkpoint(saved[0])[0]
+
+
+@pytest.fixture
+def fitted(saved, loaded):
+    return train.fit(saved[1], CONFIG, vocab=loaded.items).params
 
 
 @pytest.fixture
@@ -133,3 +140,47 @@ def test_bound_params_score_their_override(loaded):
     got = model.score_items(point, bound, K)
     assert got == ItemTable(bound).top_k(point, K) != kept
     assert model.score_items(point, loaded, K) == kept
+
+
+@pytest.mark.parametrize("name", train.ARRAY_FIELDS)
+def test_fit_arrays_are_read_only(fitted, name):
+    assert not getattr(fitted, name).flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(fitted, name).flat[0] = 0.0
+
+
+def test_fit_result_projects_once(saved, fitted, projections):
+    ev.evaluate(fitted, saved[2], K, CONFIG.normalizer())
+    ranked = [model.score_items(query(seed), fitted, K) for seed in range(5)]
+    assert len(projections) == 1
+    assert ranked == [ItemTable(fitted).top_k(query(seed), K) for seed in range(5)]
+
+
+def test_fit_refuses_its_own_result(saved, fitted):
+    with pytest.raises(ValueError, match="read-only, as fit and load_checkpoint .*train a copy"):
+        train.fit(saved[1], CONFIG, params=fitted)
+
+
+def test_copy_of_fit_result_trains(saved, fitted):
+    trained = copy.deepcopy(fitted)
+    assert all(getattr(trained, name).flags.writeable for name in train.ARRAY_FIELDS)
+    train.fit(saved[1], CONFIG, params=trained)
+    assert not np.array_equal(trained.item_features, fitted.item_features)
+    # trained in place, and read-only again
+    assert not any(getattr(trained, name).flags.writeable for name in train.ARRAY_FIELDS)
+
+
+def test_fit_table_dropped_once_writable(fitted, projections):
+    point = query()
+    first = [model.score_items(point, fitted, K) for _ in range(2)]
+    assert len(projections) == 1
+    fitted.item_features.flags.writeable = True
+    fitted.item_features[:] = fitted.item_features[::-1].copy()
+    again = [model.score_items(point, fitted, K) for _ in range(2)]
+    assert len(projections) == 3
+    assert again[0] == again[1] == ItemTable(fitted).top_k(point, K) != first[0]
+    # frozen again, the new rows are kept
+    fitted.item_features.flags.writeable = False
+    kept = [model.score_items(point, fitted, K) for _ in range(2)]
+    assert len(projections) == 5
+    assert kept == again

@@ -49,6 +49,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="^tau and cap must be positive$"):
             TrainConfig(**bad)
 
+    @pytest.mark.parametrize("name", ["learning_rate", "tau", "cap", "lambda_s", "lambda_v",
+                                      "margin"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nan_or_infinite_option_fails_naming_it(self, name, value):
+        with pytest.raises(ValueError, match=name) as info:
+            TrainConfig(**{name: value})
+        assert "\n" not in str(info.value)
+
     def test_defaults_are_the_model_and_normalizer_defaults(self):
         config = TrainConfig()
         params = model.init_params(["a"], config.dim, np.random.default_rng(0))
@@ -619,6 +627,7 @@ class TestCheckpoint:
         exs, items = tiny_dataset()
         config = TrainConfig(dim=8, epochs=1, batch_size=3, seed=5)
         params = train.fit(exs, config, vocab=items).params
+        setattr(params, name, getattr(params, name).copy())    # fit's arrays are read-only
         getattr(params, name).flat[1] = np.nan
         path = tmp_path / "model.npz"
         train.save_checkpoint(path, params, config)
@@ -629,6 +638,7 @@ class TestCheckpoint:
         exs, items = tiny_dataset()
         config = TrainConfig(dim=8, epochs=1, batch_size=3, seed=5)
         params = train.fit(exs, config, vocab=items).params
+        params.item_features = params.item_features.copy()    # fit's arrays are read-only
         params.item_features[2, 0] = np.inf
         path = tmp_path / "model.npz"
         train.save_checkpoint(path, params, config)
