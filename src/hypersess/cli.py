@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -69,6 +70,8 @@ def _options(args: argparse.Namespace, flags: Dict[str, type]) -> Dict:
 def cmd_preprocess(args) -> int:
     opts = _options(args, PREPROCESS_FLAGS)
     window_days = opts.pop("test_window_days", TEST_WINDOW_DAYS[args.format])
+    if not (math.isfinite(window_days) and window_days > 0):
+        raise ValueError(f"test_window_days must be finite and positive, got {window_days}")
     events = data.parse_clicklog(args.input, args.format)
     fraction = float(Fraction(args.fraction)) if args.fraction else None
     split = data.preprocess(

@@ -10,17 +10,30 @@ its session, item or time field, or whose id is empty or whose time does not
 parse, is not finite or is not positive, is malformed, skipped and counted.
 The category is optional.  Blank lines are not rows.  Header columns are
 found by name, the last of duplicates winning.
+
+A log is read into columns: per kept row a session, an item and a category
+code (each id interned by one dict) and int64 epoch seconds, so a time of
+2**63 or more is malformed too.  Yoochoose's fixed-width
+``YYYY-MM-DDTHH:MM:SS[.fff]Z`` is sliced, with one ``calendar.timegm`` per
+distinct hour, and any other string goes to ``strptime``; diginetica parses
+each distinct date once.  ``preprocess`` groups (one stable ``np.lexsort``,
+so equal times keep file order), filters (``np.bincount`` on row masks) and
+splits the codes as arrays, and builds a :class:`SessionRecord` of plain
+``str`` and ``int`` only for each session it keeps.
 """
 
 from __future__ import annotations
 
+import calendar
 import csv
 import logging
-from collections import Counter
+from array import array
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,34 +66,159 @@ def _parse_iso_utc(text: str) -> int:
     raise ValueError(f"unparseable timestamp: {text!r}")
 
 
-def _diginetica_time(frame_ms: str, day: str) -> int:
-    base = datetime.strptime(day.strip(), "%Y-%m-%d").replace(tzinfo=timezone.utc)
-    return int(base.timestamp()) + int(frame_ms) // 1000
+# The fixed-width ISO time cut as "YYYY-MM-DDTHH" | ":MM:SS" | tail: every
+# valid clock in ASCII digits, and the tails that _parse_iso_utc's int() drops.
+_ISO_CLOCK = {f":{m:02d}:{s:02d}": 60 * m + s for m in range(60) for s in range(60)}
+_ISO_TAILS = frozenset(["Z"] + [f".{ms:03d}Z" for ms in range(1000)])
 
 
-# format -> (delimiter, columns, timestamp).  The columns are the session,
-# item, category and time fields: positions in the headerless yoochoose, header
-# names otherwise.  ``timestamp`` maps the time fields to epoch seconds.
+def _iso_hour(text: str) -> Optional[int]:
+    """Epoch seconds at the start of ``YYYY-MM-DDTHH`` in ASCII digits, or
+    None.  Days before 1970 are None too: ``int()`` rounds a negative
+    fractional timestamp up, so only from 1970 on is dropping the fraction
+    what :func:`_parse_iso_utc` does."""
+    if not (len(text) == 13 and text.isascii() and text[4] == text[7] == "-"
+            and text[10] == "T" and (text[:4] + text[5:7] + text[8:10] + text[11:]).isdigit()):
+        return None
+    try:
+        day = date(int(text[:4]), int(text[5:7]), int(text[8:10]))
+    except ValueError:  # not a date: month 13, February 30, year 0
+        return None
+    start = calendar.timegm(day.timetuple())
+    hour = int(text[11:])
+    return start + 3600 * hour if start >= 0 and hour < 24 else None
+
+
+def _yoochoose_times() -> Callable[[str], int]:
+    """A reader of yoochoose times: ``YYYY-MM-DDTHH:MM:SS[.fff]Z`` by
+    slicing, with one ``calendar.timegm`` per distinct hour, and any other
+    string through :func:`_parse_iso_utc`."""
+    hours: Dict[str, int] = {}
+
+    def seconds(text: str) -> int:
+        text = text.strip()
+        hour = hours.get(text[:13])
+        if hour is None:
+            hour = _iso_hour(text[:13])
+            if hour is None:
+                return _parse_iso_utc(text)
+            hours[text[:13]] = hour
+        clock = _ISO_CLOCK.get(text[13:19])
+        if clock is None or text[19:] not in _ISO_TAILS:
+            return _parse_iso_utc(text)
+        return hour + clock
+
+    return seconds
+
+
+def _diginetica_times() -> Callable[[Tuple[str, str]], int]:
+    """A reader of diginetica's (timeframe in ms, eventdate) fields, with one
+    ``strptime`` per distinct date."""
+    days: Dict[str, int] = {}
+
+    def seconds(fields: Tuple[str, str]) -> int:
+        frame_ms, day = fields
+        base = days.get(day)
+        if base is None:
+            when = datetime.strptime(day.strip(), "%Y-%m-%d").replace(tzinfo=timezone.utc)
+            base = days[day] = int(when.timestamp())
+        return base + int(frame_ms) // 1000
+
+    return seconds
+
+
+# format -> (delimiter, columns, times).  The columns are the session, item,
+# category and time fields: positions in the headerless yoochoose, header names
+# otherwise.  ``times()`` makes a file's reader from its time field (a tuple of
+# fields for diginetica) to epoch seconds; a reader caches what it has parsed.
 _LAYOUTS = {
-    "yoochoose": (",", (0, 2, 3, 1), lambda ts: _parse_iso_utc(ts.strip())),
+    "yoochoose": (",", (0, 2, 3, 1), _yoochoose_times),
     "diginetica": (";", ("sessionId", "itemId", "categoryId", "timeframe", "eventdate"),
-                   _diginetica_time),
+                   _diginetica_times),
     "generic": (",", ("session_id", "item_id", "category", "timestamp"),
-                lambda ts: int(float(ts))),
+                lambda: lambda ts: int(float(ts))),
 }
 FORMATS = tuple(_LAYOUTS)
 
 
-def parse_clicklog(path, format: str) -> List[ClickEvent]:
+@dataclass(frozen=True, eq=False)
+class ClickLog(SequenceABC):
+    """A click log in columns, one entry per kept row, in file order.
+
+    ``sessions``, ``items`` and ``categories`` are intp codes into
+    ``session_ids``, ``item_ids`` and ``category_ids`` (-1: no category), and
+    ``times`` holds int64 epoch seconds.  Indexed, it reads back as
+    :class:`ClickEvent` objects.
+    """
+
+    session_ids: List[str]
+    item_ids: List[str]
+    category_ids: List[str]
+    sessions: np.ndarray
+    items: np.ndarray
+    categories: np.ndarray
+    times: np.ndarray
+
+    @classmethod
+    def from_events(cls, events: Iterable[ClickEvent]) -> "ClickLog":
+        columns = _Columns()
+        for ev in events:
+            columns.add(ev.session_id, ev.item_id, ev.timestamp, ev.category)
+        return columns.log()
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, i: int) -> ClickEvent:
+        cat = self.categories[i]
+        return ClickEvent(self.session_ids[self.sessions[i]], self.item_ids[self.items[i]],
+                          int(self.times[i]), None if cat < 0 else self.category_ids[cat])
+
+
+class _Columns:
+    """Rows of a :class:`ClickLog` as they are read: ids interned, codes appended."""
+
+    def __init__(self):
+        self.sessions: Dict[str, int] = {}
+        self.items: Dict[str, int] = {}
+        self.categories: Dict[str, int] = {}
+        self.rows = array("q")  # time, session, item and category code of each row
+
+    def add(self, session: str, item: str, timestamp: int, category: Optional[str]) -> None:
+        """Append one click; an empty id or a time outside (0, 2**63) raises ``ValueError``."""
+        if not (session and item and 0 < timestamp < 2**63):
+            raise ValueError(f"malformed click: {session!r}, {item!r}, {timestamp!r}")
+        sessions, items, categories = self.sessions, self.items, self.categories
+        s = sessions.get(session)
+        if s is None:
+            s = sessions[session] = len(sessions)
+        i = items.get(item)
+        if i is None:
+            i = items[item] = len(items)
+        c = -1 if category is None else categories.get(category)
+        if c is None:
+            c = categories[category] = len(categories)
+        self.rows.extend((timestamp, s, i, c))
+
+    def log(self) -> ClickLog:
+        times, sessions, items, categories = np.frombuffer(self.rows, np.int64).reshape(-1, 4).T
+        return ClickLog(list(self.sessions), list(self.items), list(self.categories),
+                        sessions.astype(np.intp), items.astype(np.intp),
+                        categories.astype(np.intp), times.copy())
+
+
+def parse_clicklog(path, format: str) -> ClickLog:
     """Read one click log; malformed rows are counted and skipped.
 
     More than 50% malformed rows is a hard error, as is an unknown format.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
-    delimiter, columns, timestamp = _LAYOUTS[format]
+    delimiter, columns, times = _LAYOUTS[format]
+    timestamp = times()
 
-    events: List[ClickEvent] = []
+    clicks = _Columns()
+    add = clicks.add
     skipped = 0
     total = 0
     with open(path, newline="", encoding="utf-8") as fh:
@@ -91,15 +229,15 @@ def parse_clicklog(path, format: str) -> List[ClickEvent]:
             header = {name: i for i, name in enumerate(next(rows, []))}
             columns = [header.get(name) for name in columns]
         sid, item, cat, *when = columns
+        time_fields = itemgetter(*when)
         for row in rows:
             if not row:
                 continue
             total += 1
             try:
                 category = row[cat] if cat is not None and cat < len(row) else None
-                events.append(ClickEvent(row[sid].strip(), row[item].strip(),
-                                         timestamp(*[row[i] for i in when]),
-                                         (category or "").strip() or None))
+                add(row[sid].strip(), row[item].strip(), timestamp(time_fields(row)),
+                    (category or "").strip() or None)
             # OverflowError: a generic time of inf, -inf or 1e309
             except (IndexError, OverflowError, TypeError, ValueError):
                 skipped += 1
@@ -110,7 +248,7 @@ def parse_clicklog(path, format: str) -> List[ClickEvent]:
         log.warning("%s: skipped %d of %d malformed rows", path, skipped, total)
         if skipped > 0.5 * total:
             raise ValueError(f"{path}: {skipped}/{total} rows malformed")
-    return events
+    return clicks.log()
 
 
 # ---------------------------------------------------------------------------
@@ -125,22 +263,51 @@ class DatasetSplit:
     category_map: Optional[Dict[str, int]] = None
 
 
-Session = Tuple[str, List[Tuple[str, int]]]  # (session_id, [(item, ts), ...])
+@dataclass
+class _Grouped:
+    """A click log's code columns with each session's rows together, in time
+    order and, among equal times, in file order."""
 
+    session: np.ndarray
+    item: np.ndarray
+    time: np.ndarray
+    n_sessions: int
+    n_items: int
 
-def _filter_fixed_point(
-    sessions: List[Session], min_session_len: int, min_item_freq: int
-) -> List[Session]:
-    while True:
-        sessions = [s for s in sessions if len(s[1]) >= min_session_len]
-        counts = Counter(item for _, ev in sessions for item, _ in ev)
-        rare = {it for it, c in counts.items() if c < min_item_freq}
-        if not rare:
-            return sessions
-        sessions = [
-            (sid, [(it, ts) for it, ts in ev if it not in rare])
-            for sid, ev in sessions
-        ]
+    def rows_of(self, chosen: np.ndarray, alive: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``alive`` rows of the ``chosen`` sessions, session by session
+        in that order, and how many each has."""
+        rows = np.flatnonzero(alive)
+        counts = np.bincount(self.session[rows], minlength=self.n_sessions)
+        starts = np.cumsum(counts) - counts  # where each session's rows begin in ``rows``
+        n = counts[chosen]
+        to = np.cumsum(n) - n  # and where they go
+        return rows[np.arange(n.sum()) + np.repeat(starts[chosen] - to, n)], n
+
+    def filter_fixed_point(self, alive: np.ndarray, min_session_len: int,
+                           min_item_freq: int) -> np.ndarray:
+        """Drop short sessions and rare items until neither rule drops a row."""
+        while True:
+            short = np.bincount(self.session[alive], minlength=self.n_sessions) < min_session_len
+            alive = alive & ~short[self.session]
+            rare = np.bincount(self.item[alive], minlength=self.n_items) < min_item_freq
+            dropped = alive & rare[self.item]
+            if not dropped.any():
+                return alive
+            alive = alive & ~dropped
+
+    def vocab_and_test(self, train: np.ndarray, test: np.ndarray,
+                       alive: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``train``'s items in first-seen order, and the ``test`` sessions they cover."""
+        rows, _ = self.rows_of(train, alive)
+        first = _first_rows(self.item[rows], self.n_items)
+        seen = np.flatnonzero(first < len(rows))
+        vocab = seen[np.argsort(first[seen])]
+        known = np.zeros(self.n_items, bool)
+        known[vocab] = True
+        uncovered = np.zeros(self.n_sessions, bool)
+        uncovered[self.session[alive & ~known[self.item]]] = True
+        return vocab, test[~uncovered[test]]
 
 
 def preprocess(
@@ -154,85 +321,116 @@ def preprocess(
     """Group, filter, and split by the trailing time window, whose length
     ``test_window_seconds`` every caller sets.
 
-    The filter/split/vocabulary stage is iterated to a global fixed point,
-    so reapplying preprocess to its own output is a no-op.  ``fraction``
-    (e.g. 1/64) then keeps only the most recent share of training sessions
-    and rebuilds the vocabulary.
+    ``events`` is a :class:`ClickLog` or a sequence of :class:`ClickEvent`;
+    ``min_session_len`` is at least 1.  The filter/split/vocabulary stage is
+    iterated to a global fixed point, so reapplying preprocess to its own
+    output is a no-op.  ``fraction`` (e.g. 1/64) then keeps only the most
+    recent share of training sessions and rebuilds the vocabulary.
     """
-    if not events:
+    if min_session_len < 1:
+        raise ValueError(f"min_session_len must be at least 1, got {min_session_len}")
+    clicks = events if isinstance(events, ClickLog) else ClickLog.from_events(events)
+    if not len(clicks):
         raise ValueError("no events to preprocess")
 
-    by_session: Dict[str, List[Tuple[str, int]]] = {}
-    categories: Dict[str, str] = {}
-    for ev in events:
-        by_session.setdefault(ev.session_id, []).append((ev.item_id, ev.timestamp))
-        if ev.category is not None and ev.item_id not in categories:
-            categories[ev.item_id] = ev.category
-    sessions: List[Session] = [
-        (sid, sorted(ev, key=lambda e: e[1])) for sid, ev in by_session.items()
-    ]
+    # by session, then time; lexsort is stable, so equal times keep file order
+    order = np.lexsort((clicks.times, clicks.sessions))
+    g = _Grouped(clicks.sessions[order], clicks.items[order], clicks.times[order],
+                 len(clicks.session_ids), len(clicks.item_ids))
+    by_id = sorted(range(g.n_sessions), key=clicks.session_ids.__getitem__)
+    id_rank = np.empty(g.n_sessions, np.intp)
+    id_rank[by_id] = np.arange(g.n_sessions)
 
     # A round only removes events (and the sessions it empties): one that keeps
     # the event count is the fixed point.  (end time, id) is a total order, so
     # the train sessions are a prefix and the input order does not matter.
-    n_events = len(events)
+    alive = np.ones(len(order), bool)
+    n_events = len(order)
     while True:
-        sessions = sorted(_filter_fixed_point(sessions, min_session_len, min_item_freq),
-                          key=lambda s: (s[1][-1][1], s[0]))
-        if not sessions:
+        alive = g.filter_fixed_point(alive, min_session_len, min_item_freq)
+        rows = np.flatnonzero(alive)
+        if not rows.size:
             raise ValueError(
                 f"preprocessing removed everything (min_len={min_session_len}, "
                 f"min_freq={min_item_freq})"
             )
-        boundary = sessions[-1][1][-1][1] - test_window_seconds
-        train = [s for s in sessions if s[1][-1][1] <= boundary]
-        if not train:
+        # a session's last row holds its end time
+        last = rows[np.append(g.session[rows[1:]] != g.session[rows[:-1]], True)]
+        present, end = g.session[last], g.time[last]
+        by_end = np.lexsort((id_rank[present], end))
+        sessions, end = present[by_end], end[by_end]
+        # the boundary as a Python number, which no window can overflow
+        n_train = int(np.count_nonzero(end <= int(end[-1]) - test_window_seconds))
+        if not n_train:
             raise ValueError(
                 f"empty training split: all {len(sessions)} sessions end within the "
                 f"final {test_window_seconds}s window"
             )
-        vocab, test = _vocab_and_test(train, sessions[len(train):])
-        sessions = train + test
-        kept = sum(len(ev) for _, ev in sessions)
-        if kept == n_events:
+        train = sessions[:n_train]
+        vocab, test = g.vocab_and_test(train, sessions[n_train:], alive)
+        kept = np.zeros(g.n_sessions, bool)
+        kept[train] = kept[test] = True
+        alive &= kept[g.session]
+        n_kept = np.count_nonzero(alive)
+        if n_kept == n_events:
             break
-        n_events = kept
+        n_events = n_kept
 
     if fraction is not None:
         if not 0 < fraction <= 1:
             raise ValueError(f"fraction {fraction} outside (0, 1]")
         keep = max(1, int(round(len(train) * fraction)))
         train = train[-keep:]
-        vocab, test = _vocab_and_test(train, test)
+        vocab, test = g.vocab_and_test(train, test, alive)
 
-    if not test:
+    if not len(test):
         raise ValueError("empty test split after vocabulary filtering")
 
+    item_ids = clicks.item_ids
+    vocab_ids = [item_ids[i] for i in vocab.tolist()]
     cat_map = None
-    if categories:
-        cats_present = sorted({categories[it] for it in vocab if it in categories})
+    if (clicks.categories >= 0).any():
+        categories = _first_categories(clicks, vocab)
+        cats_present = sorted(set(categories.values()))
         cat_index = {c: i for i, c in enumerate(cats_present)}
-        cat_map = {it: cat_index[categories[it]] for it in vocab if it in categories}
-        if len(cat_map) < len(vocab):
+        cat_map = {it: cat_index[c] for it, c in categories.items()}
+        if len(cat_map) < len(vocab_ids):
             # items without a known category get a shared bucket
             bucket = len(cat_index)
-            for it in vocab:
+            for it in vocab_ids:
                 cat_map.setdefault(it, bucket)
 
+    def records(chosen: np.ndarray) -> List[SessionRecord]:
+        rows, counts = g.rows_of(chosen, alive)
+        pairs = list(zip([item_ids[i] for i in g.item[rows].tolist()], g.time[rows].tolist()))
+        ends = np.cumsum(counts).tolist()
+        return [SessionRecord(clicks.session_ids[s], pairs[a:b])
+                for s, a, b in zip(chosen.tolist(), [0] + ends[:-1], ends)]
+
     return DatasetSplit(
-        train=[SessionRecord(sid, ev) for sid, ev in train],
-        test=[SessionRecord(sid, ev) for sid, ev in test],
-        item_vocabulary=vocab,
+        train=records(train),
+        test=records(test),
+        item_vocabulary={it: i for i, it in enumerate(vocab_ids)},
         category_map=cat_map,
     )
 
 
-def _vocab_and_test(train: List[Session],
-                    test: List[Session]) -> Tuple[Dict[str, int], List[Session]]:
-    """``train``'s items in first-seen order, and the ``test`` sessions they cover."""
-    seen = dict.fromkeys(item for _, ev in train for item, _ in ev)
-    vocab = {item: i for i, item in enumerate(seen)}
-    return vocab, [s for s in test if all(it in vocab for it, _ in s[1])]
+def _first_rows(codes: np.ndarray, n_codes: int) -> np.ndarray:
+    """Where each code first occurs in ``codes``; ``len(codes)`` if nowhere."""
+    first = np.full(n_codes, len(codes))
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    return first
+
+
+def _first_categories(clicks: ClickLog, vocab: np.ndarray) -> Dict[str, str]:
+    """Each ``vocab`` item's category on its first row that has one, in
+    vocabulary order; items never seen with a category are left out."""
+    labelled = np.flatnonzero(clicks.categories >= 0)
+    first = _first_rows(clicks.items[labelled], len(clicks.item_ids))[vocab]
+    found = first < len(labelled)
+    categories = clicks.categories[labelled[first[found]]]
+    return {clicks.item_ids[i]: clicks.category_ids[c]
+            for i, c in zip(vocab[found].tolist(), categories.tolist())}
 
 
 def split_to_events(split: DatasetSplit) -> List[ClickEvent]:

@@ -24,10 +24,12 @@ import logging
 from datetime import datetime, timezone
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from hypersess.data import FORMATS, ClickEvent, DatasetSplit, Session
+from hypersess.data import FORMATS, ClickEvent, DatasetSplit
 from hypersess.graph import SessionRecord
 
 log = logging.getLogger(__name__)
+
+Session = Tuple[str, List[Tuple[str, int]]]  # (session_id, [(item, ts), ...])
 
 
 def _parse_iso_utc(text: str) -> int:

@@ -66,6 +66,28 @@ class TestPreprocessCommand:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+    def test_min_session_len_below_one_rejected(self, tmp_path, capsys):
+        # s3 holds only rare items, so the item filter empties it
+        clicks = tmp_path / "clicks.csv"
+        clicks.write_text("session_id,item_id,timestamp\n"
+                          "s1,a,100\ns1,b,200\ns2,a,300\ns2,b,400\ns3,x,500\ns3,y,600\n"
+                          "s4,a,90000\ns4,b,90100\n")
+        code = run_cli("preprocess", "--format", "generic", "--input", str(clicks),
+                       "--outdir", str(tmp_path / "x"),
+                       "--min-session-len", "0", "--min-item-freq", "2")
+        assert code == 1
+        assert capsys.readouterr().err == "error: min_session_len must be at least 1, got 0\n"
+
+    @pytest.mark.parametrize("days", ["nan", "inf", "-1"])
+    def test_test_window_days_finite_and_positive(self, synth_dir, tmp_path, capsys, days):
+        code = run_cli("preprocess", "--format", "generic",
+                       "--input", str(synth_dir / "clicks.csv"),
+                       "--outdir", str(tmp_path / "x"), "--test-window-days", days)
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: test_window_days must be finite and positive, got {float(days)}\n"
+
+
 class TestTrainEvaluate:
     def test_evaluate_writes_report(self, synth_dir, checkpoint, tmp_path):
         report = tmp_path / "report.csv"

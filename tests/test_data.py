@@ -41,7 +41,7 @@ class TestParseGeneric:
 
     def test_empty_file(self, tmp_path):
         p = write(tmp_path, "g.csv", "session_id,item_id,timestamp\n")
-        assert parse_clicklog(p, "generic") == []
+        assert list(parse_clicklog(p, "generic")) == []
 
     def test_unknown_format(self, tmp_path):
         p = write(tmp_path, "g.csv", "x\n")
