@@ -174,9 +174,12 @@ def _parse_session(text: str) -> SessionRecord:
     events = []
     for part in text.split(","):
         item, _, ts = part.strip().rpartition(":")
+        try:
+            events.append((item, int(ts)))
+        except ValueError:  # not an integer timestamp
+            item = ""
         if not item:
             raise ValueError(f"bad session event {part!r}, expected item:timestamp")
-        events.append((item, int(ts)))
     return SessionRecord("query", events)
 
 

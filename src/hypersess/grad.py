@@ -2,8 +2,10 @@
 
 Every primitive here is generic: called on plain floats/ndarrays it computes
 with numpy and returns an ndarray, called on at least one :class:`Node` it
-records the operation on the tape and returns a new Node.  Model and manifold
-code is written once against these primitives and runs in either mode.
+records the operation on the tape and returns a new Node.  Model code is
+written once against these primitives and runs in either mode.  The ball
+operations of ``manifold`` are not built from them: each is one Node of its
+own, with a hand-derived adjoint, under the same ``(parent, vjp)`` contract.
 
 Values are vectors or matrices of row vectors: reductions (``dot``,
 ``norm``) act on the last axis and keep it for rows, so one tape node
@@ -11,8 +13,8 @@ carries a whole (N, d) matrix.  ``take`` and ``segment_sum`` move rows
 between matrices.
 
 Gradients are validated against central finite differences via
-:func:`check_gradients`; that check is the ground truth for every composite
-in this package.
+:func:`check_gradients`; that check is the ground truth for every primitive
+and every fused ball operation in this package.
 """
 
 from __future__ import annotations
@@ -22,11 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple, Union
 
 import numpy as np
-
-# arcosh'(z) = 1/sqrt(z^2-1) diverges at z = 1 (coincident points in the
-# distance function); the derivative is evaluated at max(z, 1 + ARCOSH_CLAMP).
-ARCOSH_CLAMP = 1e-12
-
 
 class Node:
     """One value on the differentiation tape.
@@ -177,29 +174,6 @@ def artanh(a: Arrayish):
     return Node(out, ((a, lambda g, x=a.value: g / (1.0 - x * x)),))
 
 
-def arcosh1p(a: Arrayish):
-    """arcosh(1 + x) for x >= 0 without forming 1 + x.
-
-    log1p(x + sqrt(x (x + 2))) keeps full relative precision in x, which
-    matters for distances between near-coincident points (x ~ ||p-q||^2
-    would otherwise be quantized away at the 1e-16 level).  The derivative
-    is taken at x >= ARCOSH_CLAMP, so coincident points get a finite gradient.
-    """
-    def forward(x):
-        x = np.maximum(x, 0.0)
-        return np.log1p(x + np.sqrt(x * (x + 2.0)))
-
-    if not isinstance(a, Node):
-        return forward(value_of(a))
-    out = forward(a.value)
-
-    def vjp(g, x=a.value):
-        xc = np.maximum(x, ARCOSH_CLAMP)
-        return g / np.sqrt(xc * (xc + 2.0))
-
-    return Node(out, ((a, vjp),))
-
-
 def leaky_relu(a: Arrayish, slope: float):
     if not isinstance(a, Node):
         x = value_of(a)
@@ -217,7 +191,7 @@ def relu(a: Arrayish):
 # reductions and linear maps
 # ---------------------------------------------------------------------------
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Inner product over the last axis: a scalar for two vectors, an (N, 1)
     column when either operand is a matrix of rows."""
     if a.ndim < 2 and b.ndim < 2:
@@ -226,12 +200,12 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def dot(a: Arrayish, b: Arrayish):
-    """Inner product over the last axis (row-wise for matrices, see _rowdot)."""
+    """Inner product over the last axis (row-wise for matrices, see rowdot)."""
     if not (isinstance(a, Node) or isinstance(b, Node)):
-        return _rowdot(value_of(a), value_of(b))
+        return rowdot(value_of(a), value_of(b))
     av, bv = value_of(a), value_of(b)
     return _binary(
-        a, b, _rowdot(av, bv),
+        a, b, rowdot(av, bv),
         lambda g, o=bv: g * o,
         lambda g, o=av: g * o,
     )
@@ -242,9 +216,9 @@ def norm(a: Arrayish):
     gradient g * a/||a||, zeros where a = 0."""
     if not isinstance(a, Node):
         v = value_of(a)
-        return np.sqrt(_rowdot(v, v))
+        return np.sqrt(rowdot(v, v))
     v = a.value
-    n = np.sqrt(_rowdot(v, v))
+    n = np.sqrt(rowdot(v, v))
 
     def vjp(g, v=v, n=n):
         return g * np.divide(v, n, out=np.zeros_like(v), where=n != 0.0)

@@ -46,6 +46,8 @@ class IntervalNormalizer:
     def __call__(self, delta_seconds: float) -> float:
         if delta_seconds < 0:
             raise ValueError(f"negative time interval: {delta_seconds}")
+        if delta_seconds >= self.cap:  # before dividing: the gap may not fit a float
+            return 1.0 - EPS_BALL
         x = math.log1p(delta_seconds / self.tau) / math.log1p(self.cap / self.tau)
         return min(x, 1.0 - EPS_BALL)
 

@@ -270,6 +270,27 @@ class TestRecommend:
         assert code == 1
         assert "unknown items" in capsys.readouterr().err
 
+    def test_timestamp_not_an_integer_fails(self, checkpoint, capsys):
+        code = run_cli("recommend", "--checkpoint", str(checkpoint),
+                       "--session", "item0000:abc", "--at-time", "1300")
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: bad session event 'item0000:abc', expected item:timestamp\n"
+
+    def test_gap_too_large_for_a_float_ranks_as_cap(self, synth_dir, checkpoint, tmp_path):
+        from hypersess.data import load_split
+        from hypersess.train import load_checkpoint
+        cap = load_checkpoint(checkpoint)[1].normalizer().cap
+        item = next(iter(load_split(synth_dir).item_vocabulary))
+        ranked = []
+        for at_time in (10**400, 1000 + int(cap)):
+            out = tmp_path / f"recs{len(ranked)}.csv"
+            assert run_cli("recommend", "--checkpoint", str(checkpoint),
+                           "--session", f"{item}:1000", "--at-time", str(at_time),
+                           "--k", "5", "--csv", str(out)) == 0
+            ranked.append(out.read_bytes())
+        assert ranked[0] == ranked[1]
+
     def test_time_before_session_fails(self, synth_dir, checkpoint, capsys):
         from hypersess.data import load_split
         split = load_split(synth_dir)

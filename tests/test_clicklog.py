@@ -137,25 +137,34 @@ good_ids = st.sampled_from(["s1", "s2", "42", "é", "日本", " s1 ", "\u3000x\x
                             'q"t', "two\nlines"])
 ids = st.one_of(good_ids, st.sampled_from(["", "  "]), st.text(alphabet="ab1 ,;\"é\t", max_size=4))
 categories = st.sampled_from(["c1", " c2 ", "", "  ", "0", "ü"])
+# The time values a row draws, module-level so that
+# test_each_listed_time_matches_oracle writes every one of them.  A
+# diginetica time is a (timeframe, eventdate) pair, drawn from two lists.
 GOOD_TIMES = {
-    "generic": st.one_of(st.integers(1, 5).map(str), st.sampled_from(["100", "1e3", " 250 ", "100.9"])),
-    "yoochoose": st.sampled_from([
-        "2014-04-07T10:51:09.277Z", "2014-04-07T10:51:09Z", "2014-04-07T10:52:00.999Z",
-        " 2014-04-07T10:52:00Z ", "2014-4-7T10:51:09.277Z", "２０１４-04-07T10:51:09Z"]),
-    "diginetica": st.tuples(st.one_of(st.integers(0, 5000).map(str), st.just(" 1000 ")),
-                            st.sampled_from(["2016-05-09", "2016-05-10"])),
+    "generic": ["100", "1e3", " 250 ", "100.9"],  # and the integers 1-5
+    "yoochoose": ["2014-04-07T10:51:09.277Z", "2014-04-07T10:51:09Z", "2014-04-07T10:52:00.999Z",
+                  " 2014-04-07T10:52:00Z ", "2014-4-7T10:51:09.277Z", "２０１４-04-07T10:51:09Z"],
+    "diginetica": ([" 1000 "], ["2016-05-09", "2016-05-10"]),  # and the timeframes 0-5000
 }
 BAD_TIMES = {
-    "generic": st.sampled_from(["0", "-3", "0.5", "abc", "", "nan", "inf", "\u0661\u0660\u0660",
-                                "1_000"]),
-    "yoochoose": st.sampled_from([
-        "1970-01-01T00:00:00Z", "0001-01-01T00:00:00Z", "2014-04-07 10:51:09", "yesterday", "",
-        "2014-04-07T10:51:09.2771234Z", "2014-04-07T10:51:60Z", "2014-02-30T10:51:09Z",
-        "2014-04-07T10:51:09.Z", "+2014-04-07T10:51:09Z"]),
-    "diginetica": st.tuples(
-        st.sampled_from(["-2000000", "soon", "", "1.5", "1000"]),
-        st.sampled_from(["2016-05-09", " 2016-05-09", "1970-01-01", "2016-02-30", "09/05/2016",
-                         ""])),
+    "generic": ["0", "-3", "0.5", "abc", "", "nan", "inf", "\u0661\u0660\u0660", "1_000"],
+    "yoochoose": ["1970-01-01T00:00:00Z", "0001-01-01T00:00:00Z", "2014-04-07 10:51:09",
+                  "yesterday", "", "2014-04-07T10:51:09.2771234Z", "2014-04-07T10:51:60Z",
+                  "2014-02-30T10:51:09Z", "2014-04-07T10:51:09.Z", "+2014-04-07T10:51:09Z"],
+    "diginetica": (["-2000000", "soon", "", "1.5", "1000"],
+                   ["2016-05-09", " 2016-05-09", "1970-01-01", "2016-02-30", "09/05/2016", ""]),
+}
+good_times = {
+    "generic": st.one_of(st.integers(1, 5).map(str), st.sampled_from(GOOD_TIMES["generic"])),
+    "yoochoose": st.sampled_from(GOOD_TIMES["yoochoose"]),
+    "diginetica": st.tuples(st.one_of(st.integers(0, 5000).map(str),
+                                      st.sampled_from(GOOD_TIMES["diginetica"][0])),
+                            st.sampled_from(GOOD_TIMES["diginetica"][1])),
+}
+bad_times = {
+    "generic": st.sampled_from(BAD_TIMES["generic"]),
+    "yoochoose": st.sampled_from(BAD_TIMES["yoochoose"]),
+    "diginetica": st.tuples(*map(st.sampled_from, BAD_TIMES["diginetica"])),
 }
 
 
@@ -164,7 +173,7 @@ def fields(draw, fmt, header, messy):
     """One row's fields in column order."""
     sid, item = (draw(ids), draw(ids)) if messy else (draw(good_ids), draw(good_ids))
     cat = draw(categories)
-    when = draw(st.one_of(GOOD_TIMES[fmt], BAD_TIMES[fmt]) if messy else GOOD_TIMES[fmt])
+    when = draw(st.one_of(good_times[fmt], bad_times[fmt]) if messy else good_times[fmt])
     if fmt == "yoochoose":
         return [sid, when, item] + ([cat] if draw(st.booleans()) else [])
     if fmt == "generic":
@@ -341,3 +350,37 @@ def test_equal_times_keep_file_order(tmp_path):
     assert split.train[0].events == [("a", 90), ("c", 100), ("a", 100), ("b", 100)]
     assert split.test[0].events == [("a", 10000), ("b", 10000)]
     assert list(split.item_vocabulary) == ["a", "c", "b"]
+
+
+def _listed_times():
+    """(format, time) for every listed value; a diginetica timeframe comes
+    with a valid eventdate and an eventdate with a valid timeframe."""
+    out = []
+    for times in (GOOD_TIMES, BAD_TIMES):
+        out += [("generic", t) for t in times["generic"]]
+        out += [("yoochoose", t) for t in times["yoochoose"]]
+        frames, dates = times["diginetica"]
+        out += [("diginetica", (f, "2016-05-09")) for f in frames]
+        out += [("diginetica", ("1000", d)) for d in dates]
+    return out
+
+
+@pytest.mark.parametrize("fmt,when", _listed_times())
+def test_each_listed_time_matches_oracle(log_path, fmt, when):
+    """Each listed value as the time of the middle row of a fixed 3-row log."""
+    if fmt == "yoochoose":
+        header, rows = None, [["1", t, item] for t, item in
+                              (("2014-04-07T10:50:00Z", "a"), (when, "b"), ("2014-04-07T10:53:00Z", "c"))]
+    elif fmt == "generic":
+        header = ["session_id", "item_id", "timestamp"]
+        rows = [["s1", "a", "50"], ["s1", "b", when], ["s1", "c", "300"]]
+    else:
+        header = ["sessionId", "userId", "itemId", "timeframe", "eventdate"]
+        rows = [["1", "NA", "a", "500", "2016-05-09"], ["1", "NA", "b", *when],
+                ["1", "NA", "c", "3000", "2016-05-09"]]
+    out = io.StringIO(newline="")
+    w = csv.writer(out, delimiter=DELIMITER[fmt])
+    w.writerows(([header] if header else []) + rows)
+    log_path.write_bytes(out.getvalue().encode("utf-8"))
+    assert outcome(lambda *a: list(parse_clicklog(*a)), log_path, fmt) == \
+        outcome(oracle.parse_clicklog, log_path, fmt)

@@ -25,6 +25,12 @@ class TestNormalizeInterval:
         assert NORM(86400) == 1.0 - EPS_BALL
         assert NORM(10 * 86400) == 1.0 - EPS_BALL
 
+    def test_gap_too_large_for_a_float(self):
+        # 10**400 / tau overflows a float; a gap at or past cap saturates first
+        assert NORM(10**400) == 1.0 - EPS_BALL
+        assert NORM(NORM.cap) == 1.0 - EPS_BALL
+        assert IntervalNormalizer(tau=1.0, cap=10.0)(10**400) == 1.0 - EPS_BALL
+
     def test_closed_form(self):
         # log(2)/log(1441) ~= 0.0953
         out = NORM(60)

@@ -383,3 +383,154 @@ class TestPairwiseMeanDistance:
     def test_fewer_than_two_rows(self):
         assert M.pairwise_mean_distance(np.zeros((0, 3))) == 0.0
         assert M.pairwise_mean_distance(np.full((1, 3), 0.1)) == 0.0
+
+
+def _rows_with_norms(rng, norms, d=4):
+    """One row per norm, in uniformly drawn directions."""
+    m = rng.normal(size=(len(norms), d))
+    return m * (np.asarray(norms, dtype=float) / np.linalg.norm(m, axis=1))[:, None]
+
+
+def _fused_cases():
+    """(id, op over the tape leaves th, leaves, whether some row is projected
+    back from beyond the shell).  Operands outside ``th`` stay plain."""
+    rng = RNG(50)
+    x = _rows_with_norms(rng, [0.5, 0.05, 0.7, 0.3, 0.6])
+    y = _rows_with_norms(rng, [0.2, 0.6, 0.4, 0.75, 0.1])
+    v, w, bias = rand_ball(rng, 4, 0.7), rand_ball(rng, 4, 0.7), 0.4 * rand_ball(rng, 4, 1.0)
+    alpha = rng.uniform(-2.0, 2.0, (5, 1))
+    mat = rng.uniform(-1.0, 1.0, (3, 4))
+    t = np.array([[0.9], [0.05], [0.5], [0.3], [0.7]])
+    edge = _rows_with_norms(rng, [0.999, 0.5, 0.999])
+    return [
+        ("add-rows", lambda th: M.mobius_add(th["a"], th["b"]), {"a": x, "b": y}, False),
+        ("add-vectors", lambda th: M.mobius_add(th["a"], th["b"]), {"a": v, "b": w}, False),
+        ("add-node-beside-plain", lambda th: M.mobius_add(th["a"], y), {"a": x}, False),
+        ("add-plain-beside-node", lambda th: M.mobius_add(x, th["b"]), {"b": y}, False),
+        ("add-broadcast-bias", lambda th: M.mobius_add(th["a"], th["b"]), {"a": x, "b": bias}, False),
+        # x (+) x for |x| = 0.999 has norm 0.9999995, beyond the shell
+        ("add-beyond-shell", lambda th: M.mobius_add(th["a"], th["b"]),
+         {"a": edge, "b": edge.copy()}, True),
+        ("scalar-rows", lambda th: M.mobius_scalar_mul(th["r"], th["b"]), {"r": alpha, "b": x}, False),
+        ("scalar-vector", lambda th: M.mobius_scalar_mul(th["r"], th["b"]),
+         {"r": np.asarray(1.3), "b": v}, False),
+        ("scalar-broadcast-alpha", lambda th: M.mobius_scalar_mul(th["r"], th["b"]),
+         {"r": np.asarray(0.7), "b": x}, False),
+        ("scalar-plain-alpha", lambda th: M.mobius_scalar_mul(alpha, th["b"]), {"b": x}, False),
+        ("scalar-plain-rows", lambda th: M.mobius_scalar_mul(th["r"], x), {"r": alpha}, False),
+        ("scalar-beyond-shell", lambda th: M.mobius_scalar_mul(th["r"], th["b"]),
+         {"r": np.full((5, 1), 40.0), "b": x}, True),
+        ("matvec-rows", lambda th: M.mobius_matvec(th["m"], th["a"]), {"m": mat, "a": x}, False),
+        ("matvec-vector", lambda th: M.mobius_matvec(th["m"], th["a"]), {"m": mat, "a": v}, False),
+        ("matvec-plain-matrix", lambda th: M.mobius_matvec(mat, th["a"]), {"a": x}, False),
+        ("matvec-column-plain-rows", lambda th: M.mobius_matvec(th["m"], t),
+         {"m": 0.5 * mat[:1].T}, False),
+        ("matvec-column", lambda th: M.mobius_matvec(th["m"], th["a"]),
+         {"m": 0.5 * mat[:1].T, "a": t}, False),
+        ("matvec-row", lambda th: M.mobius_matvec(th["m"], th["a"]), {"m": mat[1:2], "a": x}, False),
+        ("matvec-beyond-shell", lambda th: M.mobius_matvec(th["m"], th["a"]),
+         {"m": 10.0 * mat, "a": x}, True),
+        ("exp0-rows", lambda th: M.exp_map0(th["v"]), {"v": 3.0 * x}, False),
+        ("exp0-vector", lambda th: M.exp_map0(th["v"]), {"v": 2.0 * v}, False),
+        ("exp0-beyond-shell", lambda th: M.exp_map0(th["v"]), {"v": 16.0 * x}, True),
+        ("log0-rows", lambda th: M.log_map0(th["a"]), {"a": x}, False),
+        ("log0-vector", lambda th: M.log_map0(th["a"]), {"a": v}, False),
+        ("distance-rows", lambda th: M.distance(th["p"], th["q"]), {"p": x, "q": y}, False),
+        ("distance-vectors", lambda th: M.distance(th["p"], th["q"]), {"p": v, "q": w}, False),
+        ("distance-node-beside-plain", lambda th: M.distance(x, th["q"]), {"q": y}, False),
+        ("distance-broadcast", lambda th: M.distance(th["p"], th["q"]), {"p": x, "q": bias}, False),
+        ("project-beyond-shell", lambda th: M.project_to_ball(th["v"]), {"v": 2.0 * x}, True),
+        # row 0 is too long to square: its squared norm overflows to inf
+        ("project-too-long-to-square", lambda th: M.project_to_ball(
+            G.mul(th["v"], np.array([[1e200], [1.0], [1.0], [1.0], [1.0]]))), {"v": 2.0 * x}, True),
+        ("exp-map", lambda th: M.exp_map(th["x"], th["v"]), {"x": y, "v": x}, False),
+        ("log-map", lambda th: M.log_map(th["x"], th["a"]), {"x": y, "a": x}, False),
+    ]
+
+
+FUSED_CASES = _fused_cases()
+
+
+class TestFusedAdjoints:
+    """Each fused operation's hand-derived adjoint against central
+    differences (h = 1e-6) at interior points, a hundredth of the suite's
+    1e-4: the worst case here, a gradient entry near 1e-5 beyond the shell,
+    is off by 3e-7 relative, at the quotient's noise."""
+
+    TOL = 1e-6
+
+    @staticmethod
+    def probed(out, probe):
+        """sum(probe * out), on the tape."""
+        return G.dot(np.ones(probe.size), G.reshape(G.mul(out, probe), (probe.size,)))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("name,op,leaves,beyond", FUSED_CASES, ids=[c[0] for c in FUSED_CASES])
+    def test_matches_central_differences(self, name, op, leaves, beyond):
+        out = np.asarray(op(leaves))
+        if beyond:  # the case reaches the shell's radial Jacobian
+            assert np.isclose(np.linalg.norm(out, axis=-1), M.MAX_NORM, rtol=0, atol=1e-15).any()
+        probe = 0.01 * RNG(51).normal(size=out.shape)
+        nodes = {k: G.Node(v) for k, v in leaves.items()}
+        taped = op(nodes)
+        if name not in ("project-too-long-to-square", "exp-map", "log-map"):
+            # one tape node, whose parents are the Node operands
+            assert [p for p, _ in taped.parents] == list(nodes.values())
+        rep = G.check_gradients(lambda th: self.probed(op(th), probe), leaves, h=1e-6)
+        assert not rep.failures and rep.max_rel_error < self.TOL, rep.errors
+
+    ZERO_RULE_OPS = [
+        ("scalar", lambda th: M.mobius_scalar_mul(th["r"], th["x"]),
+         lambda rng: {"r": rng.uniform(-2.0, 2.0, (6, 1))}),
+        ("matvec", lambda th: M.mobius_matvec(th["m"], th["x"]),
+         lambda rng: {"m": rng.uniform(-1.0, 1.0, (3, 4))}),
+        ("exp0", lambda th: M.exp_map0(th["x"]), lambda rng: {}),
+        ("log0", lambda th: M.log_map0(th["x"]), lambda rng: {}),
+    ]
+
+    def taped(self, op, leaves, probe):
+        """(value, adjoint per leaf) of sum(probe * op) over Node leaves."""
+        nodes = {k: G.Node(v) for k, v in leaves.items()}
+        out = op(nodes)
+        assert type(out) is G.Node
+        G.backward(self.probed(out, probe))
+        return out.value, {k: n.adjoint for k, n in nodes.items()}
+
+    @pytest.mark.parametrize("name,op,others", ZERO_RULE_OPS, ids=[c[0] for c in ZERO_RULE_OPS])
+    def test_zero_rows(self, name, op, others):
+        rng = RNG(52)
+        x = _rows_with_norms(rng, [0.5, 0.0, 0.3, 0.0, 0.6, 0.2])
+        leaves = {"x": x, **others(rng)}
+        probe = rng.normal(size=np.shape(op(leaves)))
+        keep = [0, 2, 4, 5]
+        out, adj = self.taped(op, leaves, probe)
+        assert not out[[1, 3]].any() and out[keep].all(axis=1).all()
+        assert not adj["x"][[1, 3]].any() and adj["x"][keep].all(axis=1).all()
+        # the nonzero rows alone: their values and every adjoint unchanged
+        sub = {k: v[keep] if k in ("x", "r") else v for k, v in leaves.items()}
+        sub_out, sub_adj = self.taped(op, sub, probe[keep])
+        np.testing.assert_array_equal(out[keep], sub_out)
+        np.testing.assert_allclose(adj["x"][keep], sub_adj["x"], rtol=1e-13, atol=0)
+        if "r" in adj:
+            assert not adj["r"][[1, 3]].any()
+            np.testing.assert_array_equal(adj["r"][keep], sub_adj["r"])
+        if "m" in adj:
+            np.testing.assert_allclose(adj["m"], sub_adj["m"], rtol=1e-13, atol=0)
+        # every row zero: the same rule, on the tape
+        out, adj = self.taped(op, {**leaves, "x": np.zeros_like(x)}, probe)
+        assert not out.any() and not any(a.any() for a in adj.values())
+
+    def test_matvec_kernel_row(self):
+        # M a = 0 exactly for a != 0: the row gives zeros and passes no gradient
+        rng = RNG(53)
+        m = rng.uniform(-1.0, 1.0, (3, 4))
+        # dyadic entries: every product is exact, so the sums cancel to 0
+        m[:, 0], m[:, 1] = [0.5, -0.25, 0.75], [-0.5, 0.25, -0.75]
+        x = _rows_with_norms(rng, [0.5, 0.3, 0.6])
+        x[1] = [0.5, 0.5, 0.0, 0.0]
+        op = lambda th: M.mobius_matvec(th["m"], th["x"])
+        probe = rng.normal(size=(3, 3))
+        out, adj = self.taped(op, {"m": m, "x": x}, probe)
+        assert not out[1].any() and not adj["x"][1].any()
+        _, sub_adj = self.taped(op, {"m": m, "x": x[[0, 2]]}, probe[[0, 2]])
+        np.testing.assert_allclose(adj["m"], sub_adj["m"], rtol=1e-13, atol=0)
