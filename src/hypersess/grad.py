@@ -1,16 +1,16 @@
 """Reverse-mode differentiation on a per-expression tape.
 
-Every primitive here is generic: called on plain floats/ndarrays it computes
-with numpy and returns an ndarray, called on at least one :class:`Node` it
-records the operation on the tape and returns a new Node.  Model code is
-written once against these primitives and runs in either mode.  The ball
-operations of ``manifold`` are not built from them: each is one Node of its
-own, with a hand-derived adjoint, under the same ``(parent, vjp)`` contract.
+Every operation, the primitives here and the ball operations of
+``manifold`` alike, computes its value once with numpy from the values of
+its operands and hands it to :func:`fused`, the one constructor of a Node
+with parents: called with plain floats/ndarrays it returns the plain value,
+called with at least one :class:`Node` it returns one new Node whose
+adjoint maps the output's adjoint to a gradient per operand.  Model code is
+written once against these operations and runs in either mode.
 
-Values are vectors or matrices of row vectors: reductions (``dot``,
-``norm``) act on the last axis and keep it for rows, so one tape node
-carries a whole (N, d) matrix.  ``take`` and ``segment_sum`` move rows
-between matrices.
+Values are vectors or matrices of row vectors: ``dot`` acts on the last
+axis and keeps it for rows, so one tape node carries a whole (N, d) matrix.
+``take`` and ``segment_sum`` move rows between matrices.
 
 Gradients are validated against central finite differences via
 :func:`check_gradients`; that check is the ground truth for every primitive
@@ -84,21 +84,29 @@ def _unbroadcast(g: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _identity(g):
-    return g
+def fused(out, operands, adjoint) -> Arrayish:
+    """``out`` when no operand is a Node, else one Node over the Node
+    operands, in their order: the one way onto the tape.  ``adjoint(g)``
+    maps the adjoint of ``out`` to one gradient per operand (a plain
+    operand's is ignored; None saves computing it); it runs once per
+    backward, however many operands share it."""
+    for x in operands:
+        if type(x) is Node:
+            break
+    else:  # no tape: the common case when serving, kept to one cheap loop
+        return out
+    # each vjp looks grads up when backward calls it, after it is bound below
+    parents = [(x, lambda g, i=i: grads(g)[i]) for i, x in enumerate(operands) if type(x) is Node]
+    grads = adjoint
+    if len(parents) > 1:
+        memo = [None, None]
 
+        def grads(g):
+            if memo[0] is not g:  # backward hands every parent the same g
+                memo[:] = g, adjoint(g)
+            return memo[1]
 
-def _binary(a, b, out_val, vjp_a, vjp_b) -> Node:
-    """Node for a binary op with the Node operand(s) as parents; ``backward``
-    reduces a broadcast contribution back to the operand shape."""
-    if type(a) is Node:
-        if type(b) is Node:
-            parents = ((a, vjp_a), (b, vjp_b))
-        else:
-            parents = ((a, vjp_a),)
-    else:
-        parents = ((b, vjp_b),)
-    return Node(out_val, parents)
+    return Node(out, tuple(parents))
 
 
 # ---------------------------------------------------------------------------
@@ -106,46 +114,26 @@ def _binary(a, b, out_val, vjp_a, vjp_b) -> Node:
 # ---------------------------------------------------------------------------
 
 def add(a: Arrayish, b: Arrayish):
-    if not (isinstance(a, Node) or isinstance(b, Node)):
-        return np.add(a, b)
-    av, bv = value_of(a), value_of(b)
-    return _binary(a, b, av + bv, _identity, _identity)
+    return fused(value_of(a) + value_of(b), (a, b), lambda g: (g, g))
 
 
 def sub(a: Arrayish, b: Arrayish):
-    if not (isinstance(a, Node) or isinstance(b, Node)):
-        return np.subtract(a, b)
-    av, bv = value_of(a), value_of(b)
-    return _binary(a, b, av - bv, _identity, lambda g: -g)
+    return fused(value_of(a) - value_of(b), (a, b), lambda g: (g, -g))
 
 
 def mul(a: Arrayish, b: Arrayish):
-    if not (isinstance(a, Node) or isinstance(b, Node)):
-        return np.multiply(a, b)
     av, bv = value_of(a), value_of(b)
-    return _binary(
-        a, b, av * bv,
-        lambda g, o=bv: g * o,
-        lambda g, o=av: g * o,
-    )
+    return fused(av * bv, (a, b), lambda g: (g * bv, g * av))
 
 
 def div(a: Arrayish, b: Arrayish):
-    if not (isinstance(a, Node) or isinstance(b, Node)):
-        return np.divide(a, b)
     av, bv = value_of(a), value_of(b)
     out = av / bv
-    return _binary(
-        a, b, out,
-        lambda g, o=bv: g / o,
-        lambda g, o=bv, q=out: -g * q / o,
-    )
+    return fused(out, (a, b), lambda g: (g / bv, -g * out / bv))
 
 
 def neg(a: Arrayish):
-    if not isinstance(a, Node):
-        return -value_of(a)
-    return Node(-a.value, ((a, lambda g: -g),))
+    return fused(-value_of(a), (a,), lambda g: (-g,))
 
 
 # ---------------------------------------------------------------------------
@@ -153,34 +141,19 @@ def neg(a: Arrayish):
 # ---------------------------------------------------------------------------
 
 def tanh(a: Arrayish):
-    if not isinstance(a, Node):
-        return np.tanh(value_of(a))
-    out = np.tanh(a.value)
-    return Node(out, ((a, lambda g, t=out: g * (1.0 - t * t)),))
+    out = np.tanh(value_of(a))
+    return fused(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def exp(a: Arrayish):
-    if not isinstance(a, Node):
-        return np.exp(value_of(a))
-    out = np.exp(a.value)
-    return Node(out, ((a, lambda g, e=out: g * e),))
-
-
-def artanh(a: Arrayish):
-    """Inverse hyperbolic tangent; derivative 1/(1-x^2)."""
-    if not isinstance(a, Node):
-        return np.arctanh(value_of(a))
-    out = np.arctanh(a.value)
-    return Node(out, ((a, lambda g, x=a.value: g / (1.0 - x * x)),))
+    out = np.exp(value_of(a))
+    return fused(out, (a,), lambda g: (g * out,))
 
 
 def leaky_relu(a: Arrayish, slope: float):
-    if not isinstance(a, Node):
-        x = value_of(a)
-        return np.where(x > 0, x, slope * x)
-    x = a.value
-    out = np.where(x > 0, x, slope * x)
-    return Node(out, ((a, lambda g, x=x: g * np.where(x > 0, 1.0, slope)),))
+    x = value_of(a)
+    return fused(np.where(x > 0, x, slope * x), (a,),
+                 lambda g: (g * np.where(x > 0, 1.0, slope),))
 
 
 def relu(a: Arrayish):
@@ -188,7 +161,7 @@ def relu(a: Arrayish):
 
 
 # ---------------------------------------------------------------------------
-# reductions and linear maps
+# reductions and row moves
 # ---------------------------------------------------------------------------
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -201,55 +174,13 @@ def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def dot(a: Arrayish, b: Arrayish):
     """Inner product over the last axis (row-wise for matrices, see rowdot)."""
-    if not (isinstance(a, Node) or isinstance(b, Node)):
-        return rowdot(value_of(a), value_of(b))
     av, bv = value_of(a), value_of(b)
-    return _binary(
-        a, b, rowdot(av, bv),
-        lambda g, o=bv: g * o,
-        lambda g, o=av: g * o,
-    )
-
-
-def norm(a: Arrayish):
-    """Euclidean norm over the last axis (an (N, 1) column for rows);
-    gradient g * a/||a||, zeros where a = 0."""
-    if not isinstance(a, Node):
-        v = value_of(a)
-        return np.sqrt(rowdot(v, v))
-    v = a.value
-    n = np.sqrt(rowdot(v, v))
-
-    def vjp(g, v=v, n=n):
-        return g * np.divide(v, n, out=np.zeros_like(v), where=n != 0.0)
-
-    return Node(n, ((a, vjp),))
-
-
-def matvec(m: Arrayish, v: Arrayish):
-    """M @ v for a (r, d) matrix and a (d,) vector; v @ M.T for (N, d) rows."""
-    if not (isinstance(m, Node) or isinstance(v, Node)):
-        mv, vv = value_of(m), value_of(v)
-        return np.dot(mv, vv) if vv.ndim < 2 else vv @ mv.T
-    mv, vv = value_of(m), value_of(v)
-    if vv.ndim < 2:
-        return _binary(
-            m, v, np.dot(mv, vv),
-            lambda g, o=vv: np.outer(g, o),
-            lambda g, o=mv: np.dot(o.T, g),
-        )
-    return _binary(
-        m, v, vv @ mv.T,
-        lambda g, o=vv: g.T @ o,
-        lambda g, o=mv: g @ o,
-    )
+    return fused(rowdot(av, bv), (a, b), lambda g: (g * bv, g * av))
 
 
 def reshape(a: Arrayish, shape):
-    if not isinstance(a, Node):
-        return np.reshape(value_of(a), shape)
-    orig = a.value.shape
-    return Node(a.value.reshape(shape), ((a, lambda g, sh=orig: g.reshape(sh)),))
+    av = value_of(a)
+    return fused(av.reshape(shape), (a,), lambda g: (g.reshape(av.shape),))
 
 
 def _scatter_add(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
@@ -263,32 +194,33 @@ def _scatter_add(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
 
 def take(a: Arrayish, index):
     """Rows a[index] of a matrix (or entries of a vector); the backward pass
-    adds each gathered row's adjoint back into its source row."""
-    if not isinstance(a, Node):
-        return value_of(a)[index]
-    n = a.value.shape[0]
-    if np.ndim(index) == 0:
-        def vjp(g, i=int(index), shape=a.value.shape):
-            out = np.zeros(shape)
-            out[i] = g
-            return out
-    else:
-        index = np.asarray(index, dtype=np.intp)
+    adds each gathered row's adjoint back into its source row.
 
-        def vjp(g, i=index, n=n):
-            return _scatter_add(g, i, n)
+    ``index`` is an integer or an array of integers, a negative one counting
+    from the end; a bool or float index raises IndexError."""
+    index = np.asarray(index)
+    if index.dtype.kind not in "iu":
+        raise IndexError(f"take needs integer row indices, got {index.dtype}")
+    if index.ndim == 0:
+        index = int(index)
+    av = value_of(a)
 
-    return Node(a.value[index], ((a, vjp),))
+    def adjoint(g):
+        if type(index) is int:
+            out = np.zeros(av.shape)
+            out[index] = g
+            return (out,)
+        n = av.shape[0]  # a negative row counts from the end
+        return (_scatter_add(g, index.astype(np.intp, copy=False) % n, n),)
+
+    return fused(av[index], (a,), adjoint)
 
 
 def segment_sum(a: Arrayish, segments: np.ndarray, n: int):
     """Sum the rows of a into n segments: out[s] = sum of a[k] over
     segments[k] == s, added in row order."""
     segments = np.asarray(segments, dtype=np.intp)
-    if not isinstance(a, Node):
-        return _scatter_add(value_of(a), segments, n)
-    return Node(_scatter_add(a.value, segments, n),
-                ((a, lambda g, s=segments: g[s]),))
+    return fused(_scatter_add(value_of(a), segments, n), (a,), lambda g: (g[segments],))
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +317,8 @@ def check_gradients(
     by +-h; the relative error denominator is max(|analytic|, |numeric|, 1e-8).
     Non-finite evaluations are recorded in ``failures`` rather than raised.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    if not 0 < h < math.inf:  # NaN fails too
+        raise ValueError("step h must be finite and positive")
 
     nodes = {k: Node(np.asarray(v, dtype=np.float64)) for k, v in params.items()}
     out = f(nodes)

@@ -5,10 +5,10 @@ All functions accept plain float64 ndarrays or tape Nodes (see ``grad``) and
 return the same kind, whatever the rows, for one (d,) point or for the rows
 of an (N, d) matrix alike.  The Mobius operations, the exp and log maps at
 the origin, the geodesic distance and the shell projection each compute
-their value once with numpy; given a Node operand they return one tape Node
-whose backward is the operation's hand-derived adjoint, checked against
-finite differences in the tests.  ``exp_map``, ``log_map`` and
-``conformal_factor`` are compositions of these.
+their value once with numpy and hand it to ``grad.fused`` with the
+operation's hand-derived adjoint, checked against finite differences in the
+tests: given a Node operand, each is one tape Node.  ``exp_map``,
+``log_map`` and ``conformal_factor`` are compositions of these.
 
 Ball-valued results are re-clipped into the ``1 - EPS_BALL`` shell, and
 their adjoints carry the clip's radial Jacobian.  Removable singularities
@@ -66,32 +66,17 @@ def project_to_ball(v: Arrayish) -> Arrayish:
     out, back = _shell(value_of(v))
     if back is None:
         return v
-    return Node(out, ((v, back),)) if type(v) is Node else out
+    return grad.fused(out, (v,), lambda g: (back(g),))
 
 
 # the benchmark's catalog workload calls it by this name
 project_rows_to_ball = project_to_ball
 
 
-def _fused(out, operands, adjoint, shell=None) -> Arrayish:
-    """``out`` when no operand is a Node, else one Node over the Node
-    operands.  ``adjoint(g)`` maps the adjoint of the value before the shell
-    projection ``shell`` (None: none applied) to one gradient per operand,
-    None for a plain one; it runs once per backward, however many operands
-    share it."""
-    taped = [i for i, x in enumerate(operands) if type(x) is Node]
-    if not taped:
-        return out
-    grads = adjoint if shell is None else (lambda g: adjoint(shell(g)))
-    if len(taped) > 1:
-        memo, once = [None, None], grads
-
-        def grads(g):
-            if memo[0] is not g:  # backward hands every parent the same g
-                memo[:] = g, once(g)
-            return memo[1]
-
-    return Node(out, tuple((operands[i], lambda g, i=i: grads(g)[i]) for i in taped))
+def _through(shell, adjoint):
+    """``adjoint`` fed the adjoint of the value before the shell projection
+    whose adjoint is ``shell`` (None: no row was clipped)."""
+    return adjoint if shell is None else lambda g: adjoint(shell(g))
 
 
 def _norm(v: np.ndarray):
@@ -136,7 +121,7 @@ def mobius_add(a: Arrayish, b: Arrayish) -> Arrayish:
         gb = cb * g + g_ab * av + (2.0 * (g_ca + g_den * a2)) * bv if type(b) is Node else None
         return ga, gb
 
-    return _fused(out, (a, b), adjoint, shell)
+    return grad.fused(out, (a, b), _through(shell, adjoint))
 
 
 def mobius_scalar_mul(alpha: Arrayish, b: Arrayish) -> Arrayish:
@@ -163,7 +148,7 @@ def mobius_scalar_mul(alpha: Arrayish, b: Arrayish) -> Arrayish:
             gb = s * g + (g_n / n) * bv
         return (g_w * u if type(alpha) is Node else None), gb
 
-    return _fused(out, (alpha, b), adjoint, shell)
+    return grad.fused(out, (alpha, b), _through(shell, adjoint))
 
 
 def mobius_matvec(m: Arrayish, a: Arrayish) -> Arrayish:
@@ -200,7 +185,7 @@ def mobius_matvec(m: Arrayish, a: Arrayish) -> Arrayish:
             ga = (np.dot(mv.T, g_ma) if av.ndim < 2 else g_ma @ mv) + (g_an / a_n) * av
         return gm, ga
 
-    return _fused(out, (m, a), adjoint, shell)
+    return grad.fused(out, (m, a), _through(shell, adjoint))
 
 
 def exp_map(x: Arrayish, v: Arrayish) -> Arrayish:
@@ -229,7 +214,7 @@ def exp_map0(v: Arrayish) -> Arrayish:
             g_s = g_s * mask
         return (s * g + (g_s * (1.0 - t * t - s) / (n * n)) * vv,)
 
-    return _fused(out, (v,), adjoint, shell)
+    return grad.fused(out, (v,), _through(shell, adjoint))
 
 
 def log_map0(a: Arrayish) -> Arrayish:
@@ -246,7 +231,7 @@ def log_map0(a: Arrayish) -> Arrayish:
             g_s = g_s * mask
         return (s * g + (g_s * (1.0 / (1.0 - n * n) - s) / (n * n)) * av,)
 
-    return _fused(s * av, (a,), adjoint)
+    return grad.fused(s * av, (a,), adjoint)
 
 
 def _arcosh1p(x):
@@ -277,7 +262,7 @@ def distance(p: Arrayish, q: Arrayish) -> Arrayish:
         gq = (2.0 * g_x * x / q_gap) * qv - g_diff if type(q) is Node else None
         return gp, gq
 
-    return _fused(_arcosh1p(x), (p, q), adjoint)
+    return grad.fused(_arcosh1p(x), (p, q), adjoint)
 
 
 def distances_to_rows(p: np.ndarray, rows: np.ndarray, gaps=None) -> np.ndarray:

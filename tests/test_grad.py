@@ -85,10 +85,12 @@ class TestCheckGradients:
             assert rep.max_rel_error < 1e-4 and not rep.failures
 
     def test_nonfinite_reported_not_raised(self):
-        # x + h leaves the artanh domain, so the perturbed evaluation is NaN
+        # x + h leaves the ball, where log_map0's artanh is NaN
+        probe = np.array([0.3, -0.2, 0.1])
         with np.errstate(invalid="ignore"):
             rep = G.check_gradients(
-                lambda th: G.artanh(th["x"]), {"x": np.asarray(1.0 - 1e-7)}, h=1e-6
+                lambda th: G.dot(probe, M.log_map0(th["x"])),
+                {"x": np.array([1.0 - 1e-7, 0.0, 0.0])}, h=1e-6,
             )
         assert "x" in rep.failures
         assert all(np.isfinite(v) for v in rep.errors.values())
@@ -97,16 +99,19 @@ class TestCheckGradients:
         with pytest.raises(ValueError):
             G.check_gradients(lambda th: th["x"], {"x": np.asarray(1.0)}, h=0.0)
 
+    @pytest.mark.parametrize("h", [0.0, -1e-6, float("nan"), float("inf")])
+    def test_step_must_be_finite_and_positive(self, h):
+        with pytest.raises(ValueError, match="step h must be finite and positive"):
+            G.check_gradients(lambda th: G.mul(th["x"], th["x"]), {"x": np.asarray(1.0)}, h=h)
+
 
 class TestRowPrimitives:
     def test_row_reductions_match_vectors(self):
         rng = np.random.default_rng(1)
-        a, b, m = rng.normal(size=(5, 4)), rng.normal(size=(5, 4)), rng.normal(size=(3, 4))
+        a, b = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
         a[2] = 0.0
-        assert G.dot(a, b).shape == (5, 1) and G.norm(a).shape == (5, 1)
+        assert G.dot(a, b).shape == (5, 1)
         np.testing.assert_allclose(G.dot(a, b)[:, 0], [G.dot(x, y) for x, y in zip(a, b)], rtol=1e-14)
-        np.testing.assert_allclose(G.norm(a)[:, 0], [G.norm(x) for x in a], rtol=1e-14)
-        np.testing.assert_allclose(G.matvec(m, a), [G.matvec(m, x) for x in a], rtol=1e-14)
 
     def test_row_primitive_gradients(self):
         rng = np.random.default_rng(2)
@@ -116,11 +121,11 @@ class TestRowPrimitives:
 
         def f(th):
             a, m = th["a"], th["m"]
-            gathered = G.take(G.matvec(m, a), idx)
-            summed = G.segment_sum(G.mul(G.norm(gathered), gathered), seg, 3)
+            gathered = G.take(M.mobius_matvec(m, a), idx)
+            summed = G.segment_sum(G.mul(G.dot(gathered, gathered), gathered), seg, 3)
             return G.dot(np.ones(3), G.reshape(G.dot(summed, w[:3]), (3,)))
 
-        rep = G.check_gradients(f, {"a": rng.normal(size=(4, 3)), "m": rng.normal(size=(3, 3))})
+        rep = G.check_gradients(f, {"a": 0.3 * rng.normal(size=(4, 3)), "m": rng.normal(size=(3, 3))})
         assert rep.max_rel_error < 1e-6 and not rep.failures
 
     def test_segment_sum_adds_in_row_order(self):
@@ -131,6 +136,131 @@ class TestRowPrimitives:
         for k, s in enumerate(seg):
             expected[s] = np.add(expected[s], a[k])
         np.testing.assert_array_equal(G.segment_sum(a, seg, 3), expected)
+
+
+class TestTake:
+    """One rule on plain and Node operands: integer rows, negatives counting
+    from the end; a bool or float index is an IndexError."""
+
+    a = np.arange(12.0).reshape(4, 3)
+
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("index", [[False, False, True, True], [1.7, 2.2], [], 1.0, True])
+    def test_bool_or_float_index_raises(self, taped, index):
+        with pytest.raises(IndexError):
+            G.take(G.Node(self.a) if taped else self.a, index)
+
+    @pytest.mark.parametrize("index, rows", [([-1], [3]), ([2, -1, 0, -4], [2, 3, 0, 0]),
+                                             (-1, 3), (np.array([-2], dtype=np.int32), [2]),
+                                             (np.array([3, 0, 3], dtype=np.uint64), [3, 0, 3])])
+    def test_negative_index_counts_from_the_end(self, index, rows):
+        plain = G.take(self.a, index)
+        np.testing.assert_array_equal(plain, self.a[rows])
+        x = G.Node(self.a)
+        taken = G.take(x, index)
+        np.testing.assert_array_equal(taken.value, plain)
+        G.backward(G.dot(np.ones(taken.value.size), G.reshape(taken, (-1,))))
+        expected = np.zeros_like(self.a)
+        np.add.at(expected, rows, 1.0)
+        np.testing.assert_array_equal(x.adjoint, expected)
+
+    def test_empty_index_gathers_nothing(self):
+        empty = np.array([], dtype=np.intp)
+        assert G.take(self.a, empty).shape == (0, 3)
+        x = G.Node(self.a)
+        G.backward(G.dot(np.ones(0), G.reshape(G.take(x, empty), (-1,))))
+        np.testing.assert_array_equal(x.adjoint, np.zeros_like(self.a))
+
+    def test_negative_index_gradient(self):
+        rng = np.random.default_rng(4)
+        probe = rng.normal(size=9)
+        rep = G.check_gradients(
+            lambda th: G.dot(probe, G.reshape(G.take(th["a"], [-1, 0, -1]), (-1,))),
+            {"a": rng.normal(size=(4, 3))},
+        )
+        assert rep.max_rel_error < 1e-8 and not rep.failures
+
+
+def _operands(rng, shape):
+    """Two seeded operands of ``shape``, the second positive (a divisor)."""
+    return rng.normal(size=shape), rng.uniform(0.5, 2.0, size=shape)
+
+
+# every primitive and its number of array operands, called on operands of one
+# shape; the index of take and the segments of segment_sum are fixed
+PRIMITIVES = {
+    "add": (G.add, 2), "sub": (G.sub, 2), "mul": (G.mul, 2), "div": (G.div, 2),
+    "dot": (G.dot, 2),
+    "neg": (G.neg, 1), "tanh": (G.tanh, 1), "exp": (G.exp, 1), "relu": (G.relu, 1),
+    "leaky_relu": (lambda a: G.leaky_relu(a, 0.2), 1),
+    "reshape": (lambda a: G.reshape(a, (-1,)), 1),
+    "take": (lambda a: G.take(a, [-1, 0, 0]), 1),
+    # a (d,) operand is summed as d rows of one entry
+    "segment_sum": (lambda a: G.segment_sum(G.reshape(a, (a.shape[0], -1)),
+                                            np.arange(a.shape[0]) % 2, 2), 1),
+}
+
+
+class TestOnePath:
+    """Each primitive computes its value once and hands it to ``fused``: plain
+    operands give that plain value, any Node operand one Node holding it."""
+
+    @pytest.mark.parametrize("shape", [(5,), (6, 5)])
+    @pytest.mark.parametrize("name", sorted(PRIMITIVES))
+    def test_plain_and_taped_values_share_their_bytes(self, name, shape):
+        fn, arity = PRIMITIVES[name]
+        ops = _operands(np.random.default_rng(len(shape)), shape)[:arity]
+        plain = fn(*ops)
+        assert isinstance(plain, (np.ndarray, np.floating))
+        calls = [tuple(map(G.Node, ops))]
+        calls += [tuple(G.Node(x) if i == k else x for i, x in enumerate(ops)) for k in range(arity)]
+        for taped in calls:
+            out = fn(*taped)
+            assert type(out) is G.Node
+            assert out.value.shape == np.shape(plain)
+            assert out.value.tobytes() == np.asarray(plain).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(n for n, (_, arity) in PRIMITIVES.items() if arity == 2))
+    def test_binary_adjoint_runs_once_per_backward(self, name, monkeypatch):
+        runs = []
+        fused = G.fused
+
+        def counting(out, operands, adjoint):
+            def counted(g):
+                runs.append(1)
+                return adjoint(g)
+            return fused(out, operands, counted)
+
+        a, b = map(G.Node, _operands(np.random.default_rng(5), (4, 3)))
+        with monkeypatch.context() as patch:
+            patch.setattr(G, "fused", counting)
+            out = PRIMITIVES[name][0](a, b)
+        root = G.dot(np.ones(out.value.size), G.reshape(out, (-1,)))
+        G.backward(root)
+        G.backward(root)
+        assert len(runs) == 2
+
+    def test_shared_adjoint_runs_once_per_backward(self):
+        rng = np.random.default_rng(6)
+        x, y = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+        runs = []
+
+        def adjoint(g):
+            runs.append(1)
+            return 2.0 * g, 3.0 * g
+
+        a, b = G.Node(x), G.Node(y)
+        root = G.dot(np.ones(6), G.reshape(G.fused(x + y, (a, b), adjoint), (-1,)))
+        G.backward(root)
+        G.backward(root)
+        assert len(runs) == 2
+        np.testing.assert_array_equal(a.adjoint, np.full((3, 2), 2.0))
+        np.testing.assert_array_equal(b.adjoint, np.full((3, 2), 3.0))
+        # one Node in both operand slots: still one run, both gradients added
+        runs.clear()
+        G.backward(G.dot(np.ones(6), G.reshape(G.fused(x * x, (a, a), adjoint), (-1,))))
+        assert len(runs) == 1
+        np.testing.assert_array_equal(a.adjoint, np.full((3, 2), 5.0))
 
 
 def scalarize(vec_fn, probe):
