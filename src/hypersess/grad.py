@@ -4,9 +4,10 @@ Every operation, the primitives here and the ball operations of
 ``manifold`` alike, computes its value once with numpy from the values of
 its operands and hands it to :func:`fused`, the one constructor of a Node
 with parents: called with plain floats/ndarrays it returns the plain value,
-called with at least one :class:`Node` it returns one new Node whose
-adjoint maps the output's adjoint to a gradient per operand.  Model code is
-written once against these operations and runs in either mode.
+called with at least one :class:`Node` it returns one new Node holding the
+operation's adjoint, which maps the output's adjoint to a gradient per
+operand.  Model code is written once against these operations and runs in
+either mode.
 
 Values are vectors or matrices of row vectors: ``dot`` acts on the last
 axis and keeps it for rows, so one tape node carries a whole (N, d) matrix.
@@ -29,20 +30,22 @@ class Node:
     """One value on the differentiation tape.
 
     ``value`` and ``adjoint`` are float64 ndarrays of identical shape
-    (0-d for scalars).  ``parents`` holds ``(node, vjp)`` pairs, where
-    ``vjp`` maps the adjoint of this node to the contribution it makes
-    to the parent's adjoint.
+    (0-d for scalars).  ``vjp`` is the operation's adjoint: it maps the
+    adjoint of this node to one gradient per operand.  ``parents`` holds
+    ``(node, i)`` pairs, where ``node`` is operand ``i`` of ``vjp``.  A leaf
+    has neither.
     """
 
-    __slots__ = ("value", "_adjoint", "parents", "_visit")
+    __slots__ = ("value", "_adjoint", "parents", "vjp", "_visit")
 
-    def __init__(self, value, parents: Tuple = ()):
+    def __init__(self, value, parents: Tuple = (), vjp=None):
         if type(value) is np.ndarray and value.dtype == np.float64:
             self.value = value
         else:
             self.value = np.asarray(value, dtype=np.float64)
         self._adjoint = None
         self.parents = parents
+        self.vjp = vjp
         self._visit = 0
 
     @property
@@ -86,27 +89,16 @@ def _unbroadcast(g: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 
 def fused(out, operands, adjoint) -> Arrayish:
     """``out`` when no operand is a Node, else one Node over the Node
-    operands, in their order: the one way onto the tape.  ``adjoint(g)``
-    maps the adjoint of ``out`` to one gradient per operand (a plain
-    operand's is ignored; None saves computing it); it runs once per
-    backward, however many operands share it."""
+    operands, in their order, holding ``adjoint``: the one way onto the
+    tape.  ``adjoint(g)`` maps the adjoint of ``out`` to one gradient per
+    operand (a plain operand's is ignored; None saves computing it);
+    backward calls it once."""
     for x in operands:
         if type(x) is Node:
             break
     else:  # no tape: the common case when serving, kept to one cheap loop
         return out
-    # each vjp looks grads up when backward calls it, after it is bound below
-    parents = [(x, lambda g, i=i: grads(g)[i]) for i, x in enumerate(operands) if type(x) is Node]
-    grads = adjoint
-    if len(parents) > 1:
-        memo = [None, None]
-
-        def grads(g):
-            if memo[0] is not g:  # backward hands every parent the same g
-                memo[:] = g, adjoint(g)
-            return memo[1]
-
-    return Node(out, tuple(parents))
+    return Node(out, tuple([(x, i) for i, x in enumerate(operands) if type(x) is Node]), adjoint)
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +188,17 @@ def take(a: Arrayish, index):
     """Rows a[index] of a matrix (or entries of a vector); the backward pass
     adds each gathered row's adjoint back into its source row.
 
-    ``index`` is an integer or an array of integers, a negative one counting
-    from the end; a bool or float index raises IndexError."""
+    ``index`` is an integer or an array of integers of any shape, a negative
+    one counting from the end; a bool or float index raises IndexError."""
     index = np.asarray(index)
     if index.dtype.kind not in "iu":
         raise IndexError(f"take needs integer row indices, got {index.dtype}")
-    if index.ndim == 0:
-        index = int(index)
     av = value_of(a)
 
     def adjoint(g):
-        if type(index) is int:
-            out = np.zeros(av.shape)
-            out[index] = g
-            return (out,)
         n = av.shape[0]  # a negative row counts from the end
-        return (_scatter_add(g, index.astype(np.intp, copy=False) % n, n),)
+        rows = index.reshape(-1).astype(np.intp, copy=False) % n
+        return (_scatter_add(g.reshape(rows.shape + av.shape[1:]), rows, n),)
 
     return fused(av[index], (a,), adjoint)
 
@@ -231,7 +218,8 @@ _visit_counter = iter(range(1, 2**62)).__next__  # fresh token per traversal
 
 
 def _topo_order(root: Node) -> List[Node]:
-    """Post-order DFS: inputs before outputs, iterative to spare the stack."""
+    """Post-order DFS: inputs before outputs, iterative to spare the stack.
+    Clears the adjoint of every node it reaches."""
     token = _visit_counter()
     order: List[Node] = []
     stack: List[Tuple[Node, bool]] = [(root, False)]
@@ -243,6 +231,7 @@ def _topo_order(root: Node) -> List[Node]:
         if node._visit == token:
             continue
         node._visit = token
+        node._adjoint = None
         stack.append((node, True))
         for parent, _ in node.parents:
             if parent._visit != token:
@@ -251,10 +240,11 @@ def _topo_order(root: Node) -> List[Node]:
 
 
 def backward(root: Node) -> None:
-    """Accumulate d(root)/d(node) into ``adjoint`` of every reachable node.
+    """Set ``adjoint`` of every node reachable from ``root`` to d(root)/d(node).
 
-    ``root`` must be scalar-valued and finite.  Leaves not reachable from
-    the root keep a zero adjoint.
+    ``root`` must be scalar-valued and finite.  A node this call does not
+    reach keeps its adjoint: zero, or what the last backward that reached
+    it left there.
     """
     if not isinstance(root, Node):
         raise TypeError("backward expects a Node")
@@ -264,19 +254,18 @@ def backward(root: Node) -> None:
         raise ValueError("backward root is not finite")
 
     order = _topo_order(root)
-    for node in order:
-        node._adjoint = None
     root._adjoint = np.ones_like(root.value)
     for node in reversed(order):
         g = node._adjoint
-        if g is None:  # pruned: nothing downstream contributed
+        if g is None or node.vjp is None:  # pruned (nothing downstream), or a leaf
             continue
-        for parent, vjp in node.parents:
-            contrib = vjp(g)
+        grads = node.vjp(g)
+        for parent, i in node.parents:
+            contrib = grads[i]
             if contrib.shape != parent.value.shape:  # operand was broadcast
                 contrib = _unbroadcast(contrib, parent.value.shape)
             if parent._adjoint is None:
-                # may alias g (identity vjp): never mutate adjoints in place
+                # may alias g (an identity adjoint): never mutate adjoints in place
                 parent._adjoint = contrib
             else:
                 parent._adjoint = parent._adjoint + contrib

@@ -6,8 +6,11 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import hypersess
 import hypersess.cli  # TRACED names cli.main, which the package does not import
+from hypersess import grad as G
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -61,3 +64,14 @@ def test_every_package_name_the_benchmark_reads_exists():
     missing = sorted(f"{mod}.{name}" for mod, name in reads
                      if not hasattr(importlib.import_module(f"hypersess.{mod}"), name))
     assert missing == []
+
+
+def test_count_tape_nodes_walks_node_parents():
+    # the benchmark counts tape nodes through Node.parents
+    x, y = G.Node(np.ones(3)), G.Node(np.arange(3.0))
+    shared = G.mul(x, y)
+    root = G.dot(G.add(shared, x), G.fused(shared.value, (2.0, shared, shared), lambda g: (None, g, g)))
+    # root, add, the fused node, shared, x and y; each counted once
+    count_tape_nodes = load_tracer().count_tape_nodes
+    assert count_tape_nodes(root) == 6
+    assert count_tape_nodes(x) == 1

@@ -6,6 +6,7 @@ functions use a small fixed probe vector so the comparison stays inside the
 range where an h = 1e-6 quotient is resolvable in float64.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -62,6 +63,15 @@ class TestBackward:
         G.backward(root)
         G.backward(root)
         assert float(x.adjoint) == pytest.approx(4.0)
+
+    def test_unreached_leaf_keeps_its_last_adjoint(self):
+        x, y = G.Node(np.array([1.0, 2.0])), G.Node(np.array([3.0, 1.0]))
+        G.backward(G.dot(x, x))
+        G.backward(G.dot(y, y))
+        np.testing.assert_array_equal(x.adjoint, [2.0, 4.0])
+        np.testing.assert_array_equal(y.adjoint, [6.0, 2.0])
+        G.backward(G.dot(x, y))  # a reached leaf starts again from zero
+        np.testing.assert_array_equal(x.adjoint, [3.0, 1.0])
 
 
 class TestCheckGradients:
@@ -180,6 +190,23 @@ class TestTake:
         )
         assert rep.max_rel_error < 1e-8 and not rep.failures
 
+    @pytest.mark.parametrize("shape", [(4, 3), (4,)])
+    def test_two_dimensional_index_gradient(self, shape):
+        # a (2, 2) index gathers a (2, 2, 3) block of a matrix, (2, 2) of a vector
+        index = [[0, 1], [-1, 1]]
+        block = (2, 2) + shape[1:]
+        assert G.take(np.zeros(shape), index).shape == block
+        rng = np.random.default_rng(7)
+        probe = rng.normal(size=math.prod(block))
+        f = lambda th: G.dot(probe, G.reshape(G.take(th["a"], index), (-1,)))
+        x = G.Node(rng.normal(size=shape))
+        G.backward(f({"a": x}))
+        expected = np.zeros(shape)
+        np.add.at(expected, [0, 1, 3, 1], probe.reshape((4,) + shape[1:]))
+        np.testing.assert_array_equal(x.adjoint, expected)
+        rep = G.check_gradients(f, {"a": x.value})
+        assert rep.max_rel_error < 1e-6 and not rep.failures
+
 
 def _operands(rng, shape):
     """Two seeded operands of ``shape``, the second positive (a divisor)."""
@@ -240,6 +267,18 @@ class TestOnePath:
         G.backward(root)
         assert len(runs) == 2
 
+    def test_parents_name_each_node_operand_position(self):
+        x, y = np.ones(3), np.full(3, 2.0)
+        a, b = G.Node(x), G.Node(y)
+        no_grads = lambda g: (None, None, None)
+        assert G.fused(x, (x, y), no_grads) is x
+        assert G.fused(x, (a, y, b), no_grads).parents == ((a, 0), (b, 2))
+        assert G.fused(x, (y, a, a), no_grads).parents == ((a, 1), (a, 2))
+        assert G.mul(2.0, b).parents == ((b, 1),)
+        node = G.exp(a)
+        assert node.parents == ((a, 0),) and node.vjp is not None
+        assert a.parents == () and a.vjp is None
+
     def test_shared_adjoint_runs_once_per_backward(self):
         rng = np.random.default_rng(6)
         x, y = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
@@ -250,6 +289,11 @@ class TestOnePath:
             return 2.0 * g, 3.0 * g
 
         a, b = G.Node(x), G.Node(y)
+        # one Node operand beside a plain one
+        G.backward(G.dot(np.ones(6), G.reshape(G.fused(x + y, (a, y), adjoint), (-1,))))
+        assert len(runs) == 1
+        np.testing.assert_array_equal(a.adjoint, np.full((3, 2), 2.0))
+        runs.clear()
         root = G.dot(np.ones(6), G.reshape(G.fused(x + y, (a, b), adjoint), (-1,)))
         G.backward(root)
         G.backward(root)

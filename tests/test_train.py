@@ -520,7 +520,7 @@ class TestFit:
         def poisoned(*args, **kwargs):
             # finite losses whose backward pass yields NaN
             losses = batch_losses(*args, **kwargs)
-            return G.Node(losses.value, ((losses, lambda g: g * np.nan),))
+            return G.fused(losses.value, (losses,), lambda g: (g * np.nan,))
 
         monkeypatch.setattr(train, "batch_losses", poisoned)
         config = TrainConfig(dim=6, learning_rate=0.05, epochs=2, batch_size=4, seed=1)
