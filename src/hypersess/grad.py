@@ -110,18 +110,21 @@ def add(a: Arrayish, b: Arrayish):
 
 
 def sub(a: Arrayish, b: Arrayish):
-    return fused(value_of(a) - value_of(b), (a, b), lambda g: (g, -g))
+    return fused(value_of(a) - value_of(b), (a, b),
+                 lambda g: (g, -g if type(b) is Node else None))
 
 
 def mul(a: Arrayish, b: Arrayish):
     av, bv = value_of(a), value_of(b)
-    return fused(av * bv, (a, b), lambda g: (g * bv, g * av))
+    return fused(av * bv, (a, b), lambda g: (g * bv if type(a) is Node else None,
+                                             g * av if type(b) is Node else None))
 
 
 def div(a: Arrayish, b: Arrayish):
     av, bv = value_of(a), value_of(b)
     out = av / bv
-    return fused(out, (a, b), lambda g: (g / bv, -g * out / bv))
+    return fused(out, (a, b), lambda g: (g / bv if type(a) is Node else None,
+                                         -g * out / bv if type(b) is Node else None))
 
 
 def neg(a: Arrayish):
@@ -167,7 +170,8 @@ def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def dot(a: Arrayish, b: Arrayish):
     """Inner product over the last axis (row-wise for matrices, see rowdot)."""
     av, bv = value_of(a), value_of(b)
-    return fused(rowdot(av, bv), (a, b), lambda g: (g * bv, g * av))
+    return fused(rowdot(av, bv), (a, b), lambda g: (g * bv if type(a) is Node else None,
+                                                    g * av if type(b) is Node else None))
 
 
 def reshape(a: Arrayish, shape):

@@ -14,7 +14,8 @@ or more session graphs, as edge arrays over one numbering of their nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -36,19 +37,21 @@ class IntervalNormalizer:
 
     tau: float = 60.0
     cap: float = 86400.0
+    _scale: float = field(init=False, compare=False, repr=False)  # log(1 + cap/tau)
 
     def __post_init__(self):
         if not (self.tau > 0 and self.cap > 0):  # NaN fails too
             raise ValueError("tau and cap must be positive")
         if math.isinf(self.tau) or math.isinf(self.cap):
             raise ValueError("tau and cap must be finite")
+        object.__setattr__(self, "_scale", math.log1p(self.cap / self.tau))
 
     def __call__(self, delta_seconds: float) -> float:
         if delta_seconds < 0:
             raise ValueError(f"negative time interval: {delta_seconds}")
         if delta_seconds >= self.cap:  # before dividing: the gap may not fit a float
             return 1.0 - EPS_BALL
-        x = math.log1p(delta_seconds / self.tau) / math.log1p(self.cap / self.tau)
+        x = math.log1p(delta_seconds / self.tau) / self._scale
         return min(x, 1.0 - EPS_BALL)
 
 
@@ -104,7 +107,11 @@ def build_session_graph(
         raise ValueError(
             f"session {record.session_id}: {len(events)} events, need >= {min_events}"
         )
+    return _graph(events, norm)
 
+
+def _graph(events: Sequence[Tuple[Item, int]], norm: IntervalNormalizer) -> SessionGraph:
+    """The transition graph of one or more events in time order."""
     nodes: List[Item] = []
     index: Dict[Item, int] = {}
     for item, _ in events:
@@ -146,7 +153,8 @@ def examples_from_records(
     """One example per session (prefix of n-1 events, target v_n).
 
     With ``augment_prefixes`` every prefix of length >= 2 additionally yields
-    an example.  Sessions shorter than 2 events are skipped.
+    an example.  Sessions shorter than 2 events are skipped.  A prefix of a
+    record is in time order, so its graph is built without a new record.
     """
     out: List[TrainingExample] = []
     for rec in records:
@@ -155,8 +163,7 @@ def examples_from_records(
             continue
         cuts = range(2, n + 1) if augment_prefixes else [n]
         for c in cuts:
-            prefix = SessionRecord(rec.session_id, list(rec.events[:c - 1]))
-            g = build_session_graph(prefix, norm, min_events=1)
+            g = _graph(rec.events[:c - 1], norm)
             target_item, target_t = rec.events[c - 1]
             out.append(TrainingExample(
                 graph=g,
@@ -213,37 +220,37 @@ def batch_graphs(graphs: Sequence[SessionGraph], direction: str = DIRECTIONS[0])
     dst -> src ("out"), or the smaller of the two ("both").  Each node's
     entry for itself carries 0 unless the node has a self-loop, whose
     interval replaces it.
+
+    The edges of all graphs, their nodes numbered across the batch, are
+    oriented for the direction and followed by one self entry per node.
+    One lexsort by (dst, src, interval), in which a self entry sorts after
+    a self-loop, puts the entry to keep first in each (dst, src) group.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown neighborhood direction: {direction!r}")
-    entries: List[Tuple[int, int, float]] = []
-    node_session: List[int] = []
-    last: List[int] = []
-    base = 0
-    for b, g in enumerate(graphs):
-        found: Dict[Tuple[int, int], float] = {(i, i): 0.0 for i in range(g.n_nodes)}
-        for src, dst, interval in g.edges:
-            if src == dst:
-                found[(src, src)] = interval
-                continue
-            if direction != "out":
-                _merge(found, (dst, src), interval)
-            if direction != "in":
-                _merge(found, (src, dst), interval)
-        entries.extend((base + d, base + s, iv) for (d, s), iv in sorted(found.items()))
-        node_session.extend([b] * g.n_nodes)
-        last.append(base + g.last_index)
-        base += g.n_nodes
-    dst, src, interval = zip(*entries) if entries else ((), (), ())
+    sizes = [g.n_nodes for g in graphs]
+    bases = list(accumulate(sizes, initial=0))
+    n = bases[-1]
+    rows = [(b + s, b + d, iv) for g, b in zip(graphs, bases) for s, d, iv in g.edges]
+    src, dst, interval = zip(*rows) if rows else ((), (), ())
+    src, dst = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
+    interval = np.array(interval, dtype=np.float64)
+    if direction == "out":
+        src, dst = dst, src
+    elif direction == "both":
+        src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
+        interval = np.concatenate((interval, interval))
+    nodes = np.arange(n, dtype=np.intp)
+    dst, src = np.concatenate((dst, nodes)), np.concatenate((src, nodes))
+    order = np.lexsort((np.concatenate((interval, np.full(n, np.inf))), src, dst))
+    dst, src = dst[order], src[order]
+    first = np.empty(len(order), dtype=bool)
+    first[:1] = True
+    np.logical_or(dst[1:] != dst[:-1], src[1:] != src[:-1], out=first[1:])
     return GraphBatch(
-        dst=np.array(dst, dtype=np.intp),
-        src=np.array(src, dtype=np.intp),
-        interval=np.array(interval, dtype=np.float64),
-        node_session=np.array(node_session, dtype=np.intp),
-        last=np.array(last, dtype=np.intp),
+        dst=dst[first],
+        src=src[first],
+        interval=np.concatenate((interval, np.zeros(n)))[order[first]],
+        node_session=np.arange(len(graphs), dtype=np.intp).repeat(sizes),
+        last=np.array([b + g.last_index for g, b in zip(graphs, bases)], dtype=np.intp),
     )
-
-
-def _merge(found: Dict[Tuple[int, int], float], key: Tuple[int, int], interval: float) -> None:
-    if key not in found or interval < found[key]:
-        found[key] = interval

@@ -27,6 +27,9 @@ from .grad import Arrayish, Node, rowdot, value_of
 
 EPS_BALL = 1e-5
 MAX_NORM = 1.0 - EPS_BALL
+# the largest double whose square root is at most MAX_NORM: sqrt is correctly
+# rounded and monotone, so n2 <= _MAX_NORM2 exactly when sqrt(n2) <= MAX_NORM
+_MAX_NORM2 = 0.9999800001000001
 # arcosh'(1 + x) = 1/sqrt(x (x + 2)) diverges at x = 0 (coincident points);
 # the distance's adjoint evaluates it at max(x, ARCOSH_CLAMP).
 ARCOSH_CLAMP = 1e-12
@@ -36,11 +39,12 @@ def _shell(val: np.ndarray):
     """Radial projection of each row into the shell: (out, back), where
     ``back`` maps the adjoint of ``out`` to that of ``val``.  ``(val, None)``
     when no row lies beyond."""
-    n = np.sqrt(rowdot(val, val))
-    if n.max() <= MAX_NORM:  # False for a NaN norm as well
+    n2 = rowdot(val, val)
+    if n2.max() <= _MAX_NORM2:  # False for a NaN norm as well
         return val, None
     if not np.isfinite(val).all():
         raise ValueError("cannot project non-finite vector")
+    n = np.sqrt(n2)
     shrink = 1.0
     huge = np.isinf(n)
     if huge.any():

@@ -267,6 +267,18 @@ class TestOnePath:
         G.backward(root)
         assert len(runs) == 2
 
+    @pytest.mark.parametrize("name", ["sub", "mul", "div", "dot"])
+    def test_binary_adjoint_skips_the_plain_operand(self, name):
+        x, y = _operands(np.random.default_rng(7), (4, 3))[:2]
+        fn = PRIMITIVES[name][0]
+        both = fn(G.Node(x), G.Node(y))
+        g = np.ones_like(both.value)
+        ga, gb = both.vjp(g)
+        left, right = fn(G.Node(x), y).vjp(g), fn(x, G.Node(y)).vjp(g)
+        assert left[1] is None
+        assert right[0] is None or (name == "sub" and right[0] is g)  # sub passes g on
+        assert left[0].tobytes() == ga.tobytes() and right[1].tobytes() == gb.tobytes()
+
     def test_parents_name_each_node_operand_position(self):
         x, y = np.ones(3), np.full(3, 2.0)
         a, b = G.Node(x), G.Node(y)

@@ -10,6 +10,7 @@ from hypersess.graph import (
     SessionRecord,
     batch_graphs,
     build_session_graph,
+    examples_from_records,
     neighborhood,
 )
 from hypersess.manifold import EPS_BALL
@@ -53,6 +54,27 @@ class TestNormalizeInterval:
             IntervalNormalizer(tau=0.0)
         with pytest.raises(ValueError):
             IntervalNormalizer(cap=-5.0)
+
+    @pytest.mark.parametrize("tau, cap", [(60.0, 86400.0), (1.0, 10.0), (0.3, 7.0),
+                                          (3600.0, 60.0), (1e-3, 1e9)])
+    def test_closed_form_bits(self, tau, cap):
+        norm = IntervalNormalizer(tau=tau, cap=cap)
+        gaps = [0, 1, 2, 7, 59, 60, 61, 3599, 86399, 0.5, 1e-9, cap / 3, cap * (1 - 1e-12)]
+        for d in gaps:
+            if d >= cap:
+                continue
+            expected = min(math.log1p(d / tau) / math.log1p(cap / tau), 1.0 - EPS_BALL)
+            assert norm(d) == expected, d
+        assert norm(cap) == norm(2 * cap) == 1.0 - EPS_BALL
+
+    def test_value_semantics(self):
+        # the cached log(1 + cap/tau) takes no part in equality, hash or repr
+        assert IntervalNormalizer() == IntervalNormalizer(60.0, 86400.0)
+        assert IntervalNormalizer() != IntervalNormalizer(tau=30.0)
+        assert hash(IntervalNormalizer()) == hash(IntervalNormalizer(60.0, 86400.0))
+        assert repr(IntervalNormalizer()) == "IntervalNormalizer(tau=60.0, cap=86400.0)"
+        with pytest.raises(AttributeError):
+            IntervalNormalizer().tau = 1.0
 
 
 class TestSessionRecord:
@@ -98,6 +120,29 @@ class TestBuildGraph:
     def test_min_events_override_for_prefixes(self):
         g = build_session_graph(SessionRecord("s", [("A", 0)]), NORM, min_events=1)
         assert g.nodes == ["A"] and g.edges == []
+
+    def test_prefix_graphs_equal_record_graphs(self):
+        # revisits, self-loops and equal timestamps all occur among the draws
+        rng = np.random.default_rng(4)
+        records = []
+        for k in range(120):
+            t, events = 0, []
+            for _ in range(rng.integers(1, 12)):
+                t += int(rng.choice([0, 0, 3, 60, 7200]))
+                events.append((str(rng.choice(list("abcde"))), t))
+            records.append(SessionRecord(f"s{k}", events))
+        for augment in (False, True):
+            examples = iter(examples_from_records(records, NORM, augment_prefixes=augment))
+            for rec in records:
+                n = len(rec.events)
+                for c in (range(2, n + 1) if augment else [n] if n >= 2 else []):
+                    ex = next(examples)
+                    g = build_session_graph(SessionRecord(rec.session_id, rec.events[:c - 1]),
+                                            NORM, min_events=1)
+                    assert ex.graph == g
+                    assert ex.target_item == rec.events[c - 1][0]
+                    assert ex.target_interval == NORM(rec.events[c - 1][1] - rec.events[c - 2][1])
+            assert next(examples, None) is None
 
     def test_deterministic(self):
         rec = SessionRecord("s", [("A", 0), ("B", 10), ("A", 25), ("C", 30)])
@@ -169,16 +214,39 @@ def scanned_neighborhood(g, i, direction):
     return sorted(merged.items())
 
 
+def assert_dtypes(batch):
+    for name in ("dst", "src", "node_session", "last"):
+        assert getattr(batch, name).dtype == np.intp, name
+    assert batch.interval.dtype == np.float64
+
+
+def assert_batch_is_neighborhoods(batch, graphs, direction):
+    """The batch's entries are each graph's scanned neighborhoods, in order."""
+    expected, sessions, last = [], [], []
+    base = 0
+    for b, g in enumerate(graphs):
+        for i in range(g.n_nodes):
+            expected += [(base + i, base + j, iv) for j, iv in scanned_neighborhood(g, i, direction)]
+        sessions += [b] * g.n_nodes
+        last.append(base + g.last_index)
+        base += g.n_nodes
+    got = list(zip(batch.dst.tolist(), batch.src.tolist(), batch.interval.tolist()))
+    assert got == expected
+    assert batch.node_session.tolist() == sessions
+    assert batch.last.tolist() == last
+    assert_dtypes(batch)
+
+
 class TestBatchGraphs:
+    def random_graph(self, rng):
+        t, events = 0, []
+        for _ in range(rng.integers(1, 9)):
+            t += int(rng.choice([0, 0, 5, 100, 7200]))
+            events.append((str(rng.choice(list("abcd"))), t))
+        return build_session_graph(SessionRecord("s", events), NORM, min_events=1)
+
     def random_graphs(self, rng):
-        graphs = []
-        for _ in range(rng.integers(1, 5)):
-            t, events = 0, []
-            for _ in range(rng.integers(1, 9)):
-                t += int(rng.choice([0, 0, 5, 100, 7200]))
-                events.append((str(rng.choice(list("abcd"))), t))
-            graphs.append(build_session_graph(SessionRecord("s", events), NORM, min_events=1))
-        return graphs
+        return [self.random_graph(rng) for _ in range(rng.integers(1, 5))]
 
     @pytest.mark.parametrize("direction", ["in", "out", "both"])
     def test_entries_are_the_neighborhoods(self, direction):
@@ -186,17 +254,41 @@ class TestBatchGraphs:
         rng = np.random.default_rng(12)
         for _ in range(200):
             graphs = self.random_graphs(rng)
-            batch = batch_graphs(graphs, direction)
-            expected = []
-            base = 0
+            assert_batch_is_neighborhoods(batch_graphs(graphs, direction), graphs, direction)
             for g in graphs:
                 for i in range(g.n_nodes):
-                    pairs = scanned_neighborhood(g, i, direction)
-                    assert neighborhood(g, i, direction) == pairs
-                    expected += [(base + i, base + j, iv) for j, iv in pairs]
-                base += g.n_nodes
-            got = list(zip(batch.dst.tolist(), batch.src.tolist(), batch.interval.tolist()))
-            assert got == expected
+                    assert neighborhood(g, i, direction) == scanned_neighborhood(g, i, direction)
+
+    @pytest.mark.parametrize("direction", ["in", "out", "both"])
+    def test_large_batches_are_the_neighborhoods(self, direction):
+        rng = np.random.default_rng(21)
+        for size in (64, 1, 17, 64, 40):
+            graphs = [self.random_graph(rng) for _ in range(size)]
+            assert_batch_is_neighborhoods(batch_graphs(graphs, direction), graphs, direction)
+
+    def test_reciprocal_edges_under_both(self):
+        # a <-> b with equal intervals, b <-> c with unequal ones, a self-loop on c
+        events = [("a", 0), ("b", 10), ("a", 20), ("c", 21), ("b", 26), ("c", 126), ("c", 127)]
+        g = build_session_graph(SessionRecord("s", events), NORM)
+        assert {(s, d) for s, d, _ in g.edges} >= {(0, 1), (1, 0), (1, 2), (2, 1), (2, 2)}
+        batch = batch_graphs([g, g], "both")
+        assert_batch_is_neighborhoods(batch, [g, g], "both")
+        entries = {(d, s): iv for d, s, iv in zip(batch.dst.tolist(), batch.src.tolist(),
+                                                  batch.interval.tolist())}
+        assert entries[(0, 1)] == entries[(1, 0)] == NORM(10)
+        assert entries[(1, 2)] == entries[(2, 1)] == NORM(5)
+        assert entries[(2, 2)] == NORM(1)
+
+    def test_single_node_graphs_and_the_empty_batch(self):
+        lone = build_session_graph(SessionRecord("s", [("a", 0)]), NORM, min_events=1)
+        for direction in ("in", "out", "both"):
+            batch = batch_graphs([lone, lone, lone], direction)
+            assert_batch_is_neighborhoods(batch, [lone] * 3, direction)
+            assert batch.dst.tolist() == batch.src.tolist() == [0, 1, 2]
+            assert batch.interval.tolist() == [0.0, 0.0, 0.0]
+            empty = batch_graphs([], direction)
+            assert (empty.n_nodes, empty.n_sessions, len(empty.dst)) == (0, 0, 0)
+            assert_dtypes(empty)
 
     def test_segments_and_last_nodes(self):
         graphs = [

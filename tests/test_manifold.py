@@ -41,6 +41,26 @@ class TestBallPoint:
         np.testing.assert_array_equal(rows[0], v)
         np.testing.assert_array_equal(rows[1], [0.3, 0.0])
 
+    def test_squared_norm_bound_is_the_largest_below_the_shell(self):
+        # the clip test compares squared norms with _MAX_NORM2: the largest
+        # double whose square root is at most MAX_NORM
+        bound = M._MAX_NORM2
+        assert np.sqrt(bound) <= M.MAX_NORM
+        assert np.sqrt(np.nextafter(bound, 2.0)) > M.MAX_NORM
+        x = M.MAX_NORM * M.MAX_NORM  # a search from the rounded square
+        while np.sqrt(np.nextafter(x, 2.0)) <= M.MAX_NORM:
+            x = np.nextafter(x, 2.0)
+        while np.sqrt(x) > M.MAX_NORM:
+            x = np.nextafter(x, 0.0)
+        assert x == bound
+
+    def test_clip_decision_at_the_squared_norm_bound(self):
+        inside = np.array([[np.sqrt(M._MAX_NORM2), 0.0]])
+        assert M.project_to_ball(inside) is inside
+        beyond = np.array([[np.sqrt(np.nextafter(M._MAX_NORM2, 2.0)), 0.0]])
+        assert beyond[0, 0] ** 2 > M._MAX_NORM2
+        assert M.project_to_ball(beyond)[0, 0] == M.MAX_NORM
+
     def test_origin_fixed(self):
         np.testing.assert_array_equal(M.project_to_ball(np.zeros(2)), [0.0, 0.0])
         np.testing.assert_array_equal(M.project_to_ball(np.zeros((2, 2))), np.zeros((2, 2)))
