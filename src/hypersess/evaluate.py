@@ -9,7 +9,7 @@ call takes.  Nothing here comes from ``train``.
 Sessions are scored in blocks of at most ``BLOCK_BYTES // (8 * n_items)``:
 one ``forward_graphs`` over the block's graphs, each distinct item projected
 once, and one (sessions x items) distance screen from a single GEMM (see
-:meth:`~hypersess.model.ItemTable._screen` for its rounding bound).  Items the
+:func:`~hypersess.manifold.distance_screen` for its rounding bound).  Items the
 screen places certainly nearer than the target are counted; the few within
 the bound of the target are recomputed exactly, with the formula of
 ``manifold.distances_to_rows``, so every rank is the exact counted position.

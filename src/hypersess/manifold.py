@@ -33,6 +33,11 @@ _MAX_NORM2 = 0.9999800001000001
 # arcosh'(1 + x) = 1/sqrt(x (x + 2)) diverges at x = 0 (coincident points);
 # the distance's adjoint evaluates it at max(x, ARCOSH_CLAMP).
 ARCOSH_CLAMP = 1e-12
+# the unit roundoff of float64, for the screen's rounding bounds
+_U = np.finfo(np.float64).eps / 2
+# pairwise_mean_distance takes a pair's screen when S >= SCREEN_PLACES * h:
+# within about 1 / SCREEN_PLACES relative of the exact distance
+SCREEN_PLACES = 2.0 ** 30
 
 
 def _shell(val: np.ndarray):
@@ -40,7 +45,8 @@ def _shell(val: np.ndarray):
     ``back`` maps the adjoint of ``out`` to that of ``val``.  ``(val, None)``
     when no row lies beyond."""
     n2 = rowdot(val, val)
-    if n2.max() <= _MAX_NORM2:  # False for a NaN norm as well
+    # a NaN norm fails the comparison, so it reaches the non-finite check
+    if np.count_nonzero(n2 <= _MAX_NORM2) == np.size(n2):
         return val, None
     if not np.isfinite(val).all():
         raise ValueError("cannot project non-finite vector")
@@ -90,7 +96,7 @@ def _norm(v: np.ndarray):
     ratio stays finite; the mask is the 0/1 column that zeroes those rows'
     results and gradients, None when no row is 0."""
     n = np.sqrt(rowdot(v, v))
-    if n.all():
+    if np.count_nonzero(n) == np.size(n):  # a NaN norm counts as nonzero
         return n, None
     zero = n == 0.0
     return n + np.where(zero, 0.5, 0.0), np.where(zero, 0.0, 1.0)
@@ -290,17 +296,96 @@ def paired_distances(p: np.ndarray, rows: np.ndarray, p_gaps, gaps) -> np.ndarra
     return _arcosh1p(2.0 * diff2 / (p_gaps * gaps))
 
 
+def screen_slack(gaps: np.ndarray, d: int) -> np.ndarray:
+    """The screen's error bound h = 4 (d + 8) u / G per row of gaps G (see
+    :func:`distance_screen`)."""
+    return 4 * (d + 8) * _U / gaps
+
+
+def distance_screen(points: np.ndarray, rows: np.ndarray, norms2: np.ndarray,
+                    gaps: np.ndarray):
+    """(g, S): the gaps g = 1 - q.q of the (B, d) ``points`` (one ``np.dot``
+    per point, the bits :func:`distances_to_rows` starts from) and the (B, N)
+    screen S of the (N, d) ``rows``, whose r.r and G = 1 - r.r are
+    ``norms2`` and ``gaps`` (numeric; points and rows inside the ball).
+
+    One GEMM screens every pair.  For a point q and a row r the exact path
+    (:func:`paired_distances`) computes arcosh(1 + x) for
+    x = 2 ||q - r||^2 / (g G) = 2 Y / g.  The screen estimates Y as
+    S = (q.q - 2 q.r + r.r) / G.  With u = 2^-53 and all norms at most 1,
+    each dot product errs by at most gamma_d ||q|| ||r||,
+    gamma_n = n u / (1 - n u), in any summation order, so the numerator,
+    cancellation included, errs by at most
+    gamma_{d+3} (||q|| + ||r||)^2 <= 4 gamma_{d+3}, and
+    |S - Y| <= h + u Y with h = 4 (d + 8) u / G (:func:`screen_slack`).
+    The exact path has x within gamma_{d+4} of its exact value (d
+    nonnegative squares summed, a product, a quotient), and
+    log1p(x + sqrt(x (x + 2))) adds at most 3 u from the sqrt chain and
+    4 ulp (8 u) from log1p.  F(x) = arcosh(1 + x) is concave with F(0) = 0,
+    so a relative error in x is at most the same relative error in F: a
+    computed distance is F(X) (1 +- eta), eta = (d + 24) u, for the exact X.
+    This holds up to the ``1 - 1e-5`` shell and beyond it, for any point and
+    row inside the ball.  Near-coincident pairs, S within a few h of 0, are
+    the ones the screen cannot tell apart; its callers recompute them
+    exactly.
+    """
+    q_norms2 = np.array([np.dot(p, p) for p in points])
+    # scaling by -2 is exact: S = (-2 q.r + q.q + r.r) / G, in place
+    screen = np.matmul(points * -2.0, rows.T)
+    screen += q_norms2[:, None]
+    screen += norms2
+    screen /= gaps
+    return 1.0 - q_norms2, screen
+
+
+def screen_bounds(q_gaps, dists, d: int):
+    """(Lo (1 - 64 u), Hi (1 + 64 u)) for points with gaps ``q_gaps`` in
+    dimension d and computed distances ``dists`` d_t: a pair is certainly
+    closer than d_t when S + h is below the first, certainly farther when
+    S - h is above the second.
+
+    By :func:`distance_screen`, a pair is certainly closer than d_t when
+    F(X) < d_t / (1 + eta), that is when Y < Lo = g sinh^2(d_t / (2 (1 + eta))),
+    and certainly farther when Y > Hi = g sinh^2(d_t / (2 (1 - eta))) (as
+    cosh F - 1 = 2 sinh^2(F/2)).  The 64 u covers the rounding of S, of S +- h
+    and of Lo and Hi (sinh within 4 ulp)."""
+    eta = (d + 24) * _U
+    return (q_gaps * np.sinh(dists / (2.0 * (1.0 + eta))) ** 2 * (1.0 - 64 * _U),
+            q_gaps * np.sinh(dists / (2.0 * (1.0 - eta))) ** 2 * (1.0 + 64 * _U))
+
+
 def pairwise_mean_distance(rows: np.ndarray) -> float:
-    """Mean geodesic distance over all unordered row pairs (numeric), from one
-    (n, n) table with the bits of one ``distances_to_rows`` call per row."""
+    """Mean geodesic distance over all unordered row pairs (numeric).
+
+    One :func:`distance_screen` of the rows against themselves gives every
+    pair i < j its S.  A pair with S >= K h (K = ``SCREEN_PLACES``) takes
+    arcosh(1 + 2 S / g_i); a pair with S < K h, which takes in every
+    near-coincident one, is recomputed exactly by :func:`paired_distances`,
+    so a collapsed table reads its true distances and repeated rows give
+    exact zeros.
+    For a screened pair |S - Y| <= h + u Y <= S / K + u Y, so S is within
+    (1 + u) / (K - 1) + u of Y; with the rounding of 2 S / g and of the
+    arcosh chain its distance is F(X) (1 +- (1 / (K - 1) + 16 u)), and it
+    lies within 1 / (K - 1) + (d + 41) u of the exact path's, which is
+    F(X) (1 +- eta).  All terms are nonnegative, so summing N = n (n - 1) / 2
+    of them in any order errs by at most gamma_{N-1} of the sum: the result
+    is within (1 / (K - 1) + (d + n^2 + 48) u) of the mean of
+    :func:`paired_distances` over the pairs (row i with g_i = 1 - r_i.r_i by
+    ``np.dot``, row j with G_j by ``np.sum``), in whatever order that mean
+    is summed.
+    """
     rows = np.asarray(rows, dtype=np.float64)
     n = rows.shape[0]
     if n < 2:
         return 0.0
-    p_gaps = 1.0 - np.array([np.dot(p, p) for p in rows])
-    dist = paired_distances(rows[:, None, :], rows[None, :, :], p_gaps[:, None],
-                            1.0 - np.sum(rows * rows, axis=1))
-    total = 0.0
-    for i in range(n - 1):
-        total += float(np.sum(dist[i, i + 1:]))
-    return total / (n * (n - 1) / 2)
+    norms2 = np.sum(rows * rows, axis=1)
+    gaps = 1.0 - norms2
+    p_gaps, screen = distance_screen(rows, rows, norms2, gaps)
+    i, j = np.triu_indices(n, 1)
+    screen = screen[i, j]
+    dists = _arcosh1p(2.0 * screen / p_gaps[i])
+    near = np.flatnonzero(screen < SCREEN_PLACES * screen_slack(gaps, rows.shape[1])[j])
+    if near.size:
+        i, j = i[near], j[near]
+        dists[near] = paired_distances(rows[i], rows[j], p_gaps[i], gaps[j])
+    return float(np.sum(dists)) / (n * (n - 1) / 2)

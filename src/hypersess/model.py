@@ -35,8 +35,6 @@ HYPER_FIELDS = (
 )
 # negative-side slope of every leaky ReLU in the model
 LEAKY_SLOPE = 0.2
-# unit roundoff of float64, for the scoring screen's rounding bound
-_U = np.finfo(np.float64).eps / 2
 
 
 def item_positions(index: Dict[Item, int], items: Iterable[Item]) -> List[int]:
@@ -373,63 +371,25 @@ class ItemTable:
         self.rows = project_item_table(params)
         self.norms2 = np.sum(self.rows * self.rows, axis=1)
         self.gaps = 1.0 - self.norms2
-        # the screen's error bound h per row (see _screen)
-        self.slack = 4 * (self.rows.shape[1] + 8) * _U / self.gaps
+        # the screen's error bound h per row
+        self.slack = manifold.screen_slack(self.gaps, self.rows.shape[1])
 
     def _screen(self, points: np.ndarray):
         """The (B, d) ``points`` checked, their gaps 1 - q.q, the (B, N)
-        screen S of the catalog and its (N,) error bound h.
-
-        One GEMM screens the catalog.  For a point q and a row r, with
-        g = 1 - q.q (``np.dot``, as distances_to_rows takes it) and the stored
-        G = 1 - r.r, the exact path computes arcosh(1 + x) for
-        x = 2 ||q - r||^2 / (g G) = 2 Y / g.  The screen estimates Y as
-        S = (q.q - 2 q.r + r.r) / G.  With u = 2^-53 and all norms at most
-        1 (points must lie inside the ball), each dot product errs by at most
-        gamma_d ||q|| ||r||, gamma_n = n u / (1 - n u), in any summation
-        order, so the numerator, cancellation included, errs by at most
-        gamma_{d+3} (||q|| + ||r||)^2 <= 4 gamma_{d+3}, and
-        |S - Y| <= h + u Y with h = 4 (d + 8) u / G.
-        The exact path has x within gamma_{d+4} of its exact value (d
-        nonnegative squares summed, a product, a quotient), and
-        log1p(x + sqrt(x (x + 2))) adds at most 3 u from the sqrt chain and
-        4 ulp (8 u) from log1p.  F(x) = arcosh(1 + x) is concave with
-        F(0) = 0, so a relative error in x is at most the same relative error
-        in F: a computed distance is F(X) (1 +- eta), eta = (d + 24) u, for
-        the exact X.  So, d_t being a computed distance, a row is certainly
-        closer than d_t when F(X) < d_t / (1 + eta), that is when
-        Y < Lo = g sinh^2(d_t / (2 (1 + eta))), and certainly farther when
-        Y > Hi = g sinh^2(d_t / (2 (1 - eta))) (as cosh F - 1 = 2 sinh^2(F/2)).
-        The tests are S + h < Lo (1 - 64 u) and S - h > Hi (1 + 64 u), with
-        the bounds of :meth:`_bounds`; the 64 u covers the rounding of S, of
-        the two sums and of Lo and Hi (sinh within 4 ulp).  This holds up to
-        the ``1 - 1e-5`` shell and beyond it, for any point and row inside
-        the ball.  Every row that neither test places is in the band, and is
-        recomputed exactly with distances_to_rows's formula
+        screen S of the catalog and its (N,) error bound h, from
+        :func:`~hypersess.manifold.distance_screen` (its docstring gives the
+        bound).  A row that neither test of
+        :func:`~hypersess.manifold.screen_bounds` places is in the band, and
+        is recomputed exactly with distances_to_rows's formula
         (:func:`~hypersess.manifold.paired_distances`, same bits).
         """
         q = np.asarray(points, dtype=np.float64)
         if not np.isfinite(q).all():
             raise ValueError("non-finite point to score the catalog against")
-        # one np.dot per point, the bits distances_to_rows starts from
-        q_norms2 = np.array([np.dot(p, p) for p in q])
-        q_gaps = 1.0 - q_norms2
+        q_gaps, screen = manifold.distance_screen(q, self.rows, self.norms2, self.gaps)
         if not (q_gaps > 0.0).all():
             raise ValueError("point to score the catalog against lies outside the ball")
-        # scaling by -2 is exact: S = (-2 q.r + q.q + r.r) / G, in place
-        screen = np.matmul(q * -2.0, self.rows.T)
-        screen += q_norms2[:, None]
-        screen += self.norms2
-        screen /= self.gaps
         return q, q_gaps, screen, self.slack
-
-    @staticmethod
-    def _bounds(q_gaps, dists, d: int):
-        """Lo (1 - 64 u) and Hi (1 + 64 u) of :meth:`_screen`'s proof, for
-        points with gaps ``q_gaps`` in dimension d and computed ``dists``."""
-        eta = (d + 24) * _U
-        return (q_gaps * np.sinh(dists / (2.0 * (1.0 + eta))) ** 2 * (1.0 - 64 * _U),
-                q_gaps * np.sinh(dists / (2.0 * (1.0 - eta))) ** 2 * (1.0 + 64 * _U))
 
     def top_k(self, point: Arrayish, k: int) -> RankedList:
         """The k items nearest the point, with their distances.
@@ -448,7 +408,7 @@ class ItemTable:
         near = np.argpartition(screen, k - 1)[:k]
         dists = manifold.paired_distances(q, self.rows[near], g, self.gaps[near]).tolist()
         screen -= h
-        band = screen <= self._bounds(g, max(dists), q.size)[1]
+        band = screen <= manifold.screen_bounds(g, max(dists), q.size)[1]
         # the k rows lie within d_k, so they are in the band, already recomputed
         band[near] = False
         rest = np.flatnonzero(band)
@@ -472,7 +432,7 @@ class ItemTable:
         q, q_gaps, screen, h = self._screen(points)
         t = np.array(item_positions(self.index, targets), dtype=np.intp)
         d_t = manifold.paired_distances(q, self.rows[t], q_gaps, self.gaps[t])
-        lo, hi = self._bounds(q_gaps, d_t, q.shape[1])
+        lo, hi = manifold.screen_bounds(q_gaps, d_t, q.shape[1])
 
         bound = np.add(screen, h)
         band = bound >= lo[:, None]

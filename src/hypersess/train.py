@@ -204,7 +204,9 @@ def fit(
     must agree with the config's ``dim`` and model hyperparameters, and take
     no ``vocab`` or ``categories``.  The collapse trace records the mean
     pairwise distance among up to 100 sampled projected item embeddings
-    after each epoch.  The returned params are read-only, so that
+    after each epoch, from one GEMM screen with its near pairs recomputed
+    exactly (:func:`~hypersess.manifold.pairwise_mean_distance`, which
+    states its bound); training reads nothing from it.  The returned params are read-only, so that
     :func:`~hypersess.model.item_table` keeps their projection; the freeze
     is each array's ``writeable`` flag, cleared without a copy, which a
     caller can set back (a loaded array's cannot be).

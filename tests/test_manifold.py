@@ -370,7 +370,9 @@ class TestRowWise:
 class TestPairwiseMeanDistance:
     """The collapse monitor against a per-pair loop of the distance formula,
     summed as ``distances_to_rows`` rows are: each row i over j > i with
-    ``np.sum``, the row sums in row order."""
+    ``np.sum``, the row sums in row order.  The monitor screens the pairs
+    with one GEMM, so it equals the loop within the bound that its docstring
+    derives, not bit for bit."""
 
     @staticmethod
     def per_pair(rows):
@@ -386,19 +388,82 @@ class TestPairwiseMeanDistance:
             total += float(np.sum(row))
         return total / (n * (n - 1) / 2)
 
+    @staticmethod
+    def bound(rows):
+        """Relative: 1 / (K - 1) + (d + n^2 + 48) u (pairwise_mean_distance)."""
+        n, d = rows.shape
+        return 1.0 / (M.SCREEN_PLACES - 1.0) + (d + n * n + 48) * (np.finfo(float).eps / 2)
+
+    def assert_within_bound(self, rows):
+        want = self.per_pair(rows)
+        assert abs(M.pairwise_mean_distance(rows) - want) <= self.bound(rows) * want
+        return want
+
+    @staticmethod
+    def exact_pairs(monkeypatch):
+        """Spy on the exact path: the number of pairs it recomputes, per call."""
+        counts = []
+        paired = M.paired_distances
+
+        def spy(p, rows, p_gaps, gaps):
+            counts.append(len(rows))
+            return paired(p, rows, p_gaps, gaps)
+
+        monkeypatch.setattr(M, "paired_distances", spy)
+        return counts
+
+    @staticmethod
+    def collapsed(rng, n, d, centre_norm, spread):
+        """n rows within ``spread`` of one point of norm ``centre_norm``."""
+        centre = rng.normal(size=d)
+        centre *= centre_norm / np.linalg.norm(centre)
+        return M.project_to_ball(centre + rng.uniform(-spread, spread, (n, d)) / np.sqrt(d))
+
     @pytest.mark.parametrize("n,d,scale", [(2, 1, 0.3), (9, 5, 0.1), (40, 16, 0.05),
                                            (100, 60, 0.1), (33, 61, 3.0)])
     def test_equals_per_pair_loop(self, n, d, scale):
         rng = RNG(40 + n)
         rows = M.project_to_ball(rng.normal(0.0, scale, size=(n, d)))
-        assert M.pairwise_mean_distance(rows) == self.per_pair(rows)
+        self.assert_within_bound(rows)
 
     def test_shell_and_repeated_rows(self):
         rng = RNG(41)
         rows = rng.normal(size=(30, 8))
         rows *= (1.0 - 1e-5) / np.linalg.norm(rows, axis=1, keepdims=True)
         rows[[3, 7, 8]] = rows[0]
-        assert M.pairwise_mean_distance(rows) == self.per_pair(rows)
+        self.assert_within_bound(rows)
+
+    @pytest.mark.parametrize("centre_norm,spread", [(M.MAX_NORM, 1e-9), (0.5, 1e-7)])
+    def test_collapsed_table_reads_its_true_distances(self, monkeypatch, centre_norm, spread):
+        rows = self.collapsed(RNG(42), 100, 16, centre_norm, spread)
+        counts = self.exact_pairs(monkeypatch)
+        want = self.assert_within_bound(rows)
+        # every pair is near-coincident, so every pair takes the exact path
+        assert counts == [100 * 99 // 2]
+        assert want > 0.0
+
+    @pytest.mark.parametrize("centre_norm,spread", [(M.MAX_NORM, 1e-9), (0.5, 1e-7)])
+    def test_screen_alone_misses_a_collapse(self, centre_norm, spread):
+        rows = self.collapsed(RNG(42), 100, 16, centre_norm, spread)
+        norms2 = np.sum(rows * rows, axis=1)
+        p_gaps, screen = M.distance_screen(rows, rows, norms2, 1.0 - norms2)
+        i, j = np.triu_indices(len(rows), 1)
+        gemm_only = float(np.mean(M._arcosh1p(2.0 * screen[i, j] / p_gaps[i])))
+        want = self.per_pair(rows)
+        assert abs(gemm_only - want) > 1e3 * self.bound(rows) * want
+        assert abs(M.pairwise_mean_distance(rows) - want) <= self.bound(rows) * want
+
+    @pytest.mark.parametrize("norm", [0.0, 0.3, M.MAX_NORM])
+    def test_repeated_rows_give_exact_zeros(self, norm):
+        row = RNG(43).normal(size=12)
+        row *= norm / np.linalg.norm(row)
+        assert M.pairwise_mean_distance(np.tile(row, (50, 1))) == 0.0
+
+    def test_spread_table_takes_no_exact_pair(self, monkeypatch):
+        rows = M.project_to_ball(RNG(44).normal(0.0, 0.1, size=(100, 60)))
+        counts = self.exact_pairs(monkeypatch)
+        self.assert_within_bound(rows)
+        assert counts == []
 
     def test_fewer_than_two_rows(self):
         assert M.pairwise_mean_distance(np.zeros((0, 3))) == 0.0

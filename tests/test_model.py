@@ -617,6 +617,83 @@ class TestScreenedTopK:
         assert dists[1] == dists[2] == 0.0
 
 
+U = np.finfo(np.float64).eps / 2
+
+
+class InlineFormulaTable(model.ItemTable):
+    """``ItemTable`` with the screen, its slack and the band bounds written
+    out inline, as they stood in ``ItemTable`` before ``manifold`` held them."""
+
+    @classmethod
+    def of(cls, table):
+        inline = cls.__new__(cls)
+        vars(inline).update(vars(table))
+        inline.slack = 4 * (table.rows.shape[1] + 8) * U / table.gaps
+        return inline
+
+    def _screen(self, points):
+        q = np.asarray(points, dtype=np.float64)
+        q_norms2 = np.array([np.dot(p, p) for p in q])
+        screen = np.matmul(q * -2.0, self.rows.T)
+        screen += q_norms2[:, None]
+        screen += self.norms2
+        screen /= self.gaps
+        return q, 1.0 - q_norms2, screen, self.slack
+
+    @staticmethod
+    def bounds(q_gaps, dists, d):
+        eta = (d + 24) * U
+        return (q_gaps * np.sinh(dists / (2.0 * (1.0 + eta))) ** 2 * (1.0 - 64 * U),
+                q_gaps * np.sinh(dists / (2.0 * (1.0 - eta))) ** 2 * (1.0 + 64 * U))
+
+
+class TestSharedScreen:
+    """The screen moved from ``ItemTable`` to ``manifold``, where the collapse
+    monitor calls it too: scoring keeps every bit of the inline formula."""
+
+    @staticmethod
+    def assert_keeps_inline_formula(table, points, targets, ks):
+        inline = InlineFormulaTable.of(table)
+        for got, want in zip(table._screen(points), inline._screen(points)):
+            assert np.array_equal(got, want)
+        q_gaps = inline._screen(points)[1]
+        t = [table.index[it] for it in targets]
+        d_t = M.paired_distances(points, table.rows[t], q_gaps, table.gaps[t])
+        for got, want in zip(M.screen_bounds(q_gaps, d_t, points.shape[1]),
+                             inline.bounds(q_gaps, d_t, points.shape[1])):
+            assert np.array_equal(got, want)
+        assert table.ranks(points, targets).tolist() == inline.ranks(points, targets).tolist()
+        for k in ks:
+            for p in points:
+                assert table.top_k(p, k).entries == inline.top_k(p, k).entries
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(ranked_blocks(), st.data())
+    def test_small_catalogs(self, block, data):
+        table, points = block
+        n = len(table.items)
+        targets = [data.draw(st.sampled_from(table.items)) for _ in points]
+        self.assert_keeps_inline_formula(table, points, targets,
+                                         (1, n, data.draw(st.integers(1, n))))
+
+    @pytest.mark.parametrize("d", [2, 16, 60])
+    def test_catalog_with_shell_rows(self, d):
+        rng = np.random.default_rng(100 + d)
+        n = 2000
+        params = model.init_params([f"i{j:04d}" for j in rng.permutation(n)], d, rng)
+        # doubling in the tangent space takes a row of norm tanh(30) to the shell
+        params.feat_proj = 2.0 * np.eye(d)
+        params.item_features = rng.uniform(-0.4, 0.4, (n, d))
+        shell = rng.random(n) < 0.2
+        params.item_features[shell] *= 30.0 / np.linalg.norm(params.item_features[shell],
+                                                             axis=1, keepdims=True)
+        table = model.ItemTable(params)
+        points = np.array([np.zeros(d), *(table.rows[j] * (1.0 - 1e-9) for j in range(3)),
+                           *(rand_ball(rng, d, 0.95) for _ in range(4))])
+        targets = [table.items[j] for j in rng.integers(0, n, len(points))]
+        self.assert_keeps_inline_formula(table, points, targets, (1, 20, n))
+
+
 class TestForwardInvariants:
     def test_every_embedding_inside_shell(self):
         rng = np.random.default_rng(13)
