@@ -160,11 +160,12 @@ def relu(a: Arrayish):
 # ---------------------------------------------------------------------------
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inner product over the last axis: a scalar for two vectors, an (N, 1)
-    column when either operand is a matrix of rows."""
-    if a.ndim < 2 and b.ndim < 2:
-        return np.dot(a, b)
-    return np.add.reduce(a * b, axis=-1, keepdims=True)
+    """Inner product over the last axis, the package's one row-product
+    kernel: ``np.vecdot``, one BLAS dot per row.  A scalar for two vectors,
+    an (N, 1) column when either operand is a matrix of rows.  Each row gets
+    ``np.dot``'s bits for that row, whichever other rows come with it."""
+    out = np.vecdot(a, b)
+    return out if out.ndim == 0 else out[..., None]
 
 
 def dot(a: Arrayish, b: Arrayish):

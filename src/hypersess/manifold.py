@@ -283,8 +283,8 @@ def distances_to_rows(p: np.ndarray, rows: np.ndarray, gaps=None) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.float64)
     if gaps is None:
-        gaps = 1.0 - np.sum(rows * rows, axis=1)
-    return paired_distances(p, rows, 1.0 - np.dot(p, p), gaps)
+        gaps = 1.0 - rowdot(rows, rows)[:, 0]
+    return paired_distances(p, rows, 1.0 - rowdot(p, p), gaps)
 
 
 def paired_distances(p: np.ndarray, rows: np.ndarray, p_gaps, gaps) -> np.ndarray:
@@ -292,8 +292,8 @@ def paired_distances(p: np.ndarray, rows: np.ndarray, p_gaps, gaps) -> np.ndarra
     one (d,) point for every row, an (M, d) point per row or (n, 1, d) against
     (1, m, d) rows, and ``p_gaps`` its 1 - ||p||^2, shaped alike.  Each row's
     result has the same bits whichever other rows are passed with it."""
-    diff2 = np.sum((rows - p) ** 2, axis=-1)
-    return _arcosh1p(2.0 * diff2 / (p_gaps * gaps))
+    diff = rows - p
+    return _arcosh1p(2.0 * rowdot(diff, diff)[..., 0] / (p_gaps * gaps))
 
 
 def screen_slack(gaps: np.ndarray, d: int) -> np.ndarray:
@@ -304,8 +304,8 @@ def screen_slack(gaps: np.ndarray, d: int) -> np.ndarray:
 
 def distance_screen(points: np.ndarray, rows: np.ndarray, norms2: np.ndarray,
                     gaps: np.ndarray):
-    """(g, S): the gaps g = 1 - q.q of the (B, d) ``points`` (one ``np.dot``
-    per point, the bits :func:`distances_to_rows` starts from) and the (B, N)
+    """(g, S): the gaps g = 1 - q.q of the (B, d) ``points`` (``rowdot``,
+    the bits :func:`distances_to_rows` starts from) and the (B, N)
     screen S of the (N, d) ``rows``, whose r.r and G = 1 - r.r are
     ``norms2`` and ``gaps`` (numeric; points and rows inside the ball).
 
@@ -314,7 +314,8 @@ def distance_screen(points: np.ndarray, rows: np.ndarray, norms2: np.ndarray,
     x = 2 ||q - r||^2 / (g G) = 2 Y / g.  The screen estimates Y as
     S = (q.q - 2 q.r + r.r) / G.  With u = 2^-53 and all norms at most 1,
     each dot product errs by at most gamma_d ||q|| ||r||,
-    gamma_n = n u / (1 - n u), in any summation order, so the numerator,
+    gamma_n = n u / (1 - n u), in any summation order and with or without
+    fused multiply-adds (``rowdot``'s BLAS dot, the GEMM), so the numerator,
     cancellation included, errs by at most
     gamma_{d+3} (||q|| + ||r||)^2 <= 4 gamma_{d+3}, and
     |S - Y| <= h + u Y with h = 4 (d + 8) u / G (:func:`screen_slack`).
@@ -329,7 +330,7 @@ def distance_screen(points: np.ndarray, rows: np.ndarray, norms2: np.ndarray,
     the ones the screen cannot tell apart; its callers recompute them
     exactly.
     """
-    q_norms2 = np.array([np.dot(p, p) for p in points])
+    q_norms2 = rowdot(points, points)[:, 0]
     # scaling by -2 is exact: S = (-2 q.r + q.q + r.r) / G, in place
     screen = np.matmul(points * -2.0, rows.T)
     screen += q_norms2[:, None]
@@ -370,15 +371,14 @@ def pairwise_mean_distance(rows: np.ndarray) -> float:
     F(X) (1 +- eta).  All terms are nonnegative, so summing N = n (n - 1) / 2
     of them in any order errs by at most gamma_{N-1} of the sum: the result
     is within (1 / (K - 1) + (d + n^2 + 48) u) of the mean of
-    :func:`paired_distances` over the pairs (row i with g_i = 1 - r_i.r_i by
-    ``np.dot``, row j with G_j by ``np.sum``), in whatever order that mean
-    is summed.
+    :func:`paired_distances` over the pairs (g_i and G_j both
+    1 - r.r by ``rowdot``), in whatever order that mean is summed.
     """
     rows = np.asarray(rows, dtype=np.float64)
     n = rows.shape[0]
     if n < 2:
         return 0.0
-    norms2 = np.sum(rows * rows, axis=1)
+    norms2 = rowdot(rows, rows)[:, 0]
     gaps = 1.0 - norms2
     p_gaps, screen = distance_screen(rows, rows, norms2, gaps)
     i, j = np.triu_indices(n, 1)

@@ -343,8 +343,8 @@ def project_item_table(params: ModelParams) -> np.ndarray:
 
 def check_item_rows(items: Sequence[Item], features: np.ndarray) -> None:
     """Raise ValueError naming the first item whose feature row is not finite."""
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
+    if not np.isfinite(features).all():
+        finite = np.isfinite(features).all(axis=1)
         raise ValueError(f"item {items[int(np.argmin(finite))]!r} has a non-finite feature row")
 
 
@@ -369,7 +369,7 @@ class ItemTable:
         # checked before projecting, to name the item
         check_item_rows(self.items, params.item_features)
         self.rows = project_item_table(params)
-        self.norms2 = np.sum(self.rows * self.rows, axis=1)
+        self.norms2 = grad.rowdot(self.rows, self.rows)[:, 0]
         self.gaps = 1.0 - self.norms2
         # the screen's error bound h per row
         self.slack = manifold.screen_slack(self.gaps, self.rows.shape[1])

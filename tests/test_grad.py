@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypersess import grad as G, manifold as M, model, train
 from hypersess.graph import IntervalNormalizer, SessionRecord, batch_graphs, build_session_graph
@@ -121,7 +122,27 @@ class TestRowPrimitives:
         a, b = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
         a[2] = 0.0
         assert G.dot(a, b).shape == (5, 1)
-        np.testing.assert_allclose(G.dot(a, b)[:, 0], [G.dot(x, y) for x, y in zip(a, b)], rtol=1e-14)
+        np.testing.assert_array_equal(G.dot(a, b)[:, 0], [G.dot(x, y) for x, y in zip(a, b)])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 70), st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_rowdot_is_np_dot_per_row(self, d, n, seed):
+        """Each row's product has ``np.dot``'s bits for that row, for
+        contiguous, gathered, misaligned and broadcast (d,) operands, and a
+        row passed alone gives the same bits."""
+        rng = np.random.default_rng(seed)
+        a, b, v = rng.normal(size=(n, d)), rng.normal(size=(n, d)), rng.normal(size=d)
+        pick = rng.integers(0, n, 2 * n)
+        misaligned = np.empty(n * d + 1)[1:].reshape(n, d)
+        misaligned[:] = a
+        for x, y in [(a, b), (a, a), (a[pick], b[pick]), (misaligned, b), (a, v), (v, b)]:
+            got = G.rowdot(x, y)
+            x, y = np.broadcast_arrays(x, y)
+            assert got.shape == (len(x), 1)
+            assert got[:, 0].tolist() == [np.dot(p, q) for p, q in zip(x, y)]
+            r = int(rng.integers(0, len(x)))
+            assert G.rowdot(x[r:r + 1], y[r:r + 1]).tolist() == [got[r].tolist()]
+            assert G.rowdot(x[r], y[r]) == got[r, 0]
 
     def test_row_primitive_gradients(self):
         rng = np.random.default_rng(2)

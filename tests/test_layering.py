@@ -70,3 +70,40 @@ def test_only_fused_builds_nodes_with_parents():
     found = {(path.stem,) + where for path in sorted(PACKAGE.glob("*.py"))
              for where in parent_node_calls(ast.parse(path.read_text(encoding="utf-8")))}
     assert found == {("grad", "fused")}
+
+
+def row_sum_calls(tree):
+    """The line of each ``sum`` or ``add.reduce`` call over the last axis of
+    a matrix (``np.sum(x, axis=-1)``, ``x.sum(1)``, ``np.add.reduce(x, 1)``,
+    ...): axis -1 or 1, by keyword or by position."""
+    for node in ast.walk(tree):
+        func = node.func if isinstance(node, ast.Call) else None
+        if not isinstance(func, ast.Attribute):
+            continue
+        if func.attr == "reduce" and getattr(func.value, "attr", None) == "add":
+            position = 1  # np.add.reduce(x, axis)
+        elif func.attr == "sum":
+            # np.sum(x, axis) against x.sum(axis)
+            position = 1 if getattr(func.value, "id", None) in ("np", "numpy") else 0
+        else:
+            continue
+        axes = [k.value for k in node.keywords if k.arg == "axis"] + node.args[position:position + 1]
+        for axis in axes:
+            try:
+                if ast.literal_eval(axis) in (-1, 1):
+                    yield node.lineno
+            except ValueError:  # an axis held in a variable
+                pass
+
+
+def test_row_products_go_through_rowdot():
+    """A last-axis sum of products runs numpy's short inner loop per row;
+    ``grad.rowdot`` (``np.vecdot``) is one BLAS dot per row and the package's
+    one row-product kernel, so ``src/`` makes no row sum at all."""
+    found = {(path.stem, line) for path in sorted(PACKAGE.glob("*.py"))
+             for line in row_sum_calls(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == set()
+    seen = ast.parse("np.sum(a * b, axis=-1)\nnp.add.reduce(a * b, axis=1, keepdims=True)\n"
+                     "(a * b).sum(-1)\nnp.sum(a, 1)\nnumpy.add.reduce(a, -1)\n"
+                     "np.sum(a, axis=0)\nx.sum(axis=ax)\nnp.sum(a)\nsum(a, 1)\nx.sum(0)\n")
+    assert list(row_sum_calls(seen)) == [1, 2, 3, 4, 5]

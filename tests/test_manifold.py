@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypersess import grad as G, manifold as M
 
@@ -363,8 +364,32 @@ class TestRowWise:
         rng = RNG(36)
         rows = self.rows(rng, n=50, d=5, zero_rows=())
         p = rand_ball(rng, 5, 0.7)
-        gaps = 1.0 - np.sum(rows * rows, axis=1)
+        gaps = 1.0 - G.rowdot(rows, rows)[:, 0]
         np.testing.assert_array_equal(M.distances_to_rows(p, rows, gaps), M.distances_to_rows(p, rows))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 70), st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_paired_distances_row_independent(self, d, n, seed):
+        """Each row's distance has the same bits whichever other rows are
+        passed with it: alone, gathered in another order, against one (d,)
+        point, one point per row, or (n, 1, d) points against (1, m, d) rows."""
+        rng = np.random.default_rng(seed)
+        rows = np.array([rand_ball(rng, d, 0.99) for _ in range(n)])
+        points = np.array([rand_ball(rng, d, 0.99) for _ in range(n)])
+        gaps = 1.0 - G.rowdot(rows, rows)[:, 0]
+        p_gaps = 1.0 - G.rowdot(points, points)[:, 0]
+        pick = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+        full = M.paired_distances(points, rows, p_gaps, gaps)
+        assert M.paired_distances(points[pick], rows[pick], p_gaps[pick], gaps[pick]).tolist() \
+            == full[pick].tolist()
+        assert [M.paired_distances(points[r:r + 1], rows[r:r + 1], p_gaps[r:r + 1],
+                                   gaps[r:r + 1])[0] for r in range(n)] == full.tolist()
+        one = M.paired_distances(points[0], rows, p_gaps[0], gaps)
+        assert M.paired_distances(points[0], rows[pick], p_gaps[0], gaps[pick]).tolist() \
+            == one[pick].tolist()
+        table = M.paired_distances(points[:, None], rows[None], p_gaps[:, None], gaps[None])
+        assert table[0].tolist() == one.tolist()
+        assert np.diagonal(table).tolist() == full.tolist()
 
 
 class TestPairwiseMeanDistance:
