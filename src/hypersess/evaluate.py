@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import model
-from .graph import IntervalNormalizer, SessionRecord, TrainingExample, examples_from_records
+from .graph import (MIN_EVENTS, IntervalNormalizer, SessionRecord, TrainingExample,
+                    examples_from_records)
 from .metrics import mrr_at_k, p_at_k
 from .model import ModelParams
 
@@ -74,29 +75,21 @@ def rank_test_sessions(
     """
     table = model.item_table(params)
     size = max(1, BLOCK_BYTES // (8 * len(table.items)))
+    usable = [rec for rec in records if len(rec.events) >= MIN_EVENTS
+              and all(item in params.item_index for item, _ in rec.events)]
     cases: List[Tuple[int, str]] = []
-    skipped = 0
-    block: List[Tuple[SessionRecord, TrainingExample]] = []
-    for rec in records:
-        examples = examples_from_records([rec], norm)
-        if not examples or any(item not in params.item_index for item, _ in rec.events):
-            skipped += 1
-            continue
-        block.append((rec, examples[0]))
-        if len(block) == size:
-            cases += _rank_block(block, params, table)
-            block = []
-    if block:
-        cases += _rank_block(block, params, table)
-    return cases, skipped
+    for start in range(0, len(usable), size):
+        block = usable[start:start + size]
+        cases += _rank_block(block, examples_from_records(block, norm), params, table)
+    return cases, len(records) - len(usable)
 
 
-def _rank_block(block: List[Tuple[SessionRecord, TrainingExample]], params: ModelParams,
-                table: model.ItemTable) -> List[Tuple[int, str]]:
-    """(rank, target) of each session in the block, from one forward pass
-    and one screened distance matrix.  On a ValueError the block is ranked
-    again one session at a time, so that the error names its session."""
-    examples = [ex for _, ex in block]
+def _rank_block(block: Sequence[SessionRecord], examples: List[TrainingExample],
+                params: ModelParams, table: model.ItemTable) -> List[Tuple[int, str]]:
+    """(rank, target) of each session in the block, one example each, from
+    one forward pass and one screened distance matrix.  On a ValueError the
+    block is ranked again one session at a time, so that the error names its
+    session."""
     targets = [ex.target_item for ex in examples]
     try:
         fw = model.forward_graphs([ex.graph for ex in examples],
@@ -105,8 +98,9 @@ def _rank_block(block: List[Tuple[SessionRecord, TrainingExample]], params: Mode
         return list(zip(table.ranks(fw.item_future, targets).tolist(), targets))
     except ValueError as exc:
         if len(block) == 1:
-            raise ValueError(f"test session {block[0][0].session_id!r}: {exc}") from exc
-        return [case for one in block for case in _rank_block([one], params, table)]
+            raise ValueError(f"test session {block[0].session_id!r}: {exc}") from exc
+        return [case for rec, ex in zip(block, examples)
+                for case in _rank_block([rec], [ex], params, table)]
 
 
 def evaluate(
@@ -149,7 +143,7 @@ def popularity_baseline(
 
     cases: List[Tuple[Optional[int], str]] = []
     for rec in test_records:
-        if len(rec.events) < 2:
+        if len(rec.events) < MIN_EVENTS:
             continue
         prefix = [item for item, _ in rec.events[:-1]]
         target = rec.events[-1][0]

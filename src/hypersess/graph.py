@@ -27,6 +27,9 @@ Item = str
 # edge directions of an aggregation neighborhood; the first is the default
 DIRECTIONS = ("in", "out", "both")
 
+# the fewest events a session needs to yield an example: a prefix and a target
+MIN_EVENTS = 2
+
 
 @dataclass(frozen=True)
 class IntervalNormalizer:
@@ -75,13 +78,12 @@ class SessionGraph:
     """Item-transition graph of one session.
 
     ``edges`` holds (src index, dst index, normalized interval); ``last_index``
-    is the node of the final event, whose timestamp is ``last_timestamp``.
+    is the node of the final event.
     """
 
     nodes: List[Item]
     edges: List[Tuple[int, int, float]]
     last_index: int
-    last_timestamp: int
     node_index: Dict[Item, int]
 
     @property
@@ -92,7 +94,7 @@ class SessionGraph:
 def build_session_graph(
     record: SessionRecord,
     norm: IntervalNormalizer,
-    min_events: int = 2,
+    min_events: int = MIN_EVENTS,
 ) -> SessionGraph:
     """Build the transition graph of one session.
 
@@ -131,7 +133,6 @@ def _graph(events: Sequence[Tuple[Item, int]], norm: IntervalNormalizer) -> Sess
         nodes=nodes,
         edges=edges,
         last_index=index[events[-1][0]],
-        last_timestamp=events[-1][1],
         node_index=index,
     )
 
@@ -153,13 +154,14 @@ def examples_from_records(
     """One example per session (prefix of n-1 events, target v_n).
 
     With ``augment_prefixes`` every prefix of length >= 2 additionally yields
-    an example.  Sessions shorter than 2 events are skipped.  A prefix of a
-    record is in time order, so its graph is built without a new record.
+    an example.  Sessions shorter than ``MIN_EVENTS`` events are skipped.  A
+    prefix of a record is in time order, so its graph is built without a new
+    record.
     """
     out: List[TrainingExample] = []
     for rec in records:
         n = len(rec.events)
-        if n < 2:
+        if n < MIN_EVENTS:
             continue
         cuts = range(2, n + 1) if augment_prefixes else [n]
         for c in cuts:

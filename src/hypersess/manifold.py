@@ -14,6 +14,10 @@ Ball-valued results are re-clipped into the ``1 - EPS_BALL`` shell, and
 their adjoints carry the clip's radial Jacobian.  Removable singularities
 (zero vectors) take their continuity limits by one row-wise rule, however
 many rows are zero: a zero row gives exact zeros and passes no gradient.
+The rule lives in :func:`_norm` alone: its divisor reads infinity on a row
+of norm 0, where the tanh and artanh factors taken from the true norm are 0,
+so every term of the row is exactly 0.  A row whose squared norm underflows
+to 0 passes exactly no gradient too, which a finite stand-in would not give.
 The matrix-vector product carries the unit-direction factor M a / ||M a||,
 without which the transform would collapse to a scalar.
 """
@@ -90,16 +94,14 @@ def _through(shell, adjoint):
 
 
 def _norm(v: np.ndarray):
-    """(norm, mask) for the zero-row rule.
-
-    The norm is that of each row, with zero rows read as 1/2 so that every
-    ratio stays finite; the mask is the 0/1 column that zeroes those rows'
-    results and gradients, None when no row is 0."""
+    """(n, div): the norm of each row and the divisor the zero-row rule
+    divides by, the same array when no row is 0.  ``div`` is infinity on
+    the rows of norm 0, where every factor taken from ``n`` is 0, so each
+    term of such a row divides to, or is multiplied by, an exact 0."""
     n = np.sqrt(rowdot(v, v))
     if np.count_nonzero(n) == np.size(n):  # a NaN norm counts as nonzero
-        return n, None
-    zero = n == 0.0
-    return n + np.where(zero, 0.5, 0.0), np.where(zero, 0.0, 1.0)
+        return n, n
+    return n, np.where(n == 0.0, np.inf, n)
 
 
 def conformal_factor(x: Arrayish) -> Arrayish:
@@ -139,23 +141,19 @@ def mobius_scalar_mul(alpha: Arrayish, b: Arrayish) -> Arrayish:
 
     ``alpha`` is a scalar or one (N, 1) entry per row of b."""
     rv, bv = value_of(alpha), value_of(b)
-    n, mask = _norm(bv)
+    n, div = _norm(bv)
     u = np.arctanh(n)
     t = np.tanh(rv * u)
-    s = t / n
-    if mask is not None:
-        s = s * mask
+    s = t / div
     out, shell = _shell(s * bv)
 
     def adjoint(g):
         g_s = rowdot(g, bv)
-        if mask is not None:
-            g_s = g_s * mask
-        g_w = g_s / n * (1.0 - t * t)  # adjoint of alpha * artanh(n)
+        g_w = g_s / div * (1.0 - t * t)  # adjoint of alpha * artanh(n)
         gb = None
         if type(b) is Node:
-            g_n = g_w * rv / (1.0 - n * n) - g_s * t / (n * n)
-            gb = s * g + (g_n / n) * bv
+            g_n = g_w * rv / (1.0 - n * n) - g_s * t / (div * div)
+            gb = s * g + (g_n / div) * bv
         return (g_w * u if type(alpha) is Node else None), gb
 
     return grad.fused(out, (alpha, b), _through(shell, adjoint))
@@ -164,35 +162,32 @@ def mobius_scalar_mul(alpha: Arrayish, b: Arrayish) -> Arrayish:
 def mobius_matvec(m: Arrayish, a: Arrayish) -> Arrayish:
     """M (x) a = tanh((||Ma||/||a||) artanh(||a||)) * Ma/||Ma||.
 
-    Rows with a = 0 or M a = 0 give the r-dimensional zero vector
-    (continuity limits).
+    Rows where ||a|| or ||M a|| reads 0 give the r-dimensional zero vector
+    (continuity limits) and pass no gradient.  A row whose ||a||^2
+    underflows to 0 counts as a = 0 even when M a is not 0: its image, about
+    M a in the limit, is dropped.
     """
     mv, av = value_of(m), value_of(a)
-    a_n, _ = _norm(av)
+    a_n, a_div = _norm(av)
     ma = np.dot(mv, av) if av.ndim < 2 else av @ mv.T
-    # a = 0 implies M a = 0, so the mask of M a covers both limits
-    man, mask = _norm(ma)
-    ratio = man / a_n
+    man, m_div = _norm(ma)
+    ratio = man / a_div
     u = np.arctanh(a_n)
     t = np.tanh(ratio * u)
-    s = t / man
-    if mask is not None:
-        s = s * mask
+    s = t / m_div
     out, shell = _shell(s * ma)
 
     def adjoint(g):
         g_s = rowdot(g, ma)
-        if mask is not None:
-            g_s = g_s * mask
-        g_w = g_s / man * (1.0 - t * t)  # adjoint of ratio * artanh(||a||)
-        g_man = g_w * u / a_n - g_s * t / (man * man)
-        g_ma = s * g + (g_man / man) * ma
+        g_w = g_s / m_div * (1.0 - t * t)  # adjoint of ratio * artanh(||a||)
+        g_man = g_w * u / a_div - g_s * t / (m_div * m_div)
+        g_ma = s * g + (g_man / m_div) * ma
         gm = ga = None
         if type(m) is Node:
             gm = np.outer(g_ma, av) if av.ndim < 2 else g_ma.T @ av
         if type(a) is Node:
-            g_an = g_w * ratio * (1.0 / (1.0 - a_n * a_n) - u / a_n)
-            ga = (np.dot(mv.T, g_ma) if av.ndim < 2 else g_ma @ mv) + (g_an / a_n) * av
+            g_an = g_w * ratio * (1.0 / (1.0 - a_n * a_n) - u / a_div)
+            ga = (np.dot(mv.T, g_ma) if av.ndim < 2 else g_ma @ mv) + (g_an / a_div) * av
         return gm, ga
 
     return grad.fused(out, (m, a), _through(shell, adjoint))
@@ -211,18 +206,14 @@ def log_map(x: Arrayish, a: Arrayish) -> Arrayish:
 def exp_map0(v: Arrayish) -> Arrayish:
     """exp at the origin: tanh(||v||) v/||v||; 0 at v = 0."""
     vv = value_of(v)
-    n, mask = _norm(vv)
+    n, div = _norm(vv)
     t = np.tanh(n)
-    s = t / n
-    if mask is not None:
-        s = s * mask
+    s = t / div
     out, shell = _shell(s * vv)
 
     def adjoint(g):
         g_s = rowdot(g, vv)
-        if mask is not None:
-            g_s = g_s * mask
-        return (s * g + (g_s * (1.0 - t * t - s) / (n * n)) * vv,)
+        return (s * g + (g_s * (1.0 - t * t - s) / (div * div)) * vv,)
 
     return grad.fused(out, (v,), _through(shell, adjoint))
 
@@ -230,16 +221,12 @@ def exp_map0(v: Arrayish) -> Arrayish:
 def log_map0(a: Arrayish) -> Arrayish:
     """log at the origin: artanh(||a||) a/||a||; 0 at a = 0."""
     av = value_of(a)
-    n, mask = _norm(av)
-    s = np.arctanh(n) / n
-    if mask is not None:
-        s = s * mask
+    n, div = _norm(av)
+    s = np.arctanh(n) / div
 
     def adjoint(g):
         g_s = rowdot(g, av)
-        if mask is not None:
-            g_s = g_s * mask
-        return (s * g + (g_s * (1.0 / (1.0 - n * n) - s) / (n * n)) * av,)
+        return (s * g + (g_s * (1.0 / (1.0 - n * n) - s) / (div * div)) * av,)
 
     return grad.fused(s * av, (a,), adjoint)
 

@@ -375,8 +375,8 @@ class ItemTable:
         self.slack = manifold.screen_slack(self.gaps, self.rows.shape[1])
 
     def _screen(self, points: np.ndarray):
-        """The (B, d) ``points`` checked, their gaps 1 - q.q, the (B, N)
-        screen S of the catalog and its (N,) error bound h, from
+        """The (B, d) ``points`` checked, their gaps 1 - q.q and the (B, N)
+        screen S of the catalog, whose (N,) error bound h is ``slack``, from
         :func:`~hypersess.manifold.distance_screen` (its docstring gives the
         bound).  A row that neither test of
         :func:`~hypersess.manifold.screen_bounds` places is in the band, and
@@ -389,7 +389,7 @@ class ItemTable:
         q_gaps, screen = manifold.distance_screen(q, self.rows, self.norms2, self.gaps)
         if not (q_gaps > 0.0).all():
             raise ValueError("point to score the catalog against lies outside the ball")
-        return q, q_gaps, screen, self.slack
+        return q, q_gaps, screen
 
     def top_k(self, point: Arrayish, k: int) -> RankedList:
         """The k items nearest the point, with their distances.
@@ -403,11 +403,11 @@ class ItemTable:
         n = len(self.items)
         if not 1 <= k <= n:
             raise ValueError(f"k={k} outside 1..{n}")
-        q, q_gaps, screen, h = self._screen(np.asarray(grad.value_of(point))[None])
+        q, q_gaps, screen = self._screen(np.asarray(grad.value_of(point))[None])
         q, g, screen = q[0], q_gaps[0], screen[0]
         near = np.argpartition(screen, k - 1)[:k]
         dists = manifold.paired_distances(q, self.rows[near], g, self.gaps[near]).tolist()
-        screen -= h
+        screen -= self.slack
         band = screen <= manifold.screen_bounds(g, max(dists), q.size)[1]
         # the k rows lie within d_k, so they are in the band, already recomputed
         band[near] = False
@@ -429,15 +429,15 @@ class ItemTable:
         block, and the screen is computed in place: at most two B x N
         float64 arrays.
         """
-        q, q_gaps, screen, h = self._screen(points)
+        q, q_gaps, screen = self._screen(points)
         t = np.array(item_positions(self.index, targets), dtype=np.intp)
         d_t = manifold.paired_distances(q, self.rows[t], q_gaps, self.gaps[t])
         lo, hi = manifold.screen_bounds(q_gaps, d_t, q.shape[1])
 
-        bound = np.add(screen, h)
+        bound = np.add(screen, self.slack)
         band = bound >= lo[:, None]
         closer = len(self.items) - np.count_nonzero(band, axis=1)
-        np.subtract(screen, h, out=bound)
+        np.subtract(screen, self.slack, out=bound)
         band &= bound <= hi[:, None]
 
         b, r = np.nonzero(band)

@@ -93,7 +93,6 @@ class TestBuildGraph:
         g = build_session_graph(rec, NORM)
         assert g.nodes == ["A", "B", "C"]
         assert g.last_index == g.node_index["C"]
-        assert g.last_timestamp == 30
         edges = {(s, d): iv for s, d, iv in g.edges}
         assert set(edges) == {(0, 1), (1, 0), (0, 2)}
         assert edges[(0, 1)] == NORM(10)

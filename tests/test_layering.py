@@ -107,3 +107,42 @@ def test_row_products_go_through_rowdot():
                      "(a * b).sum(-1)\nnp.sum(a, 1)\nnumpy.add.reduce(a, -1)\n"
                      "np.sum(a, axis=0)\nx.sum(axis=ax)\nnp.sum(a)\nsum(a, 1)\nx.sum(0)\n")
     assert list(row_sum_calls(seen)) == [1, 2, 3, 4, 5]
+
+
+def sqrt_of_rowdot(tree):
+    """(function, line) of each ``sqrt`` of a ``rowdot`` in a module-level
+    function: a ``rowdot`` call inside the argument, or a name the function
+    assigns from an expression that calls ``rowdot``."""
+    def calls_rowdot(expr):
+        return any(isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None))
+                   == "rowdot" for n in ast.walk(expr))
+
+    for fn in tree.body:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                 and calls_rowdot(node.value)
+                 for target in node.targets for t in ast.walk(target) if isinstance(t, ast.Name)}
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "sqrt"
+                    and any(calls_rowdot(a) or any(isinstance(n, ast.Name) and n.id in names
+                                                   for n in ast.walk(a)) for a in node.args)):
+                yield fn.name, node.lineno
+
+
+def test_row_norms_go_through_norm():
+    """The zero-row rule lives in ``manifold._norm``, whose divisor reads
+    infinity on a zero row; a ball operation that took its own row norm
+    would need a rule of its own.  Only ``_norm`` and the shell projection
+    take the square root of a ``rowdot``."""
+    tree = ast.parse((PACKAGE / "manifold.py").read_text(encoding="utf-8"))
+    assert {fn for fn, _ in sqrt_of_rowdot(tree)} == {"_norm", "_shell"}
+    seen = ast.parse("def f(v, w):\n"
+                     "    n = np.sqrt(rowdot(v, v))\n"
+                     "    n2 = grad.rowdot(v, v)\n"
+                     "    m = np.sqrt(n2 + 1.0)\n"
+                     "    return np.sqrt(v), sqrt(grad.rowdot(w, w))\n"
+                     "def g(v):\n"
+                     "    return np.sqrt(np.dot(v, v)), np.sqrt(rowdot(v, v))\n")
+    assert list(sqrt_of_rowdot(seen)) == [("f", 2), ("f", 4), ("f", 5), ("g", 7)]

@@ -591,7 +591,7 @@ class TestFusedAdjoints:
 
     ZERO_RULE_OPS = [
         ("scalar", lambda th: M.mobius_scalar_mul(th["r"], th["x"]),
-         lambda rng: {"r": rng.uniform(-2.0, 2.0, (6, 1))}),
+         lambda rng: {"r": rng.uniform(-2.0, 2.0, (8, 1))}),
         ("matvec", lambda th: M.mobius_matvec(th["m"], th["x"]),
          lambda rng: {"m": rng.uniform(-1.0, 1.0, (3, 4))}),
         ("exp0", lambda th: M.exp_map0(th["x"]), lambda rng: {}),
@@ -608,27 +608,54 @@ class TestFusedAdjoints:
 
     @pytest.mark.parametrize("name,op,others", ZERO_RULE_OPS, ids=[c[0] for c in ZERO_RULE_OPS])
     def test_zero_rows(self, name, op, others):
+        # rows 1 and 3 are zero.  Rows 6 and 7 are not, but their squared
+        # norms underflow to 0, so the rule reads them as zero rows.  Row 6's
+        # entries lie just below 1.5e-162, whose squares round to 0 while
+        # their products with a moderate adjoint are still subnormals: a
+        # finite stand-in divisor would pass those on as gradients of about
+        # 1e-323.  (Under matvec, M a of row 6 keeps a nonzero squared norm:
+        # see test_matvec_row_of_norm_zero_with_nonzero_image.)
         rng = RNG(52)
-        x = _rows_with_norms(rng, [0.5, 0.0, 0.3, 0.0, 0.6, 0.2])
+        x = _rows_with_norms(rng, [0.5, 0.0, 0.3, 0.0, 0.6, 0.2, 1.0, 2e-300])
+        x[6] = [1.4e-162, 1.2e-162, 1.3e-162, 1.1e-162]
+        zero, keep = [1, 3, 6, 7], [0, 2, 4, 5]
+        assert x[[6, 7]].all() and not G.rowdot(x, x)[zero].any()
         leaves = {"x": x, **others(rng)}
         probe = rng.normal(size=np.shape(op(leaves)))
-        keep = [0, 2, 4, 5]
+        probe[6] = 1.0  # so that such a leak would not cancel in <g, x>
         out, adj = self.taped(op, leaves, probe)
-        assert not out[[1, 3]].any() and out[keep].all(axis=1).all()
-        assert not adj["x"][[1, 3]].any() and adj["x"][keep].all(axis=1).all()
-        # the nonzero rows alone: their values and every adjoint unchanged
+        assert not out[zero].any() and out[keep].all(axis=1).all()
+        assert not adj["x"][zero].any() and adj["x"][keep].all(axis=1).all()
+        # the other rows alone: their values and every adjoint unchanged
         sub = {k: v[keep] if k in ("x", "r") else v for k, v in leaves.items()}
         sub_out, sub_adj = self.taped(op, sub, probe[keep])
         np.testing.assert_array_equal(out[keep], sub_out)
         np.testing.assert_allclose(adj["x"][keep], sub_adj["x"], rtol=1e-13, atol=0)
         if "r" in adj:
-            assert not adj["r"][[1, 3]].any()
+            assert not adj["r"][zero].any()
             np.testing.assert_array_equal(adj["r"][keep], sub_adj["r"])
         if "m" in adj:
             np.testing.assert_allclose(adj["m"], sub_adj["m"], rtol=1e-13, atol=0)
-        # every row zero: the same rule, on the tape
+        # every row zero: the same rule, on the tape, and no adjoint of x, r or m
         out, adj = self.taped(op, {**leaves, "x": np.zeros_like(x)}, probe)
         assert not out.any() and not any(a.any() for a in adj.values())
+        sub = {k: v[zero] if k in ("x", "r") else v for k, v in leaves.items()}
+        out, adj = self.taped(op, sub, probe[zero])
+        assert not out.any() and not any(a.any() for a in adj.values())
+
+    def test_matvec_row_of_norm_zero_with_nonzero_image(self):
+        # ||a||^2 underflows to 0 while ||M a||^2 does not: the row reads as
+        # a = 0, gives zeros and passes no gradient, as in the other operations
+        rng = RNG(55)
+        m = 1e8 * rng.uniform(-1.0, 1.0, (3, 4))
+        x = _rows_with_norms(rng, [0.5, 2e-165])
+        assert not G.rowdot(x, x)[1].any() and G.rowdot(x @ m.T, x @ m.T)[1].all()
+        op = lambda th: M.mobius_matvec(th["m"], th["x"])
+        probe = rng.normal(size=(2, 3))
+        out, adj = self.taped(op, {"m": m, "x": x}, probe)
+        assert not out[1].any() and not adj["x"][1].any()
+        _, sub_adj = self.taped(op, {"m": m, "x": x[:1]}, probe[:1])
+        np.testing.assert_allclose(adj["m"], sub_adj["m"], rtol=1e-13, atol=0)
 
     def test_matvec_kernel_row(self):
         # M a = 0 exactly for a != 0: the row gives zeros and passes no gradient

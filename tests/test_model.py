@@ -638,7 +638,7 @@ class InlineFormulaTable(model.ItemTable):
         screen += q_norms2[:, None]
         screen += self.norms2
         screen /= self.gaps
-        return q, 1.0 - q_norms2, screen, self.slack
+        return q, 1.0 - q_norms2, screen
 
     @staticmethod
     def bounds(q_gaps, dists, d):
@@ -656,6 +656,7 @@ class TestSharedScreen:
         inline = InlineFormulaTable.of(table)
         for got, want in zip(table._screen(points), inline._screen(points)):
             assert np.array_equal(got, want)
+        assert np.array_equal(table.slack, inline.slack)
         q_gaps = inline._screen(points)[1]
         t = [table.index[it] for it in targets]
         d_t = M.paired_distances(points, table.rows[t], q_gaps, table.gaps[t])
