@@ -3,7 +3,9 @@
 A session's unique items become nodes (first-appearance order) and each
 consecutive click pair contributes a directed edge carrying the elapsed
 seconds between the two clicks, log-compressed into [0, 1 - EPS_BALL) so it
-can later be embedded.  Repeated ordered pairs keep the smallest interval.
+can later be embedded.  A graph keeps every transition, repeats included;
+:func:`batch_graphs` merges them, a pair clicked more than once keeping its
+smallest interval.
 A :class:`TrainingExample` pairs the graph of a session's prefix with the
 next event; training and evaluation both read sessions that way.
 
@@ -50,8 +52,8 @@ class IntervalNormalizer:
         object.__setattr__(self, "_scale", math.log1p(self.cap / self.tau))
 
     def __call__(self, delta_seconds: float) -> float:
-        if delta_seconds < 0:
-            raise ValueError(f"negative time interval: {delta_seconds}")
+        if not delta_seconds >= 0:  # NaN fails too
+            raise ValueError(f"negative or NaN time interval: {delta_seconds}")
         if delta_seconds >= self.cap:  # before dividing: the gap may not fit a float
             return 1.0 - EPS_BALL
         x = math.log1p(delta_seconds / self.tau) / self._scale
@@ -69,16 +71,17 @@ class SessionRecord:
         if len(self.events) < 1:
             raise ValueError(f"session {self.session_id}: no events")
         times = [t for _, t in self.events]
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise ValueError(f"session {self.session_id}: timestamps decrease")
+        if any(not a <= b for a, b in zip(times, times[1:])):  # NaN fails too
+            raise ValueError(f"session {self.session_id}: timestamps decrease or are NaN")
 
 
 @dataclass
 class SessionGraph:
     """Item-transition graph of one session.
 
-    ``edges`` holds (src index, dst index, normalized interval); ``last_index``
-    is the node of the final event.
+    ``edges`` holds one (src index, dst index, normalized interval) per
+    consecutive click pair, in click order, repeated pairs included;
+    ``last_index`` is the node of the final event.
     """
 
     nodes: List[Item]
@@ -98,9 +101,9 @@ def build_session_graph(
 ) -> SessionGraph:
     """Build the transition graph of one session.
 
-    Duplicate ordered pairs are merged keeping the minimum raw interval
-    (the normalizer is monotone, so merging before or after normalizing is
-    equivalent).  Consecutive identical items yield a self-loop.
+    Every consecutive click pair yields an edge; a pair clicked more than
+    once is merged later, by :func:`batch_graphs`.  Consecutive identical
+    items yield a self-loop.
     ``min_events`` is 2 for whole sessions; training/evaluation prefixes of
     2-event sessions relax it to 1 (single node, no edges).
     """
@@ -114,23 +117,13 @@ def build_session_graph(
 
 def _graph(events: Sequence[Tuple[Item, int]], norm: IntervalNormalizer) -> SessionGraph:
     """The transition graph of one or more events in time order."""
-    nodes: List[Item] = []
     index: Dict[Item, int] = {}
     for item, _ in events:
-        if item not in index:
-            index[item] = len(nodes)
-            nodes.append(item)
-
-    raw: Dict[Tuple[int, int], int] = {}
-    for (prev_item, prev_t), (item, t) in zip(events, events[1:]):
-        delta = t - prev_t
-        key = (index[prev_item], index[item])
-        if key not in raw or delta < raw[key]:
-            raw[key] = delta
-
-    edges = [(s, d, norm(delta)) for (s, d), delta in sorted(raw.items())]
+        index.setdefault(item, len(index))
+    edges = [(index[prev], index[item], norm(t - prev_t))
+             for (prev, prev_t), (item, t) in zip(events, events[1:])]
     return SessionGraph(
-        nodes=nodes,
+        nodes=list(index),
         edges=edges,
         last_index=index[events[-1][0]],
         node_index=index,
@@ -180,8 +173,8 @@ def neighborhood(g: SessionGraph, i: int, direction: str = DIRECTIONS[0]) -> Lis
     ("in": predecessors, "out": successors), the node itself included:
     (node, interval) pairs ordered by node index.  The implicit self entry
     carries interval 0, an explicit self-loop edge replaces it with the
-    loop's interval, and "both" keeps the smaller interval of a node met in
-    both directions."""
+    loop's smallest interval, and "both" keeps the smaller interval of a
+    node met in both directions."""
     batch = batch_graphs([g], direction)
     if not 0 <= i < g.n_nodes:
         raise IndexError(f"node index {i} out of range for {g.n_nodes} nodes")
@@ -219,9 +212,11 @@ def batch_graphs(graphs: Sequence[SessionGraph], direction: str = DIRECTIONS[0])
     """Edge arrays of the union of ``graphs`` under an edge direction.
 
     Entry (dst, src) holds the interval of the edge src -> dst ("in"),
-    dst -> src ("out"), or the smaller of the two ("both").  Each node's
-    entry for itself carries 0 unless the node has a self-loop, whose
-    interval replaces it.
+    dst -> src ("out"), or the smaller of the two ("both").  A pair clicked
+    more than once keeps its smallest interval; the normalizer is monotone,
+    so that is the normalized smallest gap.  Each node's entry for itself
+    carries 0 unless the node has a self-loop, whose smallest interval
+    replaces it.  This is the one place repeated transitions are merged.
 
     The edges of all graphs, their nodes numbered across the batch, are
     oriented for the direction and followed by one self entry per node.

@@ -75,10 +75,11 @@ def o_time(w_t, t):
 
 
 def in_neigh(g, i):
-    found = {i: 0.0}
+    found = {}
     for s, d, iv in g.edges:
         if d == i:
-            found[s] = iv
+            found[s] = min(iv, found.get(s, iv))
+    found.setdefault(i, 0.0)
     return sorted(found.items())
 
 

@@ -42,6 +42,10 @@ class TestNormalizeInterval:
         with pytest.raises(ValueError):
             NORM(-1)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="nan"):
+            NORM(float("nan"))
+
     def test_monotone(self):
         rng = np.random.default_rng(0)
         deltas = np.sort(rng.integers(0, 200000, size=200))
@@ -86,6 +90,10 @@ class TestSessionRecord:
         with pytest.raises(ValueError):
             SessionRecord("s", [])
 
+    def test_nan_timestamp_rejected_naming_the_session(self):
+        with pytest.raises(ValueError, match="session s7"):
+            SessionRecord("s7", [("a", 0), ("b", float("nan")), ("c", 5)])
+
 
 class TestBuildGraph:
     def test_basic_construction(self):
@@ -100,11 +108,16 @@ class TestBuildGraph:
         assert edges[(0, 2)] == NORM(5)
 
     def test_duplicate_pair_keeps_minimum(self):
-        rec = SessionRecord("s", [("A", 0), ("B", 10), ("A", 20), ("B", 23)])
-        g = build_session_graph(rec, NORM)
-        edges = {(s, d): iv for s, d, iv in g.edges}
-        assert edges[(0, 1)] == NORM(3)
-        assert edges[(1, 0)] == NORM(10)
+        # A -> B at gaps 3 s then 20 s; a self-loop on C at gaps 50 s then 2 s
+        events = [("A", 0), ("B", 3), ("A", 10), ("B", 30), ("C", 40), ("C", 90), ("C", 92)]
+        g = build_session_graph(SessionRecord("s", events), NORM)
+        a, b, c = (g.node_index[x] for x in "ABC")
+        assert neighborhood(g, b, "in") == [(a, NORM(3)), (b, 0.0)]
+        assert neighborhood(g, a, "out") == [(a, 0.0), (b, NORM(3))]
+        assert neighborhood(g, a, "both") == [(a, 0.0), (b, NORM(3))]
+        assert neighborhood(g, c, "in") == [(b, NORM(10)), (c, NORM(2))]
+        assert neighborhood(g, c, "out") == [(c, NORM(2))]
+        assert neighborhood(g, c, "both") == [(b, NORM(10)), (c, NORM(2))]
 
     def test_repeat_click_self_loop(self):
         rec = SessionRecord("s", [("A", 0), ("A", 7)])
@@ -157,7 +170,9 @@ class TestBuildGraph:
             rec = SessionRecord("s", list(zip(items, times)))
             g = build_session_graph(rec, NORM)
             assert len(g.nodes) == len(set(items))
-            assert len(g.edges) <= n - 1
+            assert len(g.edges) == n - 1
+            assert g.edges == [(g.node_index[a], g.node_index[b], NORM(tb - ta))
+                               for (a, ta), (b, tb) in zip(rec.events, rec.events[1:])]
             assert all(0.0 <= iv <= 1.0 - EPS_BALL for _, _, iv in g.edges)
 
 
@@ -196,13 +211,16 @@ class TestNeighbors:
 def scanned_neighborhood(g, i, direction):
     """A node's neighborhood by scanning every edge, from the definition:
     itself at interval 0 unless it has a self-loop, its predecessors ("in"),
-    its successors ("out"), or both with the smaller interval."""
-    preds, succs = {i: 0.0}, {i: 0.0}
+    its successors ("out"), or both with the smaller interval; a pair
+    clicked more than once keeps its smallest interval."""
+    preds, succs = {}, {}
     for src, dst, interval in g.edges:
         if dst == i:
-            preds[src] = interval
+            preds[src] = min(interval, preds.get(src, interval))
         if src == i:
-            succs[dst] = interval
+            succs[dst] = min(interval, succs.get(dst, interval))
+    preds.setdefault(i, 0.0)
+    succs.setdefault(i, 0.0)
     if direction == "in":
         return sorted(preds.items())
     if direction == "out":

@@ -2,7 +2,8 @@
 module: walking the package imports of ``evaluate.py``, ``model.py`` and
 ``graph.py``, and of every package module they import, finds no ``train``.
 ``metrics`` imports no package module at all: a ranking is a plain int.
-Only ``grad.fused`` builds a tape Node with parents."""
+Only ``grad.fused`` builds a tape Node with parents, and only
+``graph.batch_graphs`` merges a session's repeated transitions."""
 
 import ast
 from pathlib import Path
@@ -50,26 +51,53 @@ def test_metrics_imports_no_package_module():
     assert "model" in package_imports("evaluate")  # the walk does see an import of model
 
 
-def parent_node_calls(tree, where=()):
-    """The enclosing function names of each ``Node(...)`` call that passes
-    parents (leaf Nodes, with a value alone, may be made anywhere)."""
+def calls(tree, where=()):
+    """Each call in ``tree`` as (enclosing function names, called name, call);
+    the called name is ``f`` of ``f(...)`` and of ``x.f(...)``."""
     if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
         where = where + (getattr(tree, "name", "<lambda>"),)
     if isinstance(tree, ast.Call):
         func = tree.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name == "Node" and (len(tree.args) > 1
-                               or any(isinstance(a, ast.Starred) for a in tree.args)
-                               or any(k.arg in ("parents", None) for k in tree.keywords)):
-            yield where
+        yield where, func.id if isinstance(func, ast.Name) else getattr(func, "attr", None), tree
     for child in ast.iter_child_nodes(tree):
-        yield from parent_node_calls(child, where)
+        yield from calls(child, where)
+
+
+def parent_node_calls(tree):
+    """The enclosing function names of each ``Node(...)`` call that passes
+    parents (leaf Nodes, with a value alone, may be made anywhere)."""
+    for where, name, call in calls(tree):
+        if name == "Node" and (len(call.args) > 1
+                               or any(isinstance(a, ast.Starred) for a in call.args)
+                               or any(k.arg in ("parents", None) for k in call.keywords)):
+            yield where
 
 
 def test_only_fused_builds_nodes_with_parents():
     found = {(path.stem,) + where for path in sorted(PACKAGE.glob("*.py"))
              for where in parent_node_calls(ast.parse(path.read_text(encoding="utf-8")))}
     assert found == {("grad", "fused")}
+
+
+SORTS = ("sorted", "sort", "lexsort", "argsort")
+
+
+def test_only_batch_graphs_merges_transitions():
+    """A session graph keeps every transition; ``batch_graphs``' one lexsort
+    is the one place a pair clicked more than once keeps its smallest
+    interval.  So ``SessionGraph`` is made only in ``graph._graph``, and no
+    other function of ``graph.py`` sorts."""
+    made = {(path.stem,) + where for path in sorted(PACKAGE.glob("*.py"))
+            for where, name, _ in calls(ast.parse(path.read_text(encoding="utf-8")))
+            if name == "SessionGraph"}
+    assert made == {("graph", "_graph")}
+    graph = ast.parse((PACKAGE / "graph.py").read_text(encoding="utf-8"))
+    assert {where for where, name, _ in calls(graph) if name in SORTS} == {("batch_graphs",)}
+    seen = ast.parse("def f(r):\n    return sorted(r.items())\n"
+                     "def g(a, b):\n    a.sort()\n    return np.lexsort((a, b)), np.argsort(b)\n"
+                     "h = lambda x: x.sorted_keys()\n")
+    assert [(where, name) for where, name, _ in calls(seen) if name in SORTS] == [
+        (("f",), "sorted"), (("g",), "sort"), (("g",), "lexsort"), (("g",), "argsort")]
 
 
 def row_sum_calls(tree):
