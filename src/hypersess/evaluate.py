@@ -6,9 +6,11 @@ the query interval, and ranking the full catalog against the predicted item
 embedding, under the normalizer the model was trained with, which every
 call takes.  Nothing here comes from ``train``.
 
-Sessions are scored in blocks of at most ``BLOCK_BYTES // (8 * n_items)``:
-one ``forward_graphs`` over the block's graphs, each distinct item projected
-once, and one (sessions x items) distance screen from a single GEMM (see
+The test sessions are read once, by ``graph.batch_sessions``, into one
+``GraphBatch`` built straight from their events, and scored in blocks of at
+most ``BLOCK_BYTES // (8 * n_items)``: one ``forward_items`` over the
+block's slice of that batch, each distinct item projected once in item-id
+order, and one (sessions x items) distance screen from a single GEMM (see
 :func:`~hypersess.manifold.distance_screen` for its rounding bound).  Items the
 screen places certainly nearer than the target are counted; the few within
 the bound of the target are recomputed exactly, with the formula of
@@ -26,9 +28,10 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import model
-from .graph import (MIN_EVENTS, IntervalNormalizer, SessionRecord, TrainingExample,
-                    examples_from_records)
+from .graph import MIN_EVENTS, IntervalNormalizer, SessionBatch, SessionRecord, batch_sessions
 from .metrics import mrr_at_k, p_at_k
 from .model import ModelParams
 
@@ -75,32 +78,35 @@ def rank_test_sessions(
     """
     table = model.item_table(params)
     size = max(1, BLOCK_BYTES // (8 * len(table.items)))
-    usable = [rec for rec in records if len(rec.events) >= MIN_EVENTS
-              and all(item in params.item_index for item, _ in rec.events)]
+    sessions = batch_sessions(records, params.item_index, norm, params.neighborhood)
+    n = len(sessions.records)
     cases: List[Tuple[int, str]] = []
-    for start in range(0, len(usable), size):
-        block = usable[start:start + size]
-        cases += _rank_block(block, examples_from_records(block, norm), params, table)
-    return cases, len(records) - len(usable)
+    for start in range(0, n, size):
+        cases += _rank_block(sessions.select(start, min(start + size, n)), params, table)
+    return cases, len(records) - n
 
 
-def _rank_block(block: Sequence[SessionRecord], examples: List[TrainingExample],
-                params: ModelParams, table: model.ItemTable) -> List[Tuple[int, str]]:
-    """(rank, target) of each session in the block, one example each, from
-    one forward pass and one screened distance matrix.  On a ValueError the
-    block is ranked again one session at a time, so that the error names its
-    session."""
-    targets = [ex.target_item for ex in examples]
+def _rank_block(block: SessionBatch, params: ModelParams,
+                table: model.ItemTable) -> List[Tuple[int, str]]:
+    """(rank, target) of each session in the block, from one forward pass
+    and one screened distance matrix.  On a ValueError the block is ranked
+    again one session at a time, so that the error names its session."""
+    # each distinct item projected once, in item-id order, the order training
+    # gives: a GEMM may round a row differently at another position
+    rows, node_at = np.unique(block.node_rows, return_inverse=True)
+    ids = [params.items[r] for r in rows.tolist()]
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    at = np.empty_like(by_id)
+    at[by_id] = np.arange(len(by_id))
     try:
-        fw = model.forward_graphs([ex.graph for ex in examples],
-                                  [ex.target_interval for ex in examples], params,
-                                  sorted({it for ex in examples for it in ex.graph.nodes}))[0]
-        return list(zip(table.ranks(fw.item_future, targets).tolist(), targets))
+        fw = model.forward_items(block.batch, block.intervals, params,
+                                 params.item_features[rows[by_id]], at[node_at])[0]
+        return list(zip(table.ranks(fw.item_future, block.targets).tolist(), block.targets))
     except ValueError as exc:
-        if len(block) == 1:
-            raise ValueError(f"test session {block[0].session_id!r}: {exc}") from exc
-        return [case for rec, ex in zip(block, examples)
-                for case in _rank_block([rec], [ex], params, table)]
+        if len(block.records) == 1:
+            raise ValueError(f"test session {block.records[0].session_id!r}: {exc}") from exc
+        return [case for b in range(len(block.records))
+                for case in _rank_block(block.select(b, b + 1), params, table)]
 
 
 def evaluate(

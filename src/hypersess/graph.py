@@ -3,21 +3,26 @@
 A session's unique items become nodes (first-appearance order) and each
 consecutive click pair contributes a directed edge carrying the elapsed
 seconds between the two clicks, log-compressed into [0, 1 - EPS_BALL) so it
-can later be embedded.  A graph keeps every transition, repeats included;
-:func:`batch_graphs` merges them, a pair clicked more than once keeping its
-smallest interval.
+can later be embedded (:class:`IntervalNormalizer`, whose ``normalize`` is the
+same map over an array of gaps).  A graph keeps every transition, repeats
+included; :func:`_merge` merges them, a pair clicked more than once keeping
+its smallest interval.
 A :class:`TrainingExample` pairs the graph of a session's prefix with the
-next event; training and evaluation both read sessions that way.
+next event; training reads sessions that way.
 
 The model reads graphs as a :class:`GraphBatch`: the disjoint union of one
 or more session graphs, as edge arrays over one numbering of their nodes.
+:func:`batch_graphs` builds one from session graphs; :func:`batch_sessions`
+builds one straight from records' events, with no per-session object, for
+evaluation.  Both merge repeated pairs in :func:`_merge`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain, compress, repeat
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -59,6 +64,19 @@ class IntervalNormalizer:
         x = math.log1p(delta_seconds / self.tau) / self._scale
         return min(x, 1.0 - EPS_BALL)
 
+    def normalize(self, gaps) -> np.ndarray:
+        """``__call__`` on each of a sequence of gaps, as a float64 array of
+        the same bits.  The logarithm is ``math.log1p``: ``np.log1p`` differs
+        from it in the last bit on some gaps."""
+        gaps = np.asarray(gaps)
+        bad = ~(gaps >= 0)  # NaN fails too
+        if bad.any():
+            raise ValueError(f"negative or NaN time interval: {gaps[bad][0]}")
+        # a gap at or past cap reads as cap, and log1p(cap / tau) / _scale is 1
+        scaled = (np.minimum(gaps, self.cap) / self.tau).tolist()
+        x = np.fromiter(map(math.log1p, scaled), np.float64, len(scaled))
+        return np.minimum(x / self._scale, 1.0 - EPS_BALL)
+
 
 @dataclass
 class SessionRecord:
@@ -71,7 +89,7 @@ class SessionRecord:
         if len(self.events) < 1:
             raise ValueError(f"session {self.session_id}: no events")
         times = [t for _, t in self.events]
-        if any(not a <= b for a, b in zip(times, times[1:])):  # NaN fails too
+        if not all(map(operator.le, times, times[1:])):  # NaN fails too
             raise ValueError(f"session {self.session_id}: timestamps decrease or are NaN")
 
 
@@ -104,24 +122,26 @@ def build_session_graph(
     Every consecutive click pair yields an edge; a pair clicked more than
     once is merged later, by :func:`batch_graphs`.  Consecutive identical
     items yield a self-loop.
-    ``min_events`` is 2 for whole sessions; training/evaluation prefixes of
-    2-event sessions relax it to 1 (single node, no edges).
+    ``min_events`` is 2 for whole sessions; a prefix or a ``recommend``
+    query may relax it to 1 (single node, no edges).
     """
     events = record.events
     if len(events) < min_events:
         raise ValueError(
             f"session {record.session_id}: {len(events)} events, need >= {min_events}"
         )
-    return _graph(events, norm)
+    return _graph(events, [norm(t - prev_t) for (_, prev_t), (_, t) in zip(events, events[1:])])
 
 
-def _graph(events: Sequence[Tuple[Item, int]], norm: IntervalNormalizer) -> SessionGraph:
-    """The transition graph of one or more events in time order."""
+def _graph(events: Sequence[Tuple[Item, int]], intervals: Sequence[float]) -> SessionGraph:
+    """The transition graph of one or more events in time order;
+    ``intervals[j]`` is the normalized gap after event j (entries past the
+    last event are not read)."""
     index: Dict[Item, int] = {}
     for item, _ in events:
         index.setdefault(item, len(index))
-    edges = [(index[prev], index[item], norm(t - prev_t))
-             for (prev, prev_t), (item, t) in zip(events, events[1:])]
+    edges = [(index[prev], index[item], interval)
+             for (prev, _), (item, _), interval in zip(events, events[1:], intervals)]
     return SessionGraph(
         nodes=list(index),
         edges=edges,
@@ -149,21 +169,26 @@ def examples_from_records(
     With ``augment_prefixes`` every prefix of length >= 2 additionally yields
     an example.  Sessions shorter than ``MIN_EVENTS`` events are skipped.  A
     prefix of a record is in time order, so its graph is built without a new
-    record.
+    record.  Every gap of the records is normalized once, in one call.
     """
+    kept = [rec for rec in records if len(rec.events) >= MIN_EVENTS]
+    gaps: List[float] = []
+    for rec in kept:
+        times = [t for _, t in rec.events]
+        gaps += map(operator.sub, times[1:], times)
+    intervals = norm.normalize(gaps).tolist()
     out: List[TrainingExample] = []
-    for rec in records:
+    start = 0
+    for rec in kept:
         n = len(rec.events)
-        if n < MIN_EVENTS:
-            continue
+        own = intervals[start:start + n - 1]
+        start += n - 1
         cuts = range(2, n + 1) if augment_prefixes else [n]
         for c in cuts:
-            g = _graph(rec.events[:c - 1], norm)
-            target_item, target_t = rec.events[c - 1]
             out.append(TrainingExample(
-                graph=g,
-                target_item=target_item,
-                target_interval=norm(target_t - rec.events[c - 2][1]),
+                graph=_graph(rec.events[:c - 1], own),
+                target_item=rec.events[c - 1][0],
+                target_interval=own[c - 2],
             ))
     return out
 
@@ -209,7 +234,27 @@ class GraphBatch:
 
 
 def batch_graphs(graphs: Sequence[SessionGraph], direction: str = DIRECTIONS[0]) -> GraphBatch:
-    """Edge arrays of the union of ``graphs`` under an edge direction.
+    """Edge arrays of the union of ``graphs`` under an edge direction, their
+    nodes numbered across the batch; repeated pairs are merged by
+    :func:`_merge`."""
+    sizes = [g.n_nodes for g in graphs]
+    bases = list(accumulate(sizes, initial=0))
+    rows = [(b + s, b + d, iv) for g, b in zip(graphs, bases) for s, d, iv in g.edges]
+    src, dst, interval = zip(*rows) if rows else ((), (), ())
+    dst, src, interval = _merge(np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
+                                np.array(interval, dtype=np.float64), bases[-1], direction)
+    return GraphBatch(
+        dst=dst,
+        src=src,
+        interval=interval,
+        node_session=np.arange(len(graphs), dtype=np.intp).repeat(sizes),
+        last=np.array([b + g.last_index for g, b in zip(graphs, bases)], dtype=np.intp),
+    )
+
+
+def _merge(src: np.ndarray, dst: np.ndarray, interval: np.ndarray, n: int, direction: str):
+    """The aggregation entries (dst, src, interval) of ``n`` nodes, sorted by
+    (dst, src), from their transitions src -> dst under an edge direction.
 
     Entry (dst, src) holds the interval of the edge src -> dst ("in"),
     dst -> src ("out"), or the smaller of the two ("both").  A pair clicked
@@ -218,20 +263,13 @@ def batch_graphs(graphs: Sequence[SessionGraph], direction: str = DIRECTIONS[0])
     carries 0 unless the node has a self-loop, whose smallest interval
     replaces it.  This is the one place repeated transitions are merged.
 
-    The edges of all graphs, their nodes numbered across the batch, are
-    oriented for the direction and followed by one self entry per node.
-    One lexsort by (dst, src, interval), in which a self entry sorts after
-    a self-loop, puts the entry to keep first in each (dst, src) group.
+    The edges, oriented for the direction, are followed by one self entry
+    per node.  One lexsort by (dst, src, interval), in which a self entry
+    sorts after a self-loop, puts the entry to keep first in each (dst, src)
+    group.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown neighborhood direction: {direction!r}")
-    sizes = [g.n_nodes for g in graphs]
-    bases = list(accumulate(sizes, initial=0))
-    n = bases[-1]
-    rows = [(b + s, b + d, iv) for g, b in zip(graphs, bases) for s, d, iv in g.edges]
-    src, dst, interval = zip(*rows) if rows else ((), (), ())
-    src, dst = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
-    interval = np.array(interval, dtype=np.float64)
     if direction == "out":
         src, dst = dst, src
     elif direction == "both":
@@ -241,13 +279,97 @@ def batch_graphs(graphs: Sequence[SessionGraph], direction: str = DIRECTIONS[0])
     dst, src = np.concatenate((dst, nodes)), np.concatenate((src, nodes))
     order = np.lexsort((np.concatenate((interval, np.full(n, np.inf))), src, dst))
     dst, src = dst[order], src[order]
-    first = np.empty(len(order), dtype=bool)
-    first[:1] = True
-    np.logical_or(dst[1:] != dst[:-1], src[1:] != src[:-1], out=first[1:])
-    return GraphBatch(
-        dst=dst[first],
-        src=src[first],
-        interval=np.concatenate((interval, np.zeros(n)))[order[first]],
-        node_session=np.arange(len(graphs), dtype=np.intp).repeat(sizes),
-        last=np.array([b + g.last_index for g, b in zip(graphs, bases)], dtype=np.intp),
+    first = _group_starts(dst, src)
+    return dst[first], src[first], np.concatenate((interval, np.zeros(n)))[order[first]]
+
+
+def _group_starts(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """Where a run of equal (major, minor) pairs starts, in sorted arrays."""
+    starts = np.empty(len(major), dtype=bool)
+    starts[:1] = True
+    np.logical_or(major[1:] != major[:-1], minor[1:] != minor[:-1], out=starts[1:])
+    return starts
+
+
+@dataclass
+class SessionBatch:
+    """Sessions as evaluation reads them: the :class:`GraphBatch` of each
+    session's graph over all but its final event, ``node_rows`` each node's
+    item row, and each session's final item (``targets``) with its
+    normalized gap from the event before (``intervals``)."""
+
+    records: List[SessionRecord]
+    batch: GraphBatch
+    node_rows: np.ndarray
+    targets: List[Item]
+    intervals: np.ndarray
+
+    def select(self, start: int, stop: int) -> "SessionBatch":
+        """Sessions start..stop-1 alone, their nodes numbered from 0."""
+        b = self.batch
+        lo, hi = np.searchsorted(b.node_session, (start, stop)).tolist()
+        first, end = np.searchsorted(b.dst, (lo, hi)).tolist()
+        return SessionBatch(
+            records=self.records[start:stop],
+            batch=GraphBatch(dst=b.dst[first:end] - lo, src=b.src[first:end] - lo,
+                             interval=b.interval[first:end],
+                             node_session=b.node_session[lo:hi] - start,
+                             last=b.last[start:stop] - lo),
+            node_rows=self.node_rows[lo:hi],
+            targets=self.targets[start:stop],
+            intervals=self.intervals[start:stop],
+        )
+
+
+def batch_sessions(
+    records: Sequence[SessionRecord],
+    item_index: Dict[Item, int],
+    norm: IntervalNormalizer,
+    direction: str = DIRECTIONS[0],
+) -> SessionBatch:
+    """The usable ``records`` as one :class:`SessionBatch`, built from their
+    events with no per-session object.  A session is usable with at least
+    ``MIN_EVENTS`` events, every item a key of ``item_index`` (its row).
+    The arrays are those of :func:`batch_graphs` over the graphs of
+    :func:`examples_from_records`, bit for bit.
+
+    One pass over all the events maps items to rows (-1 when unknown) and
+    takes the gaps; the rest is numpy.  The prefix events (all but each
+    usable session's last) line up with their gaps: gap j follows prefix
+    event j, and a session's last gap is its target's.  One stable argsort
+    by (session, item row) finds each item's first appearance in its
+    session; nodes are numbered in the order of those.
+    """
+    events = list(chain.from_iterable(rec.events for rec in records))
+    items = [item for item, _ in events]
+    times = [t for _, t in events]
+    row = np.fromiter(map(item_index.get, items, repeat(-1)), np.intp, len(items))
+    gaps = np.array(list(map(operator.sub, times[1:], times)))
+    lengths = np.array([len(rec.events) for rec in records], dtype=np.intp)
+    owner = np.arange(len(records), dtype=np.intp).repeat(lengths)
+    usable = (lengths >= MIN_EVENTS) & (np.bincount(owner[row < 0], minlength=len(records)) == 0)
+    prefix = usable[owner]
+    prefix[np.cumsum(lengths) - 1] = False
+    at = np.flatnonzero(prefix)
+    code = row[at]
+    session = (np.cumsum(usable) - 1)[owner[at]]
+    intervals = norm.normalize(gaps[at])
+    ends = np.cumsum(lengths[usable] - 1)
+    order = np.argsort(session * (int(code.max(initial=0)) + 1) + code, kind="stable")
+    starts = _group_starts(session[order], code[order])
+    first = np.zeros(len(code), dtype=bool)
+    first[order[starts]] = True
+    node = np.empty(len(code), dtype=np.intp)
+    node[order] = (np.cumsum(first) - 1)[order[starts]][np.cumsum(starts) - 1]
+    # edges join consecutive prefix events of one session
+    step = np.flatnonzero(np.diff(session) == 0)
+    dst, src, interval = _merge(node[step], node[step + 1], intervals[step],
+                                int(first.sum()), direction)
+    return SessionBatch(
+        records=list(compress(records, usable.tolist())),
+        batch=GraphBatch(dst=dst, src=src, interval=interval,
+                         node_session=session[first], last=node[ends - 1]),
+        node_rows=code[first],
+        targets=[items[i] for i in (at[ends - 1] + 1).tolist()],
+        intervals=intervals[ends - 1],
     )

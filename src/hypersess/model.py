@@ -304,15 +304,25 @@ def forward_batch(batch: GraphBatch, t_norm: np.ndarray, initial: Arrayish, para
 
 
 def forward_graphs(graphs: Sequence[SessionGraph], t_norm: Sequence[float], params, items: Sequence[Item]):
-    """The forward pass of recommend, evaluation and training: one
-    :func:`forward_batch` over ``graphs``, graph b asked about ``t_norm[b]``.
-    ``items`` holds every graph node; each is projected once.  Returns the
-    pass, the batch, the (K, d) projected ``items`` and each one's row."""
+    """The forward pass of recommend and training: one :func:`forward_items`
+    over ``graphs``, graph b asked about ``t_norm[b]``.  ``items`` holds
+    every graph node; each is projected once.  Returns the pass, the batch,
+    the (K, d) projected ``items`` and each one's row."""
     row = {it: k for k, it in enumerate(items)}
-    table = hyperbolic_projection(params.item_rows(items), params)
     batch = batch_graphs(graphs, params.neighborhood)
-    initial = grad.take(table, np.array([row[it] for g in graphs for it in g.nodes]))
-    return forward_batch(batch, np.array(t_norm, dtype=np.float64), initial, params), batch, table, row
+    fw, table = forward_items(batch, t_norm, params, params.item_rows(items),
+                              np.array([row[it] for g in graphs for it in g.nodes]))
+    return fw, batch, table, row
+
+
+def forward_items(batch: GraphBatch, t_norm, params, features: Arrayish, node_at):
+    """One :func:`forward_batch` over a ready batch, session b asked about
+    ``t_norm[b]``: the (K, f) item ``features`` are projected once, and
+    node n starts from projected row ``node_at[n]``.  Returns the pass and
+    the (K, d) projected rows."""
+    table = hyperbolic_projection(features, params)
+    initial = grad.take(table, node_at)
+    return forward_batch(batch, np.array(t_norm, dtype=np.float64), initial, params), table
 
 
 def forward_session(g: SessionGraph, t_norm: float, params) -> ForwardResult:

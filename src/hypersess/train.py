@@ -4,8 +4,8 @@ The loss combines three geodesic distances with plain real-number weights
 (lambda_s, lambda_v); Mobius arithmetic on scalar distances is not defined,
 and the objective must be an ordinary real.  Ball-constrained parameters
 (item feature rows, readout bias) are re-projected after every update.
-Minibatches go through ``model.forward_graphs``, as recommend and evaluation
-do; the examples are ``graph``'s, and their names are importable from here.
+Minibatches go through ``model.forward_graphs``, as recommend does; the
+examples are ``graph``'s, and their names are importable from here.
 """
 
 from __future__ import annotations

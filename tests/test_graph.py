@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypersess.graph import (
+    DIRECTIONS,
     IntervalNormalizer,
     SessionRecord,
     batch_graphs,
+    batch_sessions,
     build_session_graph,
     examples_from_records,
     neighborhood,
@@ -70,6 +73,26 @@ class TestNormalizeInterval:
             expected = min(math.log1p(d / tau) / math.log1p(cap / tau), 1.0 - EPS_BALL)
             assert norm(d) == expected, d
         assert norm(cap) == norm(2 * cap) == 1.0 - EPS_BALL
+
+    @pytest.mark.parametrize("tau, cap", [(60.0, 86400.0), (1.0, 10.0), (3600.0, 60.0)])
+    def test_array_form_has_the_bits_of_call(self, tau, cap):
+        norm = IntervalNormalizer(tau=tau, cap=cap)
+        rng = np.random.default_rng(5)
+        for gaps in (np.arange(200_000),
+                     [cap, 2 * cap, cap * (1 + 1e-15), 10**12, float("inf")],
+                     rng.uniform(0, 2 * cap, 1000), rng.exponential(tau, 1000),
+                     [0.5, 1e-300, 5e-324, 0.0, cap * (1 - 1e-16)],
+                     [10**400, 0, 7]):
+            got = norm.normalize(gaps)
+            assert got.dtype == np.float64
+            expected = np.array([norm(g) for g in np.asarray(gaps).tolist()])
+            assert got.tobytes() == expected.tobytes()
+        assert norm.normalize([]).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [-1, float("nan"), -1e-300])
+    def test_array_form_rejects_what_call_rejects(self, bad):
+        with pytest.raises(ValueError, match="negative or NaN time interval"):
+            NORM.normalize([0, 5, bad, 7])
 
     def test_value_semantics(self):
         # the cached log(1 + cap/tau) takes no part in equality, hash or repr
@@ -327,3 +350,88 @@ class TestBatchGraphs:
         g = build_session_graph(SessionRecord("s", [("a", 0), ("b", 30)]), NORM)
         with pytest.raises(ValueError):
             batch_graphs([g], "diagonal")
+
+
+def session_strategy():
+    """Sessions of 1-7 events over items a-d and the unknown zz, timestamps
+    int, float or mixed, gaps from 0 to past cap, repeats and self-loops
+    frequent."""
+    gap = st.one_of(st.integers(0, 200_000), st.sampled_from([0, 0, 1, 60, NORM.cap, 10**7]),
+                    st.floats(0, 2e5, allow_subnormal=False))
+    event = st.tuples(st.sampled_from(["a", "a", "b", "c", "d", "d", "zz"]), gap, st.booleans())
+
+    def timed(draws):
+        t, events = 0, []
+        for item, g, as_float in draws:
+            t += g
+            events.append((item, float(t) if as_float else t))
+        return events
+
+    return st.lists(event, min_size=1, max_size=7).map(timed)
+
+
+ITEM_ROWS = {"b": 0, "d": 1, "a": 2, "c": 3}  # rows not in item-id order
+
+
+def assert_same_array(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestBatchSessions:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(session_strategy(), max_size=9), st.sampled_from(DIRECTIONS),
+           st.integers(0, 9))
+    def test_equals_batch_graphs_of_the_examples(self, sessions, direction, cut):
+        records = [SessionRecord(f"s{k}", events) for k, events in enumerate(sessions)]
+        got = batch_sessions(records, ITEM_ROWS, NORM, direction)
+        usable = [rec for rec in records if len(rec.events) >= 2
+                  and all(item in ITEM_ROWS for item, _ in rec.events)]
+        assert got.records == usable
+        examples = examples_from_records(usable, NORM)
+        expected = batch_graphs([ex.graph for ex in examples], direction)
+        for name in ("dst", "src", "interval", "node_session", "last"):
+            assert_same_array(getattr(got.batch, name), getattr(expected, name))
+        assert_same_array(got.node_rows, np.array(
+            [ITEM_ROWS[it] for ex in examples for it in ex.graph.nodes], dtype=np.intp))
+        assert got.targets == [ex.target_item for ex in examples]
+        assert_same_array(got.intervals, np.array([ex.target_interval for ex in examples]))
+        # the examples' intervals are the scalar normalizer's
+        for rec, ex in zip(usable, examples):
+            (_, before), (_, after) = rec.events[-2:]
+            assert ex.target_interval == NORM(after - before)
+            gaps = [NORM(t - s) for (_, s), (_, t) in zip(rec.events[:-1], rec.events[1:-1])]
+            assert [iv for _, _, iv in ex.graph.edges] == gaps
+        # a slice of the batch is the batch of the slice
+        cut = min(cut, len(usable))
+        for start, stop in ((0, cut), (cut, len(usable))):
+            part, alone = got.select(start, stop), batch_sessions(
+                usable[start:stop], ITEM_ROWS, NORM, direction)
+            assert part.records == alone.records and part.targets == alone.targets
+            for name in ("dst", "src", "interval", "node_session", "last"):
+                assert_same_array(getattr(part.batch, name), getattr(alone.batch, name))
+            assert_same_array(part.node_rows, alone.node_rows)
+            assert_same_array(part.intervals, alone.intervals)
+
+    def test_skips_short_and_unknown_sessions(self):
+        records = [SessionRecord("one", [("a", 0)]),
+                   SessionRecord("alien", [("a", 0), ("zz", 5)]),
+                   SessionRecord("ok", [("a", 0), ("a", 30), ("b", 40)]),
+                   SessionRecord("alien-target", [("zz", 0), ("b", 5)])]
+        got = batch_sessions(records, ITEM_ROWS, NORM)
+        assert [rec.session_id for rec in got.records] == ["ok"]
+        # the prefix a, a is one node with a self-loop
+        assert got.node_rows.tolist() == [ITEM_ROWS["a"]]
+        assert got.batch.interval.tolist() == [NORM(30)]
+        assert got.targets == ["b"] and got.intervals.tolist() == [NORM(10)]
+        empty = batch_sessions(records[:2], ITEM_ROWS, NORM)
+        assert (empty.records, empty.batch.n_nodes, empty.batch.n_sessions) == ([], 0, 0)
+        assert_dtypes(empty.batch)
+
+    def test_nan_gap_rejected(self):
+        inf = float("inf")
+        records = [SessionRecord("s", [("a", inf), ("b", inf)])]
+        with pytest.raises(ValueError, match="NaN"):
+            batch_sessions(records, ITEM_ROWS, NORM)
+        with pytest.raises(ValueError, match="NaN"):
+            examples_from_records(records, NORM)

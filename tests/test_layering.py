@@ -2,8 +2,9 @@
 module: walking the package imports of ``evaluate.py``, ``model.py`` and
 ``graph.py``, and of every package module they import, finds no ``train``.
 ``metrics`` imports no package module at all: a ranking is a plain int.
-Only ``grad.fused`` builds a tape Node with parents, and only
-``graph.batch_graphs`` merges a session's repeated transitions."""
+Only ``grad.fused`` builds a tape Node with parents, only ``graph._merge``
+merges a session's repeated transitions, and evaluation builds no
+per-session graph."""
 
 import ast
 from pathlib import Path
@@ -83,22 +84,37 @@ SORTS = ("sorted", "sort", "lexsort", "argsort")
 
 
 def test_only_batch_graphs_merges_transitions():
-    """A session graph keeps every transition; ``batch_graphs``' one lexsort
-    is the one place a pair clicked more than once keeps its smallest
-    interval.  So ``SessionGraph`` is made only in ``graph._graph``, and no
-    other function of ``graph.py`` sorts."""
+    """A session graph keeps every transition; the one lexsort of
+    ``graph._merge``, which ``batch_graphs`` and ``batch_sessions`` both
+    call, is the one place a pair clicked more than once keeps its smallest
+    interval.  So ``SessionGraph`` is made only in ``graph._graph``, and the
+    only other function of ``graph.py`` that sorts is ``batch_sessions``,
+    whose lexsort by (session, item) numbers the nodes."""
     made = {(path.stem,) + where for path in sorted(PACKAGE.glob("*.py"))
             for where, name, _ in calls(ast.parse(path.read_text(encoding="utf-8")))
             if name == "SessionGraph"}
     assert made == {("graph", "_graph")}
     graph = ast.parse((PACKAGE / "graph.py").read_text(encoding="utf-8"))
-    assert {where for where, name, _ in calls(graph) if name in SORTS} == {("batch_graphs",)}
+    assert {where for where, name, _ in calls(graph) if name in SORTS} == {
+        ("_merge",), ("batch_sessions",)}
+    assert {where for where, name, _ in calls(graph) if name == "_merge"} == {
+        ("batch_graphs",), ("batch_sessions",)}
     seen = ast.parse("def f(r):\n    return sorted(r.items())\n"
                      "def g(a, b):\n    a.sort()\n    return np.lexsort((a, b)), np.argsort(b)\n"
                      "h = lambda x: x.sorted_keys()\n")
     assert [(where, name) for where, name, _ in calls(seen) if name in SORTS] == [
         (("f",), "sorted"), (("g",), "sort"), (("g",), "lexsort"), (("g",), "argsort")]
 
+
+
+def test_evaluation_builds_no_session_graphs():
+    """``evaluate`` reads test sessions through ``graph.batch_sessions``
+    alone: it calls none of the per-session graph and example builders."""
+    tree = ast.parse((PACKAGE / "evaluate.py").read_text(encoding="utf-8"))
+    called = {name for _, name, _ in calls(tree)}
+    assert "batch_sessions" in called  # the walk does see the calls of evaluate
+    assert called.isdisjoint({"examples_from_records", "build_session_graph",
+                              "batch_graphs", "forward_graphs"})
 
 def row_sum_calls(tree):
     """The line of each ``sum`` or ``add.reduce`` call over the last axis of
