@@ -1,20 +1,22 @@
 """Directed session graphs with per-edge time intervals.
 
-A session's unique items become nodes (first-appearance order) and each
-consecutive click pair contributes a directed edge carrying the elapsed
-seconds between the two clicks, log-compressed into [0, 1 - EPS_BALL) so it
-can later be embedded (:class:`IntervalNormalizer`, whose ``normalize`` is the
-same map over an array of gaps).  A graph keeps every transition, repeats
-included; :func:`_merge` merges them, a pair clicked more than once keeping
-its smallest interval.
+A session graph is its events: the items in click order and the elapsed
+seconds after each click but the last, log-compressed into
+[0, 1 - EPS_BALL) so they can later be embedded (:class:`IntervalNormalizer`,
+whose ``normalize`` is the same map over an array of gaps).  Its nodes are
+the distinct items (first-appearance order), and each consecutive click pair
+is a directed transition carrying its interval; a pair clicked more than
+once keeps its smallest interval.
 A :class:`TrainingExample` pairs the graph of a session's prefix with the
 next event; training reads sessions that way.
 
 The model reads graphs as a :class:`GraphBatch`: the disjoint union of one
 or more session graphs, as edge arrays over one numbering of their nodes.
-:func:`batch_graphs` builds one from session graphs; :func:`batch_sessions`
-builds one straight from records' events, with no per-session object, for
-evaluation.  Both merge repeated pairs in :func:`_merge`.
+Every batch is built by :func:`batch_events` from per-event columns (item
+code, events per session, gap), which numbers the nodes and hands the
+transitions to :func:`_merge`; :func:`batch_graphs` feeds it session graphs,
+and :func:`batch_sessions` records' events, with no per-session object, for
+evaluation.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, repeat
+from itertools import chain, compress, repeat
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -95,21 +97,20 @@ class SessionRecord:
 
 @dataclass
 class SessionGraph:
-    """Item-transition graph of one session.
+    """The graph of one session, as its events: ``items`` in click order and
+    ``intervals``, the normalized gap after each event but the last.  Its
+    nodes are the distinct items, first appearance first."""
 
-    ``edges`` holds one (src index, dst index, normalized interval) per
-    consecutive click pair, in click order, repeated pairs included;
-    ``last_index`` is the node of the final event.
-    """
+    items: List[Item]
+    intervals: List[float]
 
-    nodes: List[Item]
-    edges: List[Tuple[int, int, float]]
-    last_index: int
-    node_index: Dict[Item, int]
+    @property
+    def nodes(self) -> List[Item]:
+        return list(dict.fromkeys(self.items))
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(set(self.items))
 
 
 def build_session_graph(
@@ -117,37 +118,18 @@ def build_session_graph(
     norm: IntervalNormalizer,
     min_events: int = MIN_EVENTS,
 ) -> SessionGraph:
-    """Build the transition graph of one session.
+    """The graph of one session: its items and normalized gaps.
 
-    Every consecutive click pair yields an edge; a pair clicked more than
-    once is merged later, by :func:`batch_graphs`.  Consecutive identical
-    items yield a self-loop.
     ``min_events`` is 2 for whole sessions; a prefix or a ``recommend``
-    query may relax it to 1 (single node, no edges).
+    query may relax it to 1 (single node, no transitions).
     """
     events = record.events
     if len(events) < min_events:
         raise ValueError(
             f"session {record.session_id}: {len(events)} events, need >= {min_events}"
         )
-    return _graph(events, [norm(t - prev_t) for (_, prev_t), (_, t) in zip(events, events[1:])])
-
-
-def _graph(events: Sequence[Tuple[Item, int]], intervals: Sequence[float]) -> SessionGraph:
-    """The transition graph of one or more events in time order;
-    ``intervals[j]`` is the normalized gap after event j (entries past the
-    last event are not read)."""
-    index: Dict[Item, int] = {}
-    for item, _ in events:
-        index.setdefault(item, len(index))
-    edges = [(index[prev], index[item], interval)
-             for (prev, _), (item, _), interval in zip(events, events[1:], intervals)]
-    return SessionGraph(
-        nodes=list(index),
-        edges=edges,
-        last_index=index[events[-1][0]],
-        node_index=index,
-    )
+    return SessionGraph(items=[item for item, _ in events],
+                        intervals=[norm(t - prev_t) for (_, prev_t), (_, t) in zip(events, events[1:])])
 
 
 @dataclass
@@ -168,8 +150,8 @@ def examples_from_records(
 
     With ``augment_prefixes`` every prefix of length >= 2 additionally yields
     an example.  Sessions shorter than ``MIN_EVENTS`` events are skipped.  A
-    prefix of a record is in time order, so its graph is built without a new
-    record.  Every gap of the records is normalized once, in one call.
+    prefix's graph is the first events of its record.  Every gap of the
+    records is normalized once, in one call.
     """
     kept = [rec for rec in records if len(rec.events) >= MIN_EVENTS]
     gaps: List[float] = []
@@ -181,13 +163,14 @@ def examples_from_records(
     start = 0
     for rec in kept:
         n = len(rec.events)
+        items = [item for item, _ in rec.events]
         own = intervals[start:start + n - 1]
         start += n - 1
         cuts = range(2, n + 1) if augment_prefixes else [n]
         for c in cuts:
             out.append(TrainingExample(
-                graph=_graph(rec.events[:c - 1], own),
-                target_item=rec.events[c - 1][0],
+                graph=SessionGraph(items=items[:c - 1], intervals=own[:c - 2]),
+                target_item=items[c - 1],
                 target_interval=own[c - 2],
             ))
     return out
@@ -234,22 +217,48 @@ class GraphBatch:
 
 
 def batch_graphs(graphs: Sequence[SessionGraph], direction: str = DIRECTIONS[0]) -> GraphBatch:
-    """Edge arrays of the union of ``graphs`` under an edge direction, their
-    nodes numbered across the batch; repeated pairs are merged by
-    :func:`_merge`."""
-    sizes = [g.n_nodes for g in graphs]
-    bases = list(accumulate(sizes, initial=0))
-    rows = [(b + s, b + d, iv) for g, b in zip(graphs, bases) for s, d, iv in g.edges]
-    src, dst, interval = zip(*rows) if rows else ((), (), ())
-    dst, src, interval = _merge(np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
-                                np.array(interval, dtype=np.float64), bases[-1], direction)
-    return GraphBatch(
-        dst=dst,
-        src=src,
-        interval=interval,
-        node_session=np.arange(len(graphs), dtype=np.intp).repeat(sizes),
-        last=np.array([b + g.last_index for g, b in zip(graphs, bases)], dtype=np.intp),
-    )
+    """The :class:`GraphBatch` of ``graphs`` under an edge direction, by
+    :func:`batch_events`, each item coded by its first appearance."""
+    seen = dict.fromkeys(chain.from_iterable(g.items for g in graphs))
+    code = {it: k for k, it in enumerate(seen)}
+    return batch_events(*graph_columns(graphs, code), direction)[0]
+
+
+def graph_columns(graphs: Sequence[SessionGraph],
+                  code: Dict[Item, int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-event columns of ``graphs`` that :func:`batch_events` reads,
+    item ``it`` coded ``code[it]``; a graph's last event has gap 0."""
+    items = list(chain.from_iterable(g.items for g in graphs))
+    gaps = list(chain.from_iterable(chain(g.intervals, (0.0,)) for g in graphs))
+    return (np.fromiter(map(code.__getitem__, items), np.intp, len(items)),
+            np.array([len(g.items) for g in graphs], dtype=np.intp),
+            np.array(gaps, dtype=np.float64))
+
+
+def batch_events(code: np.ndarray, lengths: np.ndarray, gaps: np.ndarray,
+                 direction: str = DIRECTIONS[0]) -> Tuple[GraphBatch, np.ndarray]:
+    """The :class:`GraphBatch` of sessions given as per-event columns, and
+    each node's item code.  Session b is the next ``lengths[b]`` (>= 1)
+    events in click order; ``code`` is each event's item code (>= 0) and
+    ``gaps[j]`` the normalized gap after event j (unread at a session's
+    last event).  A session's nodes are its distinct codes, first appearance
+    first, found by one stable argsort by (session, code); each consecutive
+    pair of its events is a transition, merged by :func:`_merge`.
+    """
+    session = np.arange(len(lengths), dtype=np.intp).repeat(lengths)
+    order = np.argsort(session * (int(code.max(initial=0)) + 1) + code, kind="stable")
+    starts = _group_starts(session[order], code[order])
+    heads = order[starts]  # each node's first event
+    first = np.zeros(len(code), dtype=bool)
+    first[heads] = True
+    node = np.empty(len(code), dtype=np.intp)
+    node[order] = (np.cumsum(first) - 1)[heads][np.cumsum(starts) - 1]
+    # transitions join consecutive events of one session
+    step = np.flatnonzero(session[1:] == session[:-1])
+    dst, src, interval = _merge(node[step], node[step + 1], gaps[step], len(heads), direction)
+    batch = GraphBatch(dst=dst, src=src, interval=interval, node_session=session[first],
+                       last=node[np.cumsum(lengths) - 1])
+    return batch, code[first]
 
 
 def _merge(src: np.ndarray, dst: np.ndarray, interval: np.ndarray, n: int, direction: str):
@@ -330,15 +339,12 @@ def batch_sessions(
     """The usable ``records`` as one :class:`SessionBatch`, built from their
     events with no per-session object.  A session is usable with at least
     ``MIN_EVENTS`` events, every item a key of ``item_index`` (its row).
-    The arrays are those of :func:`batch_graphs` over the graphs of
-    :func:`examples_from_records`, bit for bit.
 
     One pass over all the events maps items to rows (-1 when unknown) and
     takes the gaps; the rest is numpy.  The prefix events (all but each
     usable session's last) line up with their gaps: gap j follows prefix
-    event j, and a session's last gap is its target's.  One stable argsort
-    by (session, item row) finds each item's first appearance in its
-    session; nodes are numbered in the order of those.
+    event j, and a session's last gap is its target's.  The prefix events
+    go to :func:`batch_events`, coded by their rows.
     """
     events = list(chain.from_iterable(rec.events for rec in records))
     items = [item for item, _ in events]
@@ -351,25 +357,14 @@ def batch_sessions(
     prefix = usable[owner]
     prefix[np.cumsum(lengths) - 1] = False
     at = np.flatnonzero(prefix)
-    code = row[at]
-    session = (np.cumsum(usable) - 1)[owner[at]]
     intervals = norm.normalize(gaps[at])
-    ends = np.cumsum(lengths[usable] - 1)
-    order = np.argsort(session * (int(code.max(initial=0)) + 1) + code, kind="stable")
-    starts = _group_starts(session[order], code[order])
-    first = np.zeros(len(code), dtype=bool)
-    first[order[starts]] = True
-    node = np.empty(len(code), dtype=np.intp)
-    node[order] = (np.cumsum(first) - 1)[order[starts]][np.cumsum(starts) - 1]
-    # edges join consecutive prefix events of one session
-    step = np.flatnonzero(np.diff(session) == 0)
-    dst, src, interval = _merge(node[step], node[step + 1], intervals[step],
-                                int(first.sum()), direction)
+    sizes = lengths[usable] - 1
+    batch, node_rows = batch_events(row[at], sizes, intervals, direction)
+    ends = np.cumsum(sizes)
     return SessionBatch(
         records=list(compress(records, usable.tolist())),
-        batch=GraphBatch(dst=dst, src=src, interval=interval,
-                         node_session=session[first], last=node[ends - 1]),
-        node_rows=code[first],
+        batch=batch,
+        node_rows=node_rows,
         targets=[items[i] for i in (at[ends - 1] + 1).tolist()],
         intervals=intervals[ends - 1],
     )

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import grad, manifold
 from .grad import Arrayish
-from .graph import DIRECTIONS, GraphBatch, SessionGraph, batch_graphs
+from .graph import DIRECTIONS, GraphBatch, SessionGraph, batch_events, graph_columns
 
 Item = str
 
@@ -306,12 +306,12 @@ def forward_batch(batch: GraphBatch, t_norm: np.ndarray, initial: Arrayish, para
 def forward_graphs(graphs: Sequence[SessionGraph], t_norm: Sequence[float], params, items: Sequence[Item]):
     """The forward pass of recommend and training: one :func:`forward_items`
     over ``graphs``, graph b asked about ``t_norm[b]``.  ``items`` holds
-    every graph node; each is projected once.  Returns the pass, the batch,
+    every graph item; each is projected once, and the batch is built from
+    the graphs' events coded by their rows.  Returns the pass, the batch,
     the (K, d) projected ``items`` and each one's row."""
     row = {it: k for k, it in enumerate(items)}
-    batch = batch_graphs(graphs, params.neighborhood)
-    fw, table = forward_items(batch, t_norm, params, params.item_rows(items),
-                              np.array([row[it] for g in graphs for it in g.nodes]))
+    batch, node_at = batch_events(*graph_columns(graphs, row), params.neighborhood)
+    fw, table = forward_items(batch, t_norm, params, params.item_rows(items), node_at)
     return fw, batch, table, row
 
 

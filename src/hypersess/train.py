@@ -76,7 +76,7 @@ class TrainConfig:
 
 def _batch_items(examples: Sequence[TrainingExample], negatives: Sequence[Optional[str]]) -> List[str]:
     """Every item a minibatch's loss reads, sorted."""
-    used = {it for ex in examples for it in ex.graph.nodes}
+    used = {it for ex in examples for it in ex.graph.items}
     used.update(ex.target_item for ex in examples)
     used.update(neg for neg in negatives if neg is not None)
     return sorted(used)

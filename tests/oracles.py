@@ -74,9 +74,33 @@ def o_time(w_t, t):
     return clip(math.tanh(wn * math.atanh(t)) * w_t / wn)
 
 
+def o_nodes(g):
+    """A session graph's nodes: its distinct items, first appearance first."""
+    nodes = []
+    for item in g.items:
+        if item not in nodes:
+            nodes.append(item)
+    return nodes
+
+
+def o_transitions(g):
+    """(src node, dst node, interval) of each consecutive click pair, in
+    click order, repeats included."""
+    nodes = o_nodes(g)
+    return [(nodes.index(a), nodes.index(b), iv)
+            for a, b, iv in zip(g.items, g.items[1:], g.intervals)]
+
+
+def o_last(g):
+    """The node of a session graph's final event."""
+    return o_nodes(g).index(g.items[-1])
+
+
 def in_neigh(g, i):
+    """Node i's predecessors with the smallest interval of each pair, and
+    itself at 0 unless a self-loop's smallest interval replaces it."""
     found = {}
-    for s, d, iv in g.edges:
+    for s, d, iv in o_transitions(g):
         if d == i:
             found[s] = min(iv, found.get(s, iv))
     found.setdefault(i, 0.0)
@@ -103,7 +127,7 @@ def o_layer(state, g, w_t, sign=1.0, slope=0.2):
 
 
 def o_soft_attention(state, g, w2, w3, x_att, c_bias, slope=0.2):
-    p = g.last_index
+    p = o_last(g)
     acc = np.zeros_like(state[0])
     for q in range(len(state)):
         inner = o_mobius_add(

@@ -13,6 +13,7 @@ import pytest
 from oracles import (
     o_dist,
     o_item_future,
+    o_last,
     o_layer,
     o_session_future,
     o_soft_attention,
@@ -214,8 +215,8 @@ def test_oracle_equivalence():
         sf_ref = o_session_future(h_ref, params.time_proj, 0.5)
         worst = max(worst, float(np.max(np.abs(np.asarray(sf_ours) - sf_ref))))
 
-        if_ours = model.project_item_future(sf_ours, state[g.last_index], 0.3, params)
-        if_ref = o_item_future(sf_ref, state[g.last_index], params.time_proj, 0.3,
+        if_ours = model.project_item_future(sf_ours, state[o_last(g)], 0.3, params)
+        if_ref = o_item_future(sf_ref, state[o_last(g)], params.time_proj, 0.3,
                                params.sess_future_proj, params.item_future_proj)
         worst = max(worst, float(np.max(np.abs(np.asarray(if_ours) - if_ref))))
 
@@ -261,7 +262,7 @@ def test_overfit_check():
     norm = config.normalizer()
     examples = train.examples_from_records(synth.records, norm)
     assert len(examples) == 10
-    lasts = [ex.graph.nodes[ex.graph.last_index] for ex in examples]
+    lasts = [ex.graph.items[-1] for ex in examples]
     assert len(set(lasts)) == 10
 
     res = train.fit(examples, config, vocab=synth.items)

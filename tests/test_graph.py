@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import o_last, o_nodes, o_transitions
 
 from hypersess.graph import (
     DIRECTIONS,
     IntervalNormalizer,
+    SessionGraph,
     SessionRecord,
     batch_graphs,
     batch_sessions,
@@ -122,9 +124,13 @@ class TestBuildGraph:
     def test_basic_construction(self):
         rec = SessionRecord("s", [("A", 0), ("B", 10), ("A", 25), ("C", 30)])
         g = build_session_graph(rec, NORM)
-        assert g.nodes == ["A", "B", "C"]
-        assert g.last_index == g.node_index["C"]
-        edges = {(s, d): iv for s, d, iv in g.edges}
+        assert g.items == ["A", "B", "A", "C"]
+        assert g.intervals == [NORM(10), NORM(15), NORM(5)]
+        assert g.nodes == ["A", "B", "C"] and g.n_nodes == 3
+        assert batch_graphs([g]).last.tolist() == [2]
+        batch = batch_graphs([g], "out")
+        edges = {(d, s): iv for d, s, iv in zip(batch.dst.tolist(), batch.src.tolist(),
+                                                batch.interval.tolist()) if d != s}
         assert set(edges) == {(0, 1), (1, 0), (0, 2)}
         assert edges[(0, 1)] == NORM(10)
         assert edges[(1, 0)] == NORM(15)
@@ -134,7 +140,7 @@ class TestBuildGraph:
         # A -> B at gaps 3 s then 20 s; a self-loop on C at gaps 50 s then 2 s
         events = [("A", 0), ("B", 3), ("A", 10), ("B", 30), ("C", 40), ("C", 90), ("C", 92)]
         g = build_session_graph(SessionRecord("s", events), NORM)
-        a, b, c = (g.node_index[x] for x in "ABC")
+        a, b, c = (g.nodes.index(x) for x in "ABC")
         assert neighborhood(g, b, "in") == [(a, NORM(3)), (b, 0.0)]
         assert neighborhood(g, a, "out") == [(a, 0.0), (b, NORM(3))]
         assert neighborhood(g, a, "both") == [(a, 0.0), (b, NORM(3))]
@@ -146,7 +152,8 @@ class TestBuildGraph:
         rec = SessionRecord("s", [("A", 0), ("A", 7)])
         g = build_session_graph(rec, NORM)
         assert g.nodes == ["A"]
-        assert g.edges == [(0, 0, NORM(7))]
+        assert g.items == ["A", "A"] and g.intervals == [NORM(7)]
+        assert o_transitions(g) == [(0, 0, NORM(7))]
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
@@ -154,7 +161,8 @@ class TestBuildGraph:
 
     def test_min_events_override_for_prefixes(self):
         g = build_session_graph(SessionRecord("s", [("A", 0)]), NORM, min_events=1)
-        assert g.nodes == ["A"] and g.edges == []
+        assert g.nodes == ["A"] and g.intervals == []
+        assert batch_graphs([g]).interval.tolist() == [0.0]
 
     def test_prefix_graphs_equal_record_graphs(self):
         # revisits, self-loops and equal timestamps all occur among the draws
@@ -182,7 +190,7 @@ class TestBuildGraph:
     def test_deterministic(self):
         rec = SessionRecord("s", [("A", 0), ("B", 10), ("A", 25), ("C", 30)])
         a, b = build_session_graph(rec, NORM), build_session_graph(rec, NORM)
-        assert a.nodes == b.nodes and a.edges == b.edges
+        assert a == b
 
     def test_node_and_edge_counts(self):
         rng = np.random.default_rng(1)
@@ -192,21 +200,22 @@ class TestBuildGraph:
             times = np.cumsum(rng.integers(0, 100, size=n)).tolist()
             rec = SessionRecord("s", list(zip(items, times)))
             g = build_session_graph(rec, NORM)
-            assert len(g.nodes) == len(set(items))
-            assert len(g.edges) == n - 1
-            assert g.edges == [(g.node_index[a], g.node_index[b], NORM(tb - ta))
-                               for (a, ta), (b, tb) in zip(rec.events, rec.events[1:])]
-            assert all(0.0 <= iv <= 1.0 - EPS_BALL for _, _, iv in g.edges)
+            assert len(g.nodes) == g.n_nodes == len(set(items))
+            assert g.nodes == sorted(set(items), key=items.index)
+            assert g.items == items
+            assert g.intervals == [NORM(tb - ta)
+                                   for (_, ta), (_, tb) in zip(rec.events, rec.events[1:])]
+            assert all(0.0 <= iv <= 1.0 - EPS_BALL for iv in g.intervals)
 
 
 class TestNeighbors:
     def test_predecessor_plus_self(self):
         g = build_session_graph(SessionRecord("s", [("A", 0), ("B", 10)]), NORM)
-        assert neighborhood(g, g.node_index["B"], "in") == [(0, NORM(10)), (1, 0.0)]
+        assert neighborhood(g, g.nodes.index("B"), "in") == [(0, NORM(10)), (1, 0.0)]
 
     def test_self_only(self):
         g = build_session_graph(SessionRecord("s", [("A", 0), ("B", 10)]), NORM)
-        assert neighborhood(g, g.node_index["A"], "in") == [(0, 0.0)]
+        assert neighborhood(g, g.nodes.index("A"), "in") == [(0, 0.0)]
 
     def test_explicit_self_loop_interval_wins(self):
         g = build_session_graph(SessionRecord("s", [("A", 0), ("A", 7)]), NORM)
@@ -223,7 +232,7 @@ class TestNeighbors:
         g = build_session_graph(
             SessionRecord("s", [("A", 0), ("B", 10), ("C", 25)]), NORM
         )
-        b = g.node_index["B"]
+        b = g.nodes.index("B")
         assert neighborhood(g, b, "in") == [(0, NORM(10)), (1, 0.0)]
         assert neighborhood(g, b, "out") == [(1, 0.0), (2, NORM(15))]
         assert neighborhood(g, b, "both") == [(0, NORM(10)), (1, 0.0), (2, NORM(15))]
@@ -232,12 +241,13 @@ class TestNeighbors:
 
 
 def scanned_neighborhood(g, i, direction):
-    """A node's neighborhood by scanning every edge, from the definition:
-    itself at interval 0 unless it has a self-loop, its predecessors ("in"),
-    its successors ("out"), or both with the smaller interval; a pair
-    clicked more than once keeps its smallest interval."""
+    """A node's neighborhood by scanning every transition of the graph's
+    events, from the definition: itself at interval 0 unless it has a
+    self-loop, its predecessors ("in"), its successors ("out"), or both with
+    the smaller interval; a pair clicked more than once keeps its smallest
+    interval."""
     preds, succs = {}, {}
-    for src, dst, interval in g.edges:
+    for src, dst, interval in o_transitions(g):
         if dst == i:
             preds[src] = min(interval, preds.get(src, interval))
         if src == i:
@@ -268,7 +278,7 @@ def assert_batch_is_neighborhoods(batch, graphs, direction):
         for i in range(g.n_nodes):
             expected += [(base + i, base + j, iv) for j, iv in scanned_neighborhood(g, i, direction)]
         sessions += [b] * g.n_nodes
-        last.append(base + g.last_index)
+        last.append(base + o_last(g))
         base += g.n_nodes
     got = list(zip(batch.dst.tolist(), batch.src.tolist(), batch.interval.tolist()))
     assert got == expected
@@ -310,7 +320,7 @@ class TestBatchGraphs:
         # a <-> b with equal intervals, b <-> c with unequal ones, a self-loop on c
         events = [("a", 0), ("b", 10), ("a", 20), ("c", 21), ("b", 26), ("c", 126), ("c", 127)]
         g = build_session_graph(SessionRecord("s", events), NORM)
-        assert {(s, d) for s, d, _ in g.edges} >= {(0, 1), (1, 0), (1, 2), (2, 1), (2, 2)}
+        assert {(s, d) for s, d, _ in o_transitions(g)} >= {(0, 1), (1, 0), (1, 2), (2, 1), (2, 2)}
         batch = batch_graphs([g, g], "both")
         assert_batch_is_neighborhoods(batch, [g, g], "both")
         entries = {(d, s): iv for d, s, iv in zip(batch.dst.tolist(), batch.src.tolist(),
@@ -378,35 +388,43 @@ def assert_same_array(got, expected):
     assert got.tobytes() == expected.tobytes()
 
 
+def prefix_graph(events):
+    """The graph of all but a session's final event, written from its
+    events: items in click order, gaps by the scalar normalizer."""
+    prefix = events[:-1]
+    return SessionGraph(items=[item for item, _ in prefix],
+                        intervals=[NORM(t - s) for (_, s), (_, t) in zip(prefix, prefix[1:])])
+
+
 class TestBatchSessions:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.lists(session_strategy(), max_size=9), st.sampled_from(DIRECTIONS),
            st.integers(0, 9))
-    def test_equals_batch_graphs_of_the_examples(self, sessions, direction, cut):
+    def test_is_the_neighborhoods_of_the_events(self, sessions, direction, cut):
         records = [SessionRecord(f"s{k}", events) for k, events in enumerate(sessions)]
         got = batch_sessions(records, ITEM_ROWS, NORM, direction)
         usable = [rec for rec in records if len(rec.events) >= 2
                   and all(item in ITEM_ROWS for item, _ in rec.events)]
         assert got.records == usable
-        examples = examples_from_records(usable, NORM)
-        expected = batch_graphs([ex.graph for ex in examples], direction)
-        for name in ("dst", "src", "interval", "node_session", "last"):
-            assert_same_array(getattr(got.batch, name), getattr(expected, name))
+        prefixes = [prefix_graph(rec.events) for rec in usable]
+        assert_batch_is_neighborhoods(got.batch, prefixes, direction)
         assert_same_array(got.node_rows, np.array(
-            [ITEM_ROWS[it] for ex in examples for it in ex.graph.nodes], dtype=np.intp))
-        assert got.targets == [ex.target_item for ex in examples]
-        assert_same_array(got.intervals, np.array([ex.target_interval for ex in examples]))
-        # the examples' intervals are the scalar normalizer's
-        for rec, ex in zip(usable, examples):
-            (_, before), (_, after) = rec.events[-2:]
-            assert ex.target_interval == NORM(after - before)
-            gaps = [NORM(t - s) for (_, s), (_, t) in zip(rec.events[:-1], rec.events[1:-1])]
-            assert [iv for _, _, iv in ex.graph.edges] == gaps
+            [ITEM_ROWS[it] for g in prefixes for it in o_nodes(g)], dtype=np.intp))
+        assert got.targets == [rec.events[-1][0] for rec in usable]
+        assert_same_array(got.intervals, np.array(
+            [NORM(rec.events[-1][1] - rec.events[-2][1]) for rec in usable], dtype=np.float64))
+        # the object path: the examples are the prefixes, batched the same way
+        examples = examples_from_records(usable, NORM)
+        assert [ex.graph for ex in examples] == prefixes
+        assert [ex.target_item for ex in examples] == got.targets
+        assert_same_array(np.array([ex.target_interval for ex in examples]), got.intervals)
+        assert_batch_is_neighborhoods(batch_graphs(prefixes, direction), prefixes, direction)
         # a slice of the batch is the batch of the slice
         cut = min(cut, len(usable))
         for start, stop in ((0, cut), (cut, len(usable))):
             part, alone = got.select(start, stop), batch_sessions(
                 usable[start:stop], ITEM_ROWS, NORM, direction)
+            assert_batch_is_neighborhoods(part.batch, prefixes[start:stop], direction)
             assert part.records == alone.records and part.targets == alone.targets
             for name in ("dst", "src", "interval", "node_session", "last"):
                 assert_same_array(getattr(part.batch, name), getattr(alone.batch, name))

@@ -2,9 +2,10 @@
 module: walking the package imports of ``evaluate.py``, ``model.py`` and
 ``graph.py``, and of every package module they import, finds no ``train``.
 ``metrics`` imports no package module at all: a ranking is a plain int.
-Only ``grad.fused`` builds a tape Node with parents, only ``graph._merge``
-merges a session's repeated transitions, and evaluation builds no
-per-session graph."""
+Only ``grad.fused`` builds a tape Node with parents, only
+``graph.batch_events`` numbers nodes and hands transitions to
+``graph._merge``, the one merge of repeated transitions, and evaluation
+builds no per-session graph."""
 
 import ast
 from pathlib import Path
@@ -83,28 +84,36 @@ def test_only_fused_builds_nodes_with_parents():
 SORTS = ("sorted", "sort", "lexsort", "argsort")
 
 
-def test_only_batch_graphs_merges_transitions():
-    """A session graph keeps every transition; the one lexsort of
-    ``graph._merge``, which ``batch_graphs`` and ``batch_sessions`` both
-    call, is the one place a pair clicked more than once keeps its smallest
-    interval.  So ``SessionGraph`` is made only in ``graph._graph``, and the
-    only other function of ``graph.py`` that sorts is ``batch_sessions``,
-    whose lexsort by (session, item) numbers the nodes."""
-    made = {(path.stem,) + where for path in sorted(PACKAGE.glob("*.py"))
+def package_calls(called):
+    """(module, enclosing function names) of each call of ``called`` in the package."""
+    return {(path.stem,) + where for path in sorted(PACKAGE.glob("*.py"))
             for where, name, _ in calls(ast.parse(path.read_text(encoding="utf-8")))
-            if name == "SessionGraph"}
-    assert made == {("graph", "_graph")}
+            if name == called}
+
+
+def test_one_builder_numbers_nodes_and_merges_transitions():
+    """A session graph is its events; ``graph.batch_events`` alone numbers
+    the nodes (its stable argsort by (session, code)) and hands the
+    transitions to ``graph._merge``, whose one lexsort is the one place a
+    pair clicked more than once keeps its smallest interval.  So the only
+    functions of ``graph.py`` that sort are those two, ``_merge`` has one
+    caller, and ``SessionGraph`` is made only from events, in
+    ``build_session_graph`` and ``examples_from_records``."""
     graph = ast.parse((PACKAGE / "graph.py").read_text(encoding="utf-8"))
     assert {where for where, name, _ in calls(graph) if name in SORTS} == {
-        ("_merge",), ("batch_sessions",)}
-    assert {where for where, name, _ in calls(graph) if name == "_merge"} == {
-        ("batch_graphs",), ("batch_sessions",)}
+        ("_merge",), ("batch_events",)}
+    assert {where for where, name, _ in calls(graph) if name == "_merge"} == {("batch_events",)}
+    assert package_calls("SessionGraph") == {("graph", "build_session_graph"),
+                                             ("graph", "examples_from_records")}
+    # every GraphBatch is the builder's, or a slice of one
+    assert package_calls("GraphBatch") == {("graph", "batch_events"), ("graph", "select")}
+    assert package_calls("batch_events") == {("graph", "batch_graphs"), ("graph", "batch_sessions"),
+                                             ("model", "forward_graphs")}
     seen = ast.parse("def f(r):\n    return sorted(r.items())\n"
                      "def g(a, b):\n    a.sort()\n    return np.lexsort((a, b)), np.argsort(b)\n"
                      "h = lambda x: x.sorted_keys()\n")
     assert [(where, name) for where, name, _ in calls(seen) if name in SORTS] == [
         (("f",), "sorted"), (("g",), "sort"), (("g",), "lexsort"), (("g",), "argsort")]
-
 
 
 def test_evaluation_builds_no_session_graphs():

@@ -158,7 +158,7 @@ class TestAttentionCoefficients:
         # place all nodes identically: every pair distance zero
         point = rand_ball(np.random.default_rng(2), 5, 0.4)
         state = [point.copy() for _ in g.nodes]
-        i = g.node_index["a"]
+        i = g.nodes.index("a")
         weights = coefficients(state, g, i, params)
         for _, w in weights:
             assert float(w) == pytest.approx(1.0 / len(weights), abs=1e-12)
@@ -168,11 +168,11 @@ class TestAttentionCoefficients:
         params = make_params(np.random.default_rng(0), items=("a", "b"), d=2)
         g = chain_graph([("b", 0), ("a", 10)])
         state = [np.zeros(2), np.zeros(2)]
-        state[g.node_index["b"]] = np.array([0.5, 0.0])
-        i = g.node_index["a"]
+        state[g.nodes.index("b")] = np.array([0.5, 0.0])
+        i = g.nodes.index("a")
         weights = dict(coefficients(state, g, i, params))
-        assert float(weights[g.node_index["a"]]) == pytest.approx(0.25, abs=1e-10)
-        assert float(weights[g.node_index["b"]]) == pytest.approx(0.75, abs=1e-10)
+        assert float(weights[g.nodes.index("a")]) == pytest.approx(0.25, abs=1e-10)
+        assert float(weights[g.nodes.index("b")]) == pytest.approx(0.75, abs=1e-10)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(3)
@@ -189,11 +189,11 @@ class TestAttentionCoefficients:
         params = make_params(rng, items=("a", "b"), d=2)
         g = chain_graph([("b", 0), ("a", 10)])
         state = [np.array([0.05, 0.0]), np.array([0.6, 0.0])]
-        i = g.node_index["a"]
+        i = g.nodes.index("a")
         w_plus = dict(coefficients(state, g, i, params))
         params.attention_sign = -1.0
         w_minus = dict(coefficients(state, g, i, params))
-        j = g.node_index["b"]
+        j = g.nodes.index("b")
         assert float(w_plus[j]) > 0.5 > float(w_minus[j])
 
 
@@ -229,7 +229,7 @@ class TestSelfAttentionLayer:
         rng = np.random.default_rng(6)
         params = make_params(np.random.default_rng(60))
         g = chain_graph([("a", 0), ("b", 0), ("c", 0)])
-        assert all(iv == 0.0 for _, _, iv in g.edges)
+        assert g.intervals == [0.0, 0.0]
         state = [rand_ball(rng, 5, 0.7) for _ in g.nodes]
         with_time = model.self_attention_layer(np.stack(state), batch_of(g, params), params)
         params.time_proj = np.zeros(5)  # removes the time pathway entirely
@@ -249,13 +249,13 @@ class TestSelfAttentionLayer:
         # relabel items; graph nodes appear in a different order
         mapping = {"a": "z", "b": "y", "c": "x", "d": "w"}
         g2 = chain_graph([(mapping[i], t) for i, t in events])
-        state2 = [state[g.node_index[{v: k for k, v in mapping.items()}[item]]]
+        state2 = [state[g.nodes.index({v: k for k, v in mapping.items()}[item])]
                   for item in g2.nodes]
         out2 = model.self_attention_layer(np.stack(state2), batch_of(g2, params), params)
         h_s2 = model.soft_attention_session(out2, batch_of(g2, params), params)[0]
         for item, new in mapping.items():
             np.testing.assert_allclose(
-                out[g.node_index[item]], out2[g2.node_index[new]], atol=1e-12
+                out[g.nodes.index(item)], out2[g2.nodes.index(new)], atol=1e-12
             )
         np.testing.assert_allclose(h_s, h_s2, atol=1e-12)
 

@@ -117,7 +117,7 @@ class TestComputeLoss:
         expected = (
             M.distance(fw.item_future, h_target)
             + 0.1 * M.distance(fw.session_future, fw.session)
-            + 0.1 * M.distance(h_target, fw.final[ex.graph.last_index])
+            + 0.1 * M.distance(h_target, fw.final[ex.graph.nodes.index("c")])
         )
         assert float(train.compute_loss(ex, params)) == pytest.approx(expected, abs=1e-14)
 
