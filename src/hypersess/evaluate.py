@@ -7,10 +7,11 @@ embedding, under the normalizer the model was trained with, which every
 call takes.  Nothing here comes from ``train``.
 
 The test sessions are read once, by ``graph.batch_sessions``, into one
-``GraphBatch`` built straight from their events, and scored in blocks of at
-most ``BLOCK_BYTES // (8 * n_items)``: one ``forward_items`` over the
-block's slice of that batch, each distinct item projected once in item-id
-order, and one (sessions x items) distance screen from a single GEMM (see
+session store built straight from their events, and scored in blocks of at
+most ``BLOCK_BYTES // (8 * n_items)``: each block is a ``take`` of a run of
+sessions, forwarded by one ``forward_items`` over its ``GraphBatch``, each
+distinct item projected once in item-id order (``model.id_order``), and
+one (sessions x items) distance screen from a single GEMM (see
 :func:`~hypersess.manifold.distance_screen` for its rounding bound).  Items the
 screen places certainly nearer than the target are counted; the few within
 the bound of the target are recomputed exactly, with the formula of
@@ -25,7 +26,7 @@ again one session at a time, so that the error names its session.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,11 +79,11 @@ def rank_test_sessions(
     """
     table = model.item_table(params)
     size = max(1, BLOCK_BYTES // (8 * len(table.items)))
-    sessions = batch_sessions(records, params.item_index, norm, params.neighborhood)
-    n = len(sessions.records)
+    sessions = batch_sessions(records, params.item_index, norm)
+    n = len(sessions.names)
     cases: List[Tuple[int, str]] = []
     for start in range(0, n, size):
-        cases += _rank_block(sessions.select(start, min(start + size, n)), params, table)
+        cases += _rank_block(sessions.take(np.arange(start, min(start + size, n))), params, table)
     return cases, len(records) - n
 
 
@@ -91,22 +92,17 @@ def _rank_block(block: SessionBatch, params: ModelParams,
     """(rank, target) of each session in the block, from one forward pass
     and one screened distance matrix.  On a ValueError the block is ranked
     again one session at a time, so that the error names its session."""
-    # each distinct item projected once, in item-id order, the order training
-    # gives: a GEMM may round a row differently at another position
-    rows, node_at = np.unique(block.node_rows, return_inverse=True)
-    ids = [params.items[r] for r in rows.tolist()]
-    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
-    at = np.empty_like(by_id)
-    at[by_id] = np.arange(len(by_id))
+    rows, (code,) = model.id_order(params.items, block.code)
+    targets = [params.items[t] for t in block.targets.tolist()]
     try:
-        fw = model.forward_items(block.batch, block.intervals, params,
-                                 params.item_features[rows[by_id]], at[node_at])[0]
-        return list(zip(table.ranks(fw.item_future, block.targets).tolist(), block.targets))
+        batch, node_at = replace(block, code=code).graph_batch(params.neighborhood)
+        fw = model.forward_items(batch, block.intervals, params, params.item_features[rows], node_at)[0]
+        return list(zip(table.ranks(fw.item_future, targets).tolist(), targets))
     except ValueError as exc:
-        if len(block.records) == 1:
-            raise ValueError(f"test session {block.records[0].session_id!r}: {exc}") from exc
-        return [case for b in range(len(block.records))
-                for case in _rank_block(block.select(b, b + 1), params, table)]
+        if len(block.names) == 1:
+            raise ValueError(f"test session {block.names[0]!r}: {exc}") from exc
+        return [case for b in range(len(block.names))
+                for case in _rank_block(block.take([b]), params, table)]
 
 
 def evaluate(

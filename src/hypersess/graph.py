@@ -10,13 +10,13 @@ once keeps its smallest interval.
 A :class:`TrainingExample` pairs the graph of a session's prefix with the
 next event; training reads sessions that way.
 
-The model reads graphs as a :class:`GraphBatch`: the disjoint union of one
-or more session graphs, as edge arrays over one numbering of their nodes.
-Every batch is built by :func:`batch_events` from per-event columns (item
-code, events per session, gap), which numbers the nodes and hands the
-transitions to :func:`_merge`; :func:`batch_graphs` feeds it session graphs,
-and :func:`batch_sessions` records' events, with no per-session object, for
-evaluation.
+The model reads sessions from one store, a :class:`SessionBatch` of
+per-event columns, whose ``take`` gathers any sessions and whose
+``graph_batch`` makes their :class:`GraphBatch`, the disjoint union of their
+graphs as edge arrays, by :func:`batch_events`: the one function that
+numbers nodes, handing the transitions to :func:`_merge`.  Evaluation fills
+a store from records' events (:func:`batch_sessions`), ``recommend`` and
+:func:`batch_graphs` from session graphs (:func:`graph_sessions`).
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
-from typing import Dict, List, Sequence, Tuple
+from functools import cached_property
+from itertools import chain, repeat
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -217,22 +218,8 @@ class GraphBatch:
 
 
 def batch_graphs(graphs: Sequence[SessionGraph], direction: str = DIRECTIONS[0]) -> GraphBatch:
-    """The :class:`GraphBatch` of ``graphs`` under an edge direction, by
-    :func:`batch_events`, each item coded by its first appearance."""
-    seen = dict.fromkeys(chain.from_iterable(g.items for g in graphs))
-    code = {it: k for k, it in enumerate(seen)}
-    return batch_events(*graph_columns(graphs, code), direction)[0]
-
-
-def graph_columns(graphs: Sequence[SessionGraph],
-                  code: Dict[Item, int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The per-event columns of ``graphs`` that :func:`batch_events` reads,
-    item ``it`` coded ``code[it]``; a graph's last event has gap 0."""
-    items = list(chain.from_iterable(g.items for g in graphs))
-    gaps = list(chain.from_iterable(chain(g.intervals, (0.0,)) for g in graphs))
-    return (np.fromiter(map(code.__getitem__, items), np.intp, len(items)),
-            np.array([len(g.items) for g in graphs], dtype=np.intp),
-            np.array(gaps, dtype=np.float64))
+    """The :class:`GraphBatch` of ``graphs`` under a direction (:func:`graph_sessions`)."""
+    return graph_sessions(graphs, repeat(0.0)).graph_batch(direction)[0]
 
 
 def batch_events(code: np.ndarray, lengths: np.ndarray, gaps: np.ndarray,
@@ -302,49 +289,67 @@ def _group_starts(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SessionBatch:
-    """Sessions as evaluation reads them: the :class:`GraphBatch` of each
-    session's graph over all but its final event, ``node_rows`` each node's
-    item row, and each session's final item (``targets``) with its
-    normalized gap from the event before (``intervals``)."""
+    """Sessions as per-event columns, the one form in which the model reads
+    them.  Session b is the next ``lengths[b]`` (>= 1) events of ``code``
+    (item codes, in click order) and ``gaps`` (the normalized gap after each
+    event); its last gap leads to its target, coded ``targets[b]`` (-1 for
+    none).  ``names`` label the sessions."""
 
-    records: List[SessionRecord]
-    batch: GraphBatch
-    node_rows: np.ndarray
-    targets: List[Item]
-    intervals: np.ndarray
+    code: np.ndarray
+    lengths: np.ndarray
+    gaps: np.ndarray
+    targets: np.ndarray
+    names: np.ndarray
 
-    def select(self, start: int, stop: int) -> "SessionBatch":
-        """Sessions start..stop-1 alone, their nodes numbered from 0."""
-        b = self.batch
-        lo, hi = np.searchsorted(b.node_session, (start, stop)).tolist()
-        first, end = np.searchsorted(b.dst, (lo, hi)).tolist()
-        return SessionBatch(
-            records=self.records[start:stop],
-            batch=GraphBatch(dst=b.dst[first:end] - lo, src=b.src[first:end] - lo,
-                             interval=b.interval[first:end],
-                             node_session=b.node_session[lo:hi] - start,
-                             last=b.last[start:stop] - lo),
-            node_rows=self.node_rows[lo:hi],
-            targets=self.targets[start:stop],
-            intervals=self.intervals[start:stop],
-        )
+    @property
+    def intervals(self) -> np.ndarray:
+        """Each session's last gap: the interval to its target."""
+        return self.gaps[np.cumsum(self.lengths) - 1]
+
+    @cached_property
+    def _starts(self) -> np.ndarray:
+        return np.cumsum(self.lengths) - self.lengths
+
+    def take(self, index) -> "SessionBatch":
+        """Sessions ``index[0]``, ``index[1]``, ... as a batch of their own."""
+        lengths = self.lengths[index]
+        # event j of session k comes from j - (k's start here) + (k's own start)
+        at = np.arange(lengths.sum()) + np.repeat(self._starts[index] - np.cumsum(lengths) + lengths,
+                                                  lengths)
+        return SessionBatch(code=self.code[at], lengths=lengths, gaps=self.gaps[at],
+                            targets=self.targets[index], names=self.names[index])
+
+    def graph_batch(self, direction: str = DIRECTIONS[0]) -> Tuple[GraphBatch, np.ndarray]:
+        """The sessions' :class:`GraphBatch` and node codes (:func:`batch_events`)."""
+        return batch_events(self.code, self.lengths, self.gaps, direction)
+
+
+def graph_sessions(graphs: Sequence[SessionGraph], t_norm: Iterable[float]) -> SessionBatch:
+    """``graphs`` as a :class:`SessionBatch`, graph b named b, with last gap
+    ``t_norm[b]`` and no target, items coded by first appearance (so one
+    graph's codes are its node positions)."""
+    items = list(chain.from_iterable(g.items for g in graphs))
+    code = {it: k for k, it in enumerate(dict.fromkeys(items))}
+    gaps = [gap for g, t in zip(graphs, t_norm) for gap in (*g.intervals, t)]
+    return SessionBatch(code=np.fromiter(map(code.__getitem__, items), np.intp, len(items)),
+                        lengths=np.array([len(g.items) for g in graphs], dtype=np.intp),
+                        gaps=np.array(gaps, dtype=np.float64),
+                        targets=np.full(len(graphs), -1, dtype=np.intp),
+                        names=np.arange(len(graphs)))
 
 
 def batch_sessions(
     records: Sequence[SessionRecord],
     item_index: Dict[Item, int],
     norm: IntervalNormalizer,
-    direction: str = DIRECTIONS[0],
 ) -> SessionBatch:
-    """The usable ``records`` as one :class:`SessionBatch`, built from their
-    events with no per-session object.  A session is usable with at least
-    ``MIN_EVENTS`` events, every item a key of ``item_index`` (its row).
+    """The usable ``records`` as one :class:`SessionBatch` of item rows,
+    named by session id, built from their events with no per-session
+    object.  A session is usable with at least ``MIN_EVENTS`` events, every
+    item a key of ``item_index`` (its row); its last event is its target.
 
     One pass over all the events maps items to rows (-1 when unknown) and
-    takes the gaps; the rest is numpy.  The prefix events (all but each
-    usable session's last) line up with their gaps: gap j follows prefix
-    event j, and a session's last gap is its target's.  The prefix events
-    go to :func:`batch_events`, coded by their rows.
+    takes the gaps; the rest is numpy, with one normalizer call.
     """
     events = list(chain.from_iterable(rec.events for rec in records))
     items = [item for item, _ in events]
@@ -357,14 +362,9 @@ def batch_sessions(
     prefix = usable[owner]
     prefix[np.cumsum(lengths) - 1] = False
     at = np.flatnonzero(prefix)
-    intervals = norm.normalize(gaps[at])
     sizes = lengths[usable] - 1
-    batch, node_rows = batch_events(row[at], sizes, intervals, direction)
-    ends = np.cumsum(sizes)
     return SessionBatch(
-        records=list(compress(records, usable.tolist())),
-        batch=batch,
-        node_rows=node_rows,
-        targets=[items[i] for i in (at[ends - 1] + 1).tolist()],
-        intervals=intervals[ends - 1],
+        code=row[at], lengths=sizes, gaps=norm.normalize(gaps[at]),
+        targets=row[at[np.cumsum(sizes) - 1] + 1],
+        names=np.array([rec.session_id for rec in records], dtype=object)[usable],
     )

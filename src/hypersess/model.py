@@ -5,9 +5,8 @@ applied after a log map at the origin and the result is mapped back with the
 exp map.  Every function here is generic over plain ndarrays (inference) and
 tape Nodes (training); see ``grad``.  Every layer takes an (N, d) matrix of
 node rows over a :class:`~hypersess.graph.GraphBatch`, so one tape node
-carries a whole minibatch.  Training binds a minibatch's tape leaves with
-``dataclasses.replace(params, ...)``: the fields it names are Nodes, and
-``item_index`` follows the ``items`` it is given.
+carries a whole minibatch.  Training binds a minibatch's tape leaves, the
+matrices and the (K, f) block of its item rows, on a shallow copy of params.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import grad, manifold
 from .grad import Arrayish
-from .graph import DIRECTIONS, GraphBatch, SessionGraph, batch_events, graph_columns
+from .graph import DIRECTIONS, GraphBatch, SessionGraph, graph_sessions
 
 Item = str
 
@@ -44,6 +43,17 @@ def item_positions(index: Dict[Item, int], items: Iterable[Item]) -> List[int]:
         return [index[it] for it in items]
     except KeyError as exc:
         raise ValueError(f"item {exc.args[0]!r} is not in the model's vocabulary") from None
+
+
+def id_order(items: Sequence[Item], *codes: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """The distinct rows of ``codes`` in item-id order, and each code's
+    position in it: a GEMM may round a row differently at another place."""
+    rows, at = np.unique(np.concatenate(codes), return_inverse=True)
+    by_id = sorted(range(len(rows)), key=[items[r] for r in rows.tolist()].__getitem__)
+    position = np.empty(len(rows), dtype=np.intp)
+    position[by_id] = np.arange(len(rows))
+    at, ends = position[at], np.cumsum([len(c) for c in codes])
+    return rows[by_id], [at[end - len(c):end] for c, end in zip(codes, ends)]
 
 
 def check_hyperparameters(lambda_s, lambda_v, layers, attention_sign, direction) -> None:
@@ -105,10 +115,6 @@ class ModelParams:
 
     def item_vec(self, item_id: Item) -> Arrayish:
         return grad.take(self.item_features, self.item_positions([item_id])[0])
-
-    def item_rows(self, items: Sequence[Item]) -> Arrayish:
-        """The (K, f) feature rows of the given items, in their order."""
-        return grad.take(self.item_features, self.item_positions(items))
 
     def __getstate__(self):
         # a copy's arrays are writable: it must neither carry nor serve the kept table
@@ -303,18 +309,6 @@ def forward_batch(batch: GraphBatch, t_norm: np.ndarray, initial: Arrayish, para
     )
 
 
-def forward_graphs(graphs: Sequence[SessionGraph], t_norm: Sequence[float], params, items: Sequence[Item]):
-    """The forward pass of recommend and training: one :func:`forward_items`
-    over ``graphs``, graph b asked about ``t_norm[b]``.  ``items`` holds
-    every graph item; each is projected once, and the batch is built from
-    the graphs' events coded by their rows.  Returns the pass, the batch,
-    the (K, d) projected ``items`` and each one's row."""
-    row = {it: k for k, it in enumerate(items)}
-    batch, node_at = batch_events(*graph_columns(graphs, row), params.neighborhood)
-    fw, table = forward_items(batch, t_norm, params, params.item_rows(items), node_at)
-    return fw, batch, table, row
-
-
 def forward_items(batch: GraphBatch, t_norm, params, features: Arrayish, node_at):
     """One :func:`forward_batch` over a ready batch, session b asked about
     ``t_norm[b]``: the (K, f) item ``features`` are projected once, and
@@ -327,8 +321,12 @@ def forward_items(batch: GraphBatch, t_norm, params, features: Arrayish, node_at
 
 def forward_session(g: SessionGraph, t_norm: float, params) -> ForwardResult:
     """Full pass for one session graph and query interval: a batch of one,
-    with the (n, d) node rows and (d,) vectors for the session."""
-    fw = forward_graphs([g], [t_norm], params, g.nodes)[0]
+    its nodes projected in node order, with the (n, d) node rows and (d,)
+    vectors for the session."""
+    sessions = graph_sessions([g], [t_norm])
+    batch, node_at = sessions.graph_batch(params.neighborhood)
+    features = grad.take(params.item_features, params.item_positions(g.nodes))
+    fw = forward_items(batch, sessions.intervals, params, features, node_at)[0]
     return replace(fw, session=grad.take(fw.session, 0),
                    session_future=grad.take(fw.session_future, 0),
                    item_future=grad.take(fw.item_future, 0))

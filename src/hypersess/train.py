@@ -4,13 +4,14 @@ The loss combines three geodesic distances with plain real-number weights
 (lambda_s, lambda_v); Mobius arithmetic on scalar distances is not defined,
 and the objective must be an ordinary real.  Ball-constrained parameters
 (item feature rows, readout bias) are re-projected after every update.
-Minibatches go through ``model.forward_graphs``, as recommend does; the
+Minibatches are taken from one ``graph.SessionBatch`` of the examples; the
 examples are ``graph``'s, and their names are importable from here.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import json
 import logging
@@ -22,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import grad, manifold, model
-from .graph import IntervalNormalizer, TrainingExample, examples_from_records
+from .graph import IntervalNormalizer, SessionBatch, TrainingExample, examples_from_records, graph_sessions
 from .model import ModelParams
 
 log = logging.getLogger(__name__)
@@ -74,47 +75,48 @@ class TrainConfig:
         return IntervalNormalizer(tau=self.tau, cap=self.cap)
 
 
-def _batch_items(examples: Sequence[TrainingExample], negatives: Sequence[Optional[str]]) -> List[str]:
-    """Every item a minibatch's loss reads, sorted."""
-    used = {it for ex in examples for it in ex.graph.items}
-    used.update(ex.target_item for ex in examples)
-    used.update(neg for neg in negatives if neg is not None)
-    return sorted(used)
+def session_store(examples: Sequence[TrainingExample], item_index: Dict[str, int]) -> SessionBatch:
+    """``examples`` as one :class:`~hypersess.graph.SessionBatch` of rows
+    ``item_index[item]``, example i named i, its target interval its last
+    gap; an item outside ``item_index`` is a ValueError naming it."""
+    sessions = graph_sessions([ex.graph for ex in examples], [ex.target_interval for ex in examples])
+    seen = dict.fromkeys(it for ex in examples for it in ex.graph.items)
+    rows = np.array(model.item_positions(item_index, seen), dtype=np.intp)
+    targets = model.item_positions(item_index, [ex.target_item for ex in examples])
+    return replace(sessions, code=rows[sessions.code], targets=np.array(targets, dtype=np.intp))
 
 
 def batch_losses(
-    examples: Sequence[TrainingExample],
+    sessions: SessionBatch,
     params,
-    negatives: Optional[Sequence[Optional[str]]] = None,
+    negatives: Optional[np.ndarray] = None,
     margin: float = TrainConfig.margin,
 ):
     """The (B,) per-example losses of a minibatch, forwarded as one graph.
 
     Each loss is d(item_future, target) + lambda_s d(session_future, session)
     + lambda_v d(target, last item), all geodesic, plus the hinge
-    max(0, margin - d(item_future, negative)) where the example has a
-    negative other than its target.  ``params`` may hold tape Nodes (bound
-    with ``dataclasses.replace``), in which case the result is a Node; each
-    distinct item is projected once, from one gather of its rows.
+    max(0, margin - d(item_future, negative)) where the example's negative
+    is not its target (None: no negatives).  Codes, targets and negatives
+    are rows of ``params.item_features``, each projected once; ``params``
+    may hold tape Nodes, in which case the result is a Node.
     """
-    negatives = list(negatives) if negatives is not None else [None] * len(examples)
-    fw, batch, table, row = model.forward_graphs(
-        [ex.graph for ex in examples], [ex.target_interval for ex in examples],
-        params, _batch_items(examples, negatives))
-    h_target = grad.take(table, np.array([row[ex.target_item] for ex in examples]))
+    batch, node_at = sessions.graph_batch(params.neighborhood)
+    fw, table = model.forward_items(batch, sessions.intervals, params, params.item_features, node_at)
+    h_target = grad.take(table, sessions.targets)
     loss = manifold.distance(fw.item_future, h_target)
     if params.lambda_s > 0:
         loss = grad.add(loss, grad.mul(params.lambda_s, manifold.distance(fw.session_future, fw.session)))
     if params.lambda_v > 0:
         loss = grad.add(loss, grad.mul(params.lambda_v, manifold.distance(h_target, grad.take(fw.final, batch.last))))
-    hinged = [neg is not None and neg != ex.target_item for ex, neg in zip(examples, negatives)]
-    if any(hinged):
-        # examples without a negative score their own target, weighted 0
-        h_neg = grad.take(table, np.array([row[neg] if h else row[ex.target_item]
-                                           for ex, neg, h in zip(examples, negatives, hinged)]))
+    negatives = sessions.targets if negatives is None else negatives
+    hinged = negatives != sessions.targets
+    if hinged.any():
+        # an example whose negative is its target scores it, weighted 0
+        h_neg = grad.take(table, negatives)
         hinge = grad.relu(grad.sub(margin, manifold.distance(fw.item_future, h_neg)))
-        loss = grad.add(loss, grad.mul(np.array(hinged, dtype=np.float64)[:, None], hinge))
-    return grad.reshape(loss, (len(examples),))
+        loss = grad.add(loss, grad.mul(hinged.astype(np.float64)[:, None], hinge))
+    return grad.reshape(loss, (batch.n_sessions,))
 
 
 def compute_loss(
@@ -123,12 +125,12 @@ def compute_loss(
     negative_item: Optional[str] = None,
     margin: float = TrainConfig.margin,
 ):
-    """The loss of one example (see :func:`batch_losses`): a batch of one.
-
-    ``params`` may hold tape Nodes, in which case the result is a scalar
-    Node.
-    """
-    return grad.reshape(batch_losses([example], params, [negative_item], margin), ())
+    """The loss of one example (see :func:`batch_losses`): a batch of one,
+    over the whole item table.  ``params`` may hold tape Nodes, in which
+    case the result is a scalar Node."""
+    negatives = None if negative_item is None else np.array(params.item_positions([negative_item]))
+    sessions = session_store([example], params.item_index)
+    return grad.reshape(batch_losses(sessions, params, negatives, margin), ())
 
 
 def _nonfinite_gradient(grads: Dict[str, np.ndarray]) -> Optional[str]:
@@ -193,14 +195,14 @@ def fit(
 ) -> FitResult:
     """Seeded epoch/batch loop; identical seeds give identical traces.
 
-    Each minibatch is one tape: :func:`batch_losses` over the union of its
-    graphs, and one ``backward`` of the mean.  A minibatch whose loss or
-    gradient is not finite updates nothing and is counted in
-    ``skipped_steps``; its losses still enter the epoch loss.
+    Each minibatch is a ``take`` of the examples' :func:`session_store` and
+    one tape: :func:`batch_losses` over it, one ``backward`` of the mean.  A
+    minibatch whose loss or gradient is not finite updates nothing and is
+    counted in ``skipped_steps``; its losses still enter the epoch loss.
     ``vocab`` fixes a new model's catalog (defaults to the items present in
     the dataset); an item the dataset reads outside the catalog is a
-    ValueError naming it.  Given ``params`` are trained in place, must be
-    writable (what fit or load_checkpoint returns is not: train a copy),
+    ValueError naming it, before any step.  Given ``params`` are trained in
+    place, must be writable (what fit or load_checkpoint returns is not: train a copy),
     must agree with the config's ``dim`` and model hyperparameters, and take
     no ``vocab`` or ``categories``.  The collapse trace records the mean
     pairwise distance among up to 100 sampled projected item embeddings
@@ -217,9 +219,10 @@ def fit(
     rng = np.random.default_rng(config.seed)
     monitor_rng = np.random.default_rng(config.seed + 1)
 
-    used = _batch_items(dataset, [])
     if params is None:
-        params = model.init_params(list(used if vocab is None else vocab), config.dim, rng,
+        if vocab is None:
+            vocab = sorted({it for ex in dataset for it in ex.graph.items + [ex.target_item]})
+        params = model.init_params(list(vocab), config.dim, rng,
                                    categories=categories, **config.model_hyperparameters())
     elif vocab is not None or categories is not None:
         raise ValueError("vocab and categories apply only to a new model, not to given params")
@@ -231,15 +234,16 @@ def fit(
             if getattr(params, name) != value:
                 raise ValueError(f"params have {name}={getattr(params, name)!r} "
                                  f"but the config sets {value!r}")
-    params.item_positions(used)  # an item outside the vocabulary fails here, before any step
+    store = session_store(dataset, params.item_index)  # an unknown item fails here, before any step
 
     n = len(dataset)
     n_items = len(params.items)
     monitor_idx = monitor_rng.choice(n_items, size=min(100, n_items), replace=False)
 
-    # one negative per example, drawn once so the objective is stationary
-    negatives = ([params.items[int(rng.integers(n_items))] for _ in range(n)]
-                 if config.margin_negatives else [None] * n)
+    # one negative row per example, drawn once so the objective is stationary;
+    # an example's own target is no negative
+    negatives = (np.array([rng.integers(n_items) for _ in range(n)], dtype=np.intp)
+                 if config.margin_negatives else store.targets)
 
     epoch_losses: List[float] = []
     collapse: List[float] = []
@@ -251,19 +255,20 @@ def fit(
             # membership is shuffled; in-batch order is canonical so the
             # float summation (and full-batch gradients) are order-stable
             batch_idx = np.sort(order[start:start + config.batch_size])
-            batch = [dataset[i] for i in batch_idx]
-            batch_negatives = [negatives[i] for i in batch_idx]
+            batch = store.take(batch_idx)
 
-            # the batch's items as a sub-catalog: one (K, f) leaf of their rows
-            items = _batch_items(batch, batch_negatives)
-            rows = params.item_positions(items)
+            # a (K, f) leaf of the rows, on a copy: a new ModelParams re-indexes the catalog
+            rows, (code, targets, batch_negatives) = model.id_order(
+                params.items, batch.code, batch.targets, negatives[batch_idx])
             leaves = {name: grad.Node(getattr(params, name)) for name in model.MATRIX_FIELDS}
             leaves["item_features"] = grad.Node(params.item_features[rows])
+            bound = copy.copy(params)
+            vars(bound).update(leaves)
 
-            losses = batch_losses(batch, replace(params, items=items, **leaves),
+            losses = batch_losses(replace(batch, code=code, targets=targets), bound,
                                   batch_negatives, config.margin)
             example_losses[batch_idx] = losses.value
-            batch_loss = grad.div(grad.dot(np.ones(len(batch)), losses), float(len(batch)))
+            batch_loss = grad.div(grad.dot(np.ones(len(batch_idx)), losses), float(len(batch_idx)))
             if not np.isfinite(batch_loss.value):
                 log.warning("non-finite batch loss; skipping step")
                 skipped += 1

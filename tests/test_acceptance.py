@@ -150,7 +150,7 @@ def test_gradient_suite():
             worst = max(worst, rep.max_rel_error)
 
     def state_of(b):
-        return model.hyperbolic_projection(b.item_rows(g.nodes), b)
+        return model.hyperbolic_projection(G.take(b.item_features, b.item_positions(g.nodes)), b)
 
     def probed(w, rows):
         """The sum over the (N, d) rows of each row's dot with w."""

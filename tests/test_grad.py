@@ -489,7 +489,7 @@ class TestModelLayerGradients:
             def f(th):
                 b = replace(params, **th)
                 batch = batch_graphs([g], b.neighborhood)
-                state = model.hyperbolic_projection(b.item_rows(g.nodes), b)
+                state = model.hyperbolic_projection(G.take(b.item_features, b.item_positions(g.nodes)), b)
                 return probed_rows(probe, model.self_attention_layer(state, batch, b))
             return f
         self.layer_check(build, 33)
@@ -499,7 +499,7 @@ class TestModelLayerGradients:
             def f(th):
                 b = replace(params, **th)
                 batch = batch_graphs([g], b.neighborhood)
-                state = model.hyperbolic_projection(b.item_rows(g.nodes), b)
+                state = model.hyperbolic_projection(G.take(b.item_features, b.item_positions(g.nodes)), b)
                 state = model.self_attention_layer(state, batch, b)
                 return probed_rows(probe, model.soft_attention_session(state, batch, b))
             return f
@@ -551,8 +551,12 @@ class TestFullLossGradient:
             params = interior_params(np.random.default_rng(41000 + trial))
             params.neighborhood = ("in", "out", "both")[trial]
 
+            sessions = train.session_store(examples, params.item_index)
+            # the second example's target stands for no negative
+            negatives = np.array([params.item_index["c"], sessions.targets[1], params.item_index["b"]])
+
             def f(th):
-                losses = train.batch_losses(examples, replace(params, **th), ["c", None, "b"])
+                losses = train.batch_losses(sessions, replace(params, **th), negatives)
                 return G.div(G.dot(np.ones(3), losses), 3.0)
             rep = G.check_gradients(f, theta_of(params), h=1e-4)
             assert not rep.failures

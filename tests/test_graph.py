@@ -18,6 +18,8 @@ from hypersess.graph import (
     examples_from_records,
     neighborhood,
 )
+from hypersess.model import id_order
+from hypersess.train import session_store
 from hypersess.manifold import EPS_BALL
 
 NORM = IntervalNormalizer()
@@ -396,40 +398,42 @@ def prefix_graph(events):
                         intervals=[NORM(t - s) for (_, s), (_, t) in zip(prefix, prefix[1:])])
 
 
+def assert_same_store(got, expected):
+    """Equal columns, bit for bit; the names may differ."""
+    for name in ("code", "lengths", "gaps", "targets"):
+        assert_same_array(getattr(got, name), getattr(expected, name))
+
+
 class TestBatchSessions:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.lists(session_strategy(), max_size=9), st.sampled_from(DIRECTIONS),
            st.integers(0, 9))
     def test_is_the_neighborhoods_of_the_events(self, sessions, direction, cut):
         records = [SessionRecord(f"s{k}", events) for k, events in enumerate(sessions)]
-        got = batch_sessions(records, ITEM_ROWS, NORM, direction)
+        got = batch_sessions(records, ITEM_ROWS, NORM)
         usable = [rec for rec in records if len(rec.events) >= 2
                   and all(item in ITEM_ROWS for item, _ in rec.events)]
-        assert got.records == usable
+        assert got.names.tolist() == [rec.session_id for rec in usable]
         prefixes = [prefix_graph(rec.events) for rec in usable]
-        assert_batch_is_neighborhoods(got.batch, prefixes, direction)
-        assert_same_array(got.node_rows, np.array(
+        batch, node_rows = got.graph_batch(direction)
+        assert_batch_is_neighborhoods(batch, prefixes, direction)
+        assert_same_array(node_rows, np.array(
             [ITEM_ROWS[it] for g in prefixes for it in o_nodes(g)], dtype=np.intp))
-        assert got.targets == [rec.events[-1][0] for rec in usable]
+        assert got.targets.tolist() == [ITEM_ROWS[rec.events[-1][0]] for rec in usable]
         assert_same_array(got.intervals, np.array(
             [NORM(rec.events[-1][1] - rec.events[-2][1]) for rec in usable], dtype=np.float64))
-        # the object path: the examples are the prefixes, batched the same way
+        # the object path: the examples are the prefixes, and their store is this one
         examples = examples_from_records(usable, NORM)
         assert [ex.graph for ex in examples] == prefixes
-        assert [ex.target_item for ex in examples] == got.targets
-        assert_same_array(np.array([ex.target_interval for ex in examples]), got.intervals)
+        assert_same_store(session_store(examples, ITEM_ROWS), got)
         assert_batch_is_neighborhoods(batch_graphs(prefixes, direction), prefixes, direction)
-        # a slice of the batch is the batch of the slice
+        # a run of sessions taken is the run's batch alone
         cut = min(cut, len(usable))
         for start, stop in ((0, cut), (cut, len(usable))):
-            part, alone = got.select(start, stop), batch_sessions(
-                usable[start:stop], ITEM_ROWS, NORM, direction)
-            assert_batch_is_neighborhoods(part.batch, prefixes[start:stop], direction)
-            assert part.records == alone.records and part.targets == alone.targets
-            for name in ("dst", "src", "interval", "node_session", "last"):
-                assert_same_array(getattr(part.batch, name), getattr(alone.batch, name))
-            assert_same_array(part.node_rows, alone.node_rows)
-            assert_same_array(part.intervals, alone.intervals)
+            part = got.take(np.arange(start, stop))
+            alone = batch_sessions(usable[start:stop], ITEM_ROWS, NORM)
+            assert_same_store(part, alone)
+            assert part.names.tolist() == alone.names.tolist()
 
     def test_skips_short_and_unknown_sessions(self):
         records = [SessionRecord("one", [("a", 0)]),
@@ -437,14 +441,16 @@ class TestBatchSessions:
                    SessionRecord("ok", [("a", 0), ("a", 30), ("b", 40)]),
                    SessionRecord("alien-target", [("zz", 0), ("b", 5)])]
         got = batch_sessions(records, ITEM_ROWS, NORM)
-        assert [rec.session_id for rec in got.records] == ["ok"]
+        assert got.names.tolist() == ["ok"]
         # the prefix a, a is one node with a self-loop
-        assert got.node_rows.tolist() == [ITEM_ROWS["a"]]
-        assert got.batch.interval.tolist() == [NORM(30)]
-        assert got.targets == ["b"] and got.intervals.tolist() == [NORM(10)]
+        batch, node_rows = got.graph_batch()
+        assert node_rows.tolist() == [ITEM_ROWS["a"]]
+        assert batch.interval.tolist() == [NORM(30)]
+        assert got.targets.tolist() == [ITEM_ROWS["b"]] and got.intervals.tolist() == [NORM(10)]
         empty = batch_sessions(records[:2], ITEM_ROWS, NORM)
-        assert (empty.records, empty.batch.n_nodes, empty.batch.n_sessions) == ([], 0, 0)
-        assert_dtypes(empty.batch)
+        none = empty.take([]).graph_batch()[0]
+        assert (len(empty.names), none.n_nodes, none.n_sessions) == (0, 0, 0)
+        assert_dtypes(none)
 
     def test_nan_gap_rejected(self):
         inf = float("inf")
@@ -453,3 +459,48 @@ class TestBatchSessions:
             batch_sessions(records, ITEM_ROWS, NORM)
         with pytest.raises(ValueError, match="NaN"):
             examples_from_records(records, NORM)
+
+
+ITEM_IDS = sorted(ITEM_ROWS, key=ITEM_ROWS.get)  # each row's item
+
+
+class TestSessionStore:
+    """Training's store: the examples' events as columns, from which every
+    minibatch is taken."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(session_strategy(), max_size=9), st.booleans(), st.data())
+    def test_take_is_the_batch_of_the_examples(self, sessions, augment, data):
+        records = [SessionRecord(f"s{k}", events) for k, events in enumerate(sessions)
+                   if all(item in ITEM_ROWS for item, _ in events)]
+        examples = examples_from_records(records, NORM, augment_prefixes=augment)
+        store = session_store(examples, ITEM_ROWS)
+        picked = data.draw(st.lists(st.booleans(), min_size=len(examples), max_size=len(examples)))
+        index = np.flatnonzero(np.array(picked, dtype=bool))
+        chosen = [examples[i] for i in index]
+        graphs = [ex.graph for ex in chosen]
+        got = store.take(index)
+        assert got.names.tolist() == index.tolist()
+        for direction in DIRECTIONS:
+            batch, node_rows = got.graph_batch(direction)
+            expected = batch_graphs(graphs, direction)
+            for name in ("dst", "src", "interval", "node_session", "last"):
+                assert_same_array(getattr(batch, name), getattr(expected, name))
+            assert_batch_is_neighborhoods(batch, graphs, direction)
+            assert_same_array(node_rows, np.array(
+                [ITEM_ROWS[it] for g in graphs for it in o_nodes(g)], dtype=np.intp))
+        assert got.targets.tolist() == [ITEM_ROWS[ex.target_item] for ex in chosen]
+        assert_same_array(got.intervals, np.array([ex.target_interval for ex in chosen],
+                                                  dtype=np.float64))
+        # two runs taken are each run's store alone
+        cut = data.draw(st.integers(0, len(index)))
+        for run in (index[:cut], index[cut:]):
+            assert_same_store(store.take(run), session_store([examples[i] for i in run], ITEM_ROWS))
+
+        # the rows a minibatch reads, in item-id order, and each code's position
+        rows, (code, targets) = id_order(ITEM_IDS, got.code, got.targets)
+        ids = [ITEM_IDS[r] for r in rows.tolist()]
+        assert ids == sorted({it for ex in chosen for it in ex.graph.items}
+                             | {ex.target_item for ex in chosen})
+        assert_same_array(rows[code], got.code)
+        assert_same_array(rows[targets], got.targets)

@@ -4,8 +4,9 @@ module: walking the package imports of ``evaluate.py``, ``model.py`` and
 ``metrics`` imports no package module at all: a ranking is a plain int.
 Only ``grad.fused`` builds a tape Node with parents, only
 ``graph.batch_events`` numbers nodes and hands transitions to
-``graph._merge``, the one merge of repeated transitions, and evaluation
-builds no per-session graph."""
+``graph._merge``, the one merge of repeated transitions, every batch is a
+session store's, evaluation builds no per-session graph, and training takes
+its minibatches from its store."""
 
 import ast
 from pathlib import Path
@@ -105,15 +106,40 @@ def test_one_builder_numbers_nodes_and_merges_transitions():
     assert {where for where, name, _ in calls(graph) if name == "_merge"} == {("batch_events",)}
     assert package_calls("SessionGraph") == {("graph", "build_session_graph"),
                                              ("graph", "examples_from_records")}
-    # every GraphBatch is the builder's, or a slice of one
-    assert package_calls("GraphBatch") == {("graph", "batch_events"), ("graph", "select")}
-    assert package_calls("batch_events") == {("graph", "batch_graphs"), ("graph", "batch_sessions"),
-                                             ("model", "forward_graphs")}
+    # every GraphBatch is the builder's, called by the session store alone
+    assert package_calls("GraphBatch") == {("graph", "batch_events")}
+    assert package_calls("batch_events") == {("graph", "graph_batch")}
+    # evaluation fills a store from records, training, forward_session and
+    # batch_graphs from session graphs
+    assert package_calls("SessionBatch") == {
+        ("graph", "take"), ("graph", "graph_sessions"), ("graph", "batch_sessions")}
+    assert package_calls("graph_sessions") == {("graph", "batch_graphs"), ("model", "forward_session"),
+                                               ("train", "session_store")}
+    assert package_calls("graph_batch") == {("graph", "batch_graphs"), ("model", "forward_session"),
+                                            ("train", "batch_losses"), ("evaluate", "_rank_block")}
     seen = ast.parse("def f(r):\n    return sorted(r.items())\n"
                      "def g(a, b):\n    a.sort()\n    return np.lexsort((a, b)), np.argsort(b)\n"
                      "h = lambda x: x.sorted_keys()\n")
     assert [(where, name) for where, name, _ in calls(seen) if name in SORTS] == [
         (("f",), "sorted"), (("g",), "sort"), (("g",), "lexsort"), (("g",), "argsort")]
+
+
+def test_minibatches_are_taken_from_the_store():
+    """``fit`` takes each minibatch from its session store: ``train.py``
+    makes no ``ModelParams`` but the one ``load_checkpoint`` reads, binds no
+    sub-catalog with ``replace(..., items=...)``, and neither ``fit`` nor
+    ``batch_losses`` builds graphs or examples from objects."""
+    tree = ast.parse((PACKAGE / "train.py").read_text(encoding="utf-8"))
+    found = list(calls(tree))
+    assert {where for where, name, _ in found if name == "ModelParams"} == {("load_checkpoint",)}
+    assert not [where for where, name, call in found
+                if name == "replace" and any(k.arg == "items" for k in call.keywords)]
+    objects = {"batch_graphs", "graph_columns", "examples_from_records"}
+    assert not {(where, name) for where, name, _ in found
+                if where[:1] in (("fit",), ("batch_losses",)) and name in objects}
+    seen = ast.parse("def f(p, ex):\n    q = replace(p, items=[], x=1)\n    return batch_graphs(ex)\n")
+    assert [(where, name, [k.arg for k in call.keywords]) for where, name, call in calls(seen)] == [
+        (("f",), "replace", ["items", "x"]), (("f",), "batch_graphs", [])]
 
 
 def test_evaluation_builds_no_session_graphs():

@@ -69,21 +69,22 @@ class TestBoundParams:
         np.testing.assert_array_equal(p.item_features, before)
 
     def test_sub_catalog_indexes_its_own_items(self):
-        # the training step binds a batch's items and their rows only
+        # a copy made with a sub-catalog and its rows looks items up in it
         p = make_params(np.random.default_rng(2))
         b = replace(p, items=["b", "d"], item_features=p.item_features[[1, 3]])
         assert b.item_index == {"b": 0, "d": 1}
-        np.testing.assert_array_equal(b.item_rows(["d", "b"]), p.item_features[[3, 1]])
+        np.testing.assert_array_equal(b.item_features[b.item_positions(["d", "b"])],
+                                      p.item_features[[3, 1]])
         assert p.item_index == {it: i for i, it in enumerate("abcde")}
 
 
 class TestItemLookup:
     @pytest.mark.parametrize("read", [
         lambda p: p.item_vec("zz"),
-        lambda p: p.item_rows(["a", "zz", "yy"]),
+        lambda p: p.item_positions(["a", "zz", "yy"]),
         lambda p: model.ItemTable(p).ranks(np.zeros((1, 5)), ["zz"]),
         lambda p: model.forward_session(chain_graph([("a", 0), ("zz", 10)]), 0.3, p),
-    ], ids=["item_vec", "item_rows", "ranks", "forward_session"])
+    ], ids=["item_vec", "item_positions", "ranks", "forward_session"])
     def test_unknown_item_named(self, read):
         p = make_params(np.random.default_rng(3))
         with pytest.raises(ValueError, match="^item 'zz' is not in the model's vocabulary$"):

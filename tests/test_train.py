@@ -177,6 +177,16 @@ def minibatches(draw, gaps=(0, 0, 3, 40, 900, 100000)):
     return examples, negatives, params
 
 
+def store_of(examples, negatives, params):
+    """The examples' session store and their negatives as item rows, an
+    example's own target standing for None (no negative)."""
+    sessions = train.session_store(examples, params.item_index)
+    if negatives is None:
+        return sessions, None
+    return sessions, np.array([t if neg is None else params.item_index[neg]
+                               for neg, t in zip(negatives, sessions.targets.tolist())])
+
+
 def taped(params):
     """Every learnable array as a tape leaf, the whole item table as one."""
     return {n: G.Node(getattr(params, n)) for n in ("item_features",) + model.MATRIX_FIELDS}
@@ -193,7 +203,8 @@ class TestBatchLosses:
     def test_losses_are_the_per_example_losses(self, batch):
         examples, negatives, params = batch
         negs = negatives or [None] * len(examples)
-        losses = train.batch_losses(examples, params, negatives, self.MARGIN)
+        sessions, rows = store_of(examples, negatives, params)
+        losses = train.batch_losses(sessions, params, rows, self.MARGIN)
         assert losses.shape == (len(examples),)
         single = [float(train.compute_loss(ex, params, neg, self.MARGIN))
                   for ex, neg in zip(examples, negs)]
@@ -209,7 +220,8 @@ class TestBatchLosses:
         examples, negatives, params = batch
         negs = negatives or [None] * len(examples)
         theta = taped(params)
-        losses = train.batch_losses(examples, replace(params, **theta), negatives, self.MARGIN)
+        sessions, rows = store_of(examples, negatives, params)
+        losses = train.batch_losses(sessions, replace(params, **theta), rows, self.MARGIN)
         G.backward(G.dot(np.ones(len(examples)), losses))
         summed = {k: np.zeros_like(v.value) for k, v in theta.items()}
         for ex, neg in zip(examples, negs):
@@ -227,9 +239,13 @@ class TestBatchLosses:
         negs = negatives or [None] * len(examples)
         perm = list(range(len(examples)))
         rnd.shuffle(perm)
-        losses = train.batch_losses(examples, params, negs, self.MARGIN)
-        permuted = train.batch_losses([examples[i] for i in perm], params,
-                                      [negs[i] for i in perm], self.MARGIN)
+        sessions, rows = store_of(examples, negs, params)
+        losses = train.batch_losses(sessions, params, rows, self.MARGIN)
+        taken = sessions.take(perm)
+        alone = train.session_store([examples[i] for i in perm], params.item_index)
+        for name in ("code", "lengths", "gaps", "targets"):
+            np.testing.assert_array_equal(getattr(taken, name), getattr(alone, name))
+        permuted = train.batch_losses(taken, params, rows[perm], self.MARGIN)
         np.testing.assert_allclose(permuted, losses[perm], rtol=1e-12, atol=1e-15)
 
 
@@ -486,20 +502,23 @@ class TestFit:
         batch_losses, optimizer_step = train.batch_losses, train.optimizer_step
         batches, steps = [], []
 
-        def seen(examples, *args, **kwargs):
-            batches.append(examples)
-            return batch_losses(examples, *args, **kwargs)
+        def seen(sessions, *args, **kwargs):
+            batches.append(sessions)
+            return batch_losses(sessions, *args, **kwargs)
 
         def recorded(params, grads, lr, clip, rows):
-            # the same batch's item gradients, from the whole item table as one leaf
+            # the same batch's item gradients, from the whole item table as
+            # one leaf; an example is named by its place in the dataset
             batch = batches[-1]
-            used = sorted({it for ex in batch for it in ex.graph.nodes}
-                          | {ex.target_item for ex in batch})
+            examples = [exs[i] for i in batch.names]
+            used = sorted({it for ex in examples for it in ex.graph.nodes}
+                          | {ex.target_item for ex in examples})
             table = G.Node(params.item_features)
-            losses = batch_losses(batch, replace(params, item_features=table))
-            G.backward(G.div(G.dot(np.ones(len(batch)), losses), float(len(batch))))
+            losses = batch_losses(train.session_store(examples, params.item_index),
+                                  replace(params, item_features=table))
+            G.backward(G.div(G.dot(np.ones(len(examples)), losses), float(len(examples))))
             per_row = table.adjoint[params.item_positions(used)]
-            steps.append((grads, list(rows), used, per_row))
+            steps.append((grads, list(rows), used, per_row, batch, examples))
             return optimizer_step(params, grads, lr, clip, rows)
 
         monkeypatch.setattr(train, "batch_losses", seen)
@@ -507,11 +526,50 @@ class TestFit:
         config = TrainConfig(dim=6, learning_rate=0.05, epochs=1, batch_size=3, seed=1)
         params = train.fit(exs, config, vocab=items).params
         assert len(steps) == len(batches) == -(-len(exs) // 3)
-        for grads, rows, used, per_row in steps:
+        for grads, rows, used, per_row, batch, examples in steps:
             assert set(grads) == set(model.MATRIX_FIELDS) | {"item_features"}
             assert rows == [params.item_index[it] for it in used]
+            # the batch is coded by position in the block
+            assert [params.items[rows[c]] for c in batch.code] == \
+                [it for ex in examples for it in ex.graph.items]
+            assert [params.items[rows[t]] for t in batch.targets] == \
+                [ex.target_item for ex in examples]
             assert grads["item_features"].shape == (len(used), params.feat_dim)
             np.testing.assert_allclose(grads["item_features"], per_row, rtol=1e-12, atol=0)
+
+    def test_a_negative_equal_to_its_target_is_not_hinged(self, monkeypatch):
+        # every negative's row is in the block, one drawn equal to its
+        # target too, but only a negative other than the target is hinged
+        exs, items = tiny_dataset(n_sessions=20, n_items=5)
+        batch_losses, optimizer_step = train.batch_losses, train.optimizer_step
+        seen, blocks = [], []
+
+        def recorded_losses(sessions, params, negatives, margin):
+            losses = batch_losses(sessions, params, negatives, margin)
+            plain = batch_losses(sessions, params, None, margin)
+            seen.append((sessions, negatives, losses.value, plain.value))
+            return losses
+
+        def recorded_step(params, grads, lr, clip, rows):
+            blocks.append(list(rows))
+            return optimizer_step(params, grads, lr, clip, rows)
+
+        monkeypatch.setattr(train, "batch_losses", recorded_losses)
+        monkeypatch.setattr(train, "optimizer_step", recorded_step)
+        config = TrainConfig(dim=6, learning_rate=0.05, epochs=2, batch_size=4, seed=1,
+                             margin_negatives=True, margin=5.0)
+        params = train.fit(exs, config, vocab=items).params
+        own = np.concatenate([negatives == sessions.targets for sessions, negatives, _, _ in seen])
+        assert own.any() and not own.all()
+        assert len(blocks) == len(seen)
+        for (sessions, negatives, losses, plain), rows in zip(seen, blocks):
+            examples = [exs[i] for i in sessions.names]
+            read = {it for ex in examples for it in ex.graph.items} | {ex.target_item for ex in examples}
+            drawn = {params.items[rows[k]] for k in negatives.tolist()}
+            assert rows == [params.item_index[it] for it in sorted(read | drawn)]
+            same = negatives == sessions.targets
+            np.testing.assert_array_equal(losses[same], plain[same])
+            assert (losses[~same] > plain[~same]).all()
 
     def test_nonfinite_gradient_counts_as_skipped(self, monkeypatch):
         exs, items = tiny_dataset()
